@@ -40,12 +40,6 @@
 //	cresim -topology ring:10 [-dwell 2ms] [-mode cres-coop] [-worm secure-probe]
 //	cresim -topology ring:10 -faults high
 //	cresim -topology star:10 -faults high -recover
-//	cresim -serve [-listen 127.0.0.1:8377] [-store results]
-//
-// The -serve mode is an alias of cmd/cresd: it starts the resident
-// attestation service on -listen, persisting results to -store, and
-// serves until SIGINT/SIGTERM or a POST /quit drains it. See cresd
-// for the endpoint surface.
 //
 // The -faults flag layers a named fault campaign (see cres.
 // DefaultFaultLevels: none, low, high) onto the topology mode's fabric:
@@ -59,15 +53,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"cres"
@@ -75,8 +65,6 @@ import (
 	"cres/internal/fleet"
 	"cres/internal/harness"
 	"cres/internal/scenario"
-	"cres/internal/service"
-	"cres/internal/store"
 )
 
 // options collects the CLI flags.
@@ -100,9 +88,6 @@ type options struct {
 	// recoverLoop is the -recover flag ("recover" itself would shadow
 	// the builtin in any local rebinding).
 	recoverLoop bool
-	serve       bool
-	listen      string
-	storeDir    string
 }
 
 func main() {
@@ -124,9 +109,6 @@ func main() {
 	flag.StringVar(&o.worm, "worm", "secure-probe", "worm payload scenario (topology mode; see -list)")
 	flag.StringVar(&o.faults, "faults", "none", "fault campaign on the fabric: none, low or high (topology mode)")
 	flag.BoolVar(&o.recoverLoop, "recover", false, "run the cell through E14's contain vs recover modes and print the comparison (topology mode)")
-	flag.BoolVar(&o.serve, "serve", false, "start the resident attestation service (alias of cmd/cresd)")
-	flag.StringVar(&o.listen, "listen", "127.0.0.1:8377", "TCP address the resident service listens on (serve mode)")
-	flag.StringVar(&o.storeDir, "store", "results", "resident service result store directory; empty disables persistence (serve mode)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -145,10 +127,6 @@ func run(o options) error {
 			fmt.Printf("%-22s [plan] %s\n", p.Name, p.Description)
 		}
 		return nil
-	}
-
-	if o.serve {
-		return runServe(o, nil)
 	}
 
 	if o.fleet > 0 {
@@ -276,17 +254,6 @@ func oneOf(flagName, val string, valid []string) error {
 	return fmt.Errorf("%s: unknown value %q (valid: %s)", flagName, val, strings.Join(valid, ", "))
 }
 
-// attackNames lists the registered attack scenario names, for the
-// -worm usage error.
-func attackNames() []string {
-	all := attack.All()
-	names := make([]string, len(all))
-	for i, sc := range all {
-		names[i] = sc.Name()
-	}
-	return names
-}
-
 // faultLevel resolves the -faults flag against the named E14 fault
 // levels.
 func faultLevel(name string) (cres.FaultLevel, error) {
@@ -318,7 +285,7 @@ func runSwarm(o options) error {
 	if err := oneOf("-mode", o.mode, cres.SwarmModes()); err != nil {
 		return err
 	}
-	if err := oneOf("-worm", o.worm, attackNames()); err != nil {
+	if err := oneOf("-worm", o.worm, attack.Names()); err != nil {
 		return err
 	}
 	level, err := faultLevel(o.faults)
@@ -476,55 +443,6 @@ func runFleet(o options) error {
 			a.Index, fleet.ReasonString(a.Reason), share.Label, a.Latency)
 	}
 	return nil
-}
-
-// runServe is the resident-service alias: the same engines cresim
-// drives in batch, kept warm behind cresd's HTTP surface. Flags are
-// validated (and the store opened) before the listener; SIGINT,
-// SIGTERM or a POST /quit drains gracefully. The bound address is
-// sent on started (when non-nil) once the listener is open, for tests
-// serving on :0.
-func runServe(o options, started chan<- net.Addr) error {
-	var st *store.Store
-	if o.storeDir != "" {
-		var err error
-		if st, err = store.Open(o.storeDir); err != nil {
-			return fmt.Errorf("-store: %w", err)
-		}
-		defer st.Close()
-	}
-	srv, err := service.New(service.Config{
-		Store:       st,
-		Parallel:    o.parallel,
-		DefaultSeed: o.seed,
-	})
-	if err != nil {
-		return err
-	}
-	l, err := net.Listen("tcp", o.listen)
-	if err != nil {
-		return fmt.Errorf("-listen: %w", err)
-	}
-	fmt.Printf("cresim: resident service on http://%s (alias of cresd)\n", l.Addr())
-	if started != nil {
-		started <- l.Addr()
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		if _, ok := <-sig; !ok {
-			return
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-	err = srv.Serve(l)
-	// Unhook and close the channel so the drain goroutine exits when
-	// the server stopped for another reason (a /quit request).
-	signal.Stop(sig)
-	close(sig)
-	return err
 }
 
 func runOne(sc attack.Scenario, arch cres.Architecture, seed int64) error {

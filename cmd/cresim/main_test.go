@@ -1,14 +1,6 @@
 package main
 
-import (
-	"io"
-	"net"
-	"net/http"
-	"path/filepath"
-	"strings"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestList(t *testing.T) {
 	if err := run(options{list: true}); err != nil {
@@ -87,48 +79,6 @@ func TestUnknownArchitecture(t *testing.T) {
 func TestNothingSelected(t *testing.T) {
 	if err := run(options{arch: "cres", seed: 7}); err == nil {
 		t.Fatal("empty selection accepted")
-	}
-}
-
-// TestServeMode drives the cresd alias end to end: serve on :0 with a
-// store, answer an appraisal, drain via /quit.
-func TestServeMode(t *testing.T) {
-	o := options{serve: true, listen: "127.0.0.1:0",
-		storeDir: filepath.Join(t.TempDir(), "results"), parallel: 2, seed: 7}
-	started := make(chan net.Addr, 1)
-	errCh := make(chan error, 1)
-	go func() { errCh <- runServe(o, started) }()
-	base := "http://" + (<-started).String()
-
-	resp, err := http.Get(base + "/appraise?size=64&seed=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"schema"`) {
-		t.Fatalf("GET /appraise: %d: %s", resp.StatusCode, body)
-	}
-	if resp, err = http.Post(base+"/quit", "application/json", nil); err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatalf("serve mode exited with %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("/quit did not drain the server")
-	}
-}
-
-// TestServeModeRejectsBadListen pins that serve-mode flag errors stop
-// startup, matching the cresd contract.
-func TestServeModeRejectsBadListen(t *testing.T) {
-	if err := run(options{serve: true, listen: "definitely:not:an:address", storeDir: ""}); err == nil {
-		t.Fatal("bad -listen accepted")
 	}
 }
 

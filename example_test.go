@@ -108,10 +108,10 @@ func ExamplePrincipleFor() {
 
 // Example_attackSuite lists the scenario catalogue.
 func Example_attackSuite() {
-	for _, sc := range attack.Suite()[:3] {
+	for _, sc := range attack.All()[:3] {
 		fmt.Println(sc.Name())
 	}
-	fmt.Printf("... %d scenarios total\n", len(attack.Suite()))
+	fmt.Printf("... %d scenarios total\n", len(attack.All()))
 	// Output:
 	// secure-probe
 	// firmware-tamper

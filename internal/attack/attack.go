@@ -453,9 +453,3 @@ func (LogWipe) Launch(tgt *Target) error {
 	})
 	return nil
 }
-
-// Suite returns every registered scenario in a stable order.
-//
-// Deprecated: Suite predates the registry and is kept for callers that
-// grew around it; new code should use All, which it now aliases.
-func Suite() []Scenario { return All() }

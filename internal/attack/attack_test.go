@@ -133,7 +133,7 @@ func newRig(t *testing.T) *rig {
 func (r *rig) settle() { r.engine.RunFor(30 * time.Millisecond) }
 
 func TestSuiteComplete(t *testing.T) {
-	suite := Suite()
+	suite := All()
 	if len(suite) != 11 {
 		t.Fatalf("suite = %d scenarios", len(suite))
 	}
@@ -157,7 +157,7 @@ func TestSuiteComplete(t *testing.T) {
 func TestEveryScenarioDetected(t *testing.T) {
 	// Warm the rate detectors with healthy traffic first in scenarios
 	// that rely on anomaly (bus-flood). Each scenario gets a fresh rig.
-	for _, sc := range Suite() {
+	for _, sc := range All() {
 		sc := sc
 		t.Run(sc.Name(), func(t *testing.T) {
 			r := newRig(t)
@@ -193,7 +193,7 @@ func TestEveryScenarioDetected(t *testing.T) {
 func TestScenariosRequireComponents(t *testing.T) {
 	e := sim.New(1)
 	empty := &Target{Engine: e}
-	for _, sc := range Suite() {
+	for _, sc := range All() {
 		if err := sc.Launch(empty); !errors.Is(err, ErrTargetIncomplete) {
 			t.Errorf("%s accepted empty target: %v", sc.Name(), err)
 		}

@@ -12,8 +12,8 @@ import (
 // one-file change: implement Scenario and Register it here (or from the
 // file that defines it). Registration order is presentation order and
 // is part of the output contract — the experiment tables are diffed
-// byte-for-byte by CI, so built-ins register in the historical Suite()
-// order and new scenarios append.
+// byte-for-byte by CI, so built-ins keep their historical order and
+// new scenarios append.
 
 var (
 	regMu     sync.Mutex

@@ -9,14 +9,16 @@ import (
 	"cres/internal/sim"
 )
 
+// TestRegistryMatchesSuite: the registry holds the 11 built-in
+// scenarios, and its name lookups agree with it.
 func TestRegistryMatchesSuite(t *testing.T) {
 	all := All()
 	if len(all) != 11 {
 		t.Fatalf("registry = %d scenarios, want the 11 built-ins", len(all))
 	}
-	for i, sc := range Suite() {
-		if all[i].Name() != sc.Name() {
-			t.Errorf("All()[%d] = %s, Suite()[%d] = %s", i, all[i].Name(), i, sc.Name())
+	for i, name := range Names() {
+		if all[i].Name() != name {
+			t.Errorf("All()[%d] = %s, Names()[%d] = %s", i, all[i].Name(), i, name)
 		}
 	}
 	for _, name := range Names() {

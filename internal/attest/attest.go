@@ -179,22 +179,9 @@ type Policy struct {
 // ErrPolicy reports an appraisal-policy failure.
 var ErrPolicy = errors.New("attest: policy violation")
 
-// Appraise checks a quote and event log against the policy, resolving
-// the device's attestation key from the provisioned name-keyed AIK map.
-//
-// Deprecated: Appraise is a thin name-lookup wrapper kept as an alias
-// while E-series callers migrate; AppraiseKey is the one appraisal
-// entry point, and batch callers should precompile with
-// CompileAppraisal. New code that holds a key should call AppraiseKey
-// directly.
-func (p *Policy) Appraise(device string, q *tpm.Quote, log []tpm.LogEntry, nonce []byte) error {
-	return p.appraiseNamed(device, q, log, nonce)
-}
-
 // appraiseNamed resolves a device name to its provisioned AIK and
-// delegates to AppraiseKey — the lookup half of the deprecated Appraise
-// alias, shared with the transport verifier whose device identity is a
-// wire name.
+// delegates to AppraiseKey — for the transport verifier, whose device
+// identity is a wire name.
 func (p *Policy) appraiseNamed(device string, q *tpm.Quote, log []tpm.LogEntry, nonce []byte) error {
 	aik, ok := p.AIKs[device]
 	if !ok {

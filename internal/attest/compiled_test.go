@@ -154,19 +154,3 @@ func TestCompiledAppraisalMissingRequiredPCR(t *testing.T) {
 		t.Fatalf("compiled selection/values = %v/%v", compiled.Selection(), compiled.Values())
 	}
 }
-
-// TestDeprecatedAppraiseAliasStillWorks keeps the name-based wrapper
-// honest until the E-series callers migrate off it.
-func TestDeprecatedAppraiseAliasStillWorks(t *testing.T) {
-	f := newFixture(t, 1)
-	tp := f.tpms["device-0"]
-	nonce := []byte("fresh")
-	q, err := tp.GenerateQuote(nonce, PCRSelection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 the deprecated alias must keep working until E-series callers migrate
-	if err := f.policy.Appraise("device-0", q, tp.EventLog(), nonce); err != nil {
-		t.Fatalf("deprecated alias verdict = %v", err)
-	}
-}

@@ -3,7 +3,7 @@
 // the experiment registry warm in memory and answers appraisal,
 // fleet-sweep, campaign and topology requests without rebuilding the
 // world per invocation — the long-lived fleet-verifier face of the
-// paper's architecture, served by cmd/cresd and cresim -serve.
+// paper's architecture, served by cmd/cresd.
 //
 // # Model
 //

@@ -3,17 +3,19 @@ package service
 import (
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzAPIRequest drives arbitrary request paths through the full
 // handler stack: whatever the bytes, the server must answer with a
-// well-formed JSON response — never panic, never 5xx. Compute caps
-// are tiny and /run is allowlisted to E2 so the fuzzer spends its
-// budget on the parsing and validation surface, not on big fleets;
-// /campaign and /quit are skipped (matrix compute and global drain
-// respectively — both would starve exploration, neither parses
+// well-formed JSON response — never panic, never 5xx. /run is
+// allowlisted to E2 and costly inputs are skipped, so the fuzzer
+// spends its budget on the parsing and validation surface, not on big
+// fleets; /campaign and /quit are skipped (matrix compute and global
+// drain respectively — both would starve exploration, neither parses
 // anything the other endpoints don't).
 func FuzzAPIRequest(f *testing.F) {
 	f.Add("/healthz")
@@ -31,18 +33,12 @@ func FuzzAPIRequest(f *testing.F) {
 	f.Add("/nope?x=1")
 	f.Add("/appraise?size=999999999999999999999")
 	f.Add("/run?experiment=%45%32")
+	f.Add("/#00?00%") // parses as a request URI, not as a URL
 
-	cfg := Config{
-		Quick:            true,
-		Parallel:         1,
-		Experiments:      []string{"E2"},
-		MaxFleetSize:     64,
-		MaxSweepSizes:    3,
-		MaxCampaignSeeds: 1,
-		MaxTopologySize:  8,
-	}
+	cfg := Config{Quick: true, Parallel: 1, Experiments: []string{"E2"}}
 	f.Fuzz(func(t *testing.T, path string) {
-		if _, err := url.ParseRequestURI(path); err != nil || !strings.HasPrefix(path, "/") {
+		u, err := url.ParseRequestURI(path)
+		if err != nil || !strings.HasPrefix(path, "/") || costly(u.Query()) {
 			t.Skip()
 		}
 		// Raw space/control bytes never reach a handler — a real
@@ -82,4 +78,33 @@ func FuzzAPIRequest(f *testing.F) {
 			t.Fatalf("GET %q: body %q does not end with a newline", path, body)
 		}
 	})
+}
+
+// The fuzz target's compute budget: inputs asking for more are
+// skipped, not served.
+const (
+	fuzzMaxSize  = 64
+	fuzzMaxDwell = 10 * time.Millisecond
+)
+
+// costly reports whether a request asks for a fleet or topology larger
+// than fuzzMaxSize or a worm dwell longer than fuzzMaxDwell. Values
+// that do not parse are not costly: the server rejects them.
+func costly(q url.Values) bool {
+	var sizes []string
+	sizes = append(sizes, q["size"]...)
+	for _, v := range q["sizes"] {
+		sizes = append(sizes, strings.Split(v, ",")...)
+	}
+	for _, v := range sizes {
+		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n > fuzzMaxSize {
+			return true
+		}
+	}
+	for _, v := range q["dwell"] {
+		if d, err := time.ParseDuration(v); err == nil && d > fuzzMaxDwell {
+			return true
+		}
+	}
+	return false
 }

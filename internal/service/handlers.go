@@ -2,9 +2,11 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,11 +50,11 @@ type handlerFunc func(r *http.Request) (*response, error)
 func (s *Server) routes() {
 	s.mux.HandleFunc("/healthz", s.wrap("GET", s.handleHealthz))
 	s.mux.HandleFunc("/experiments", s.wrap("GET", s.handleExperiments))
-	s.mux.HandleFunc("/run", s.wrap("GET", s.handleRun))
-	s.mux.HandleFunc("/appraise", s.wrap("GET,POST", s.handleAppraise))
-	s.mux.HandleFunc("/fleet", s.wrap("GET", s.handleFleet))
-	s.mux.HandleFunc("/campaign", s.wrap("GET", s.handleCampaign))
-	s.mux.HandleFunc("/topology", s.wrap("GET", s.handleTopology))
+	s.mux.HandleFunc("/run", s.wrap("GET", s.serveCells(s.parseRun)))
+	s.mux.HandleFunc("/appraise", s.wrap("GET,POST", s.serveCells(s.parseAppraise)))
+	s.mux.HandleFunc("/fleet", s.wrap("GET", s.serveCells(s.parseFleet)))
+	s.mux.HandleFunc("/campaign", s.wrap("GET", s.serveCells(s.parseCampaign)))
+	s.mux.HandleFunc("/topology", s.wrap("GET", s.serveCells(s.parseTopology)))
 	s.mux.HandleFunc("/results", s.wrap("GET", s.handleResults))
 	s.mux.HandleFunc("/statz", s.wrap("GET", s.handleStatz))
 	s.mux.HandleFunc("/quit", s.wrap("POST", s.handleQuit))
@@ -63,8 +65,9 @@ func (s *Server) routes() {
 const endpointList = "/healthz, /experiments, /run, /appraise, /fleet, /campaign, /topology, /results, /statz, /quit"
 
 // wrap adapts a handlerFunc to net/http: drain refusal, method
-// check, error rendering, counters, headers, trailing newline.
-// methods is the comma-separated allowed set ("" = any method).
+// check, body bound, error rendering, counters, headers, trailing
+// newline. methods is the comma-separated allowed set ("" = any
+// method).
 func (s *Server) wrap(methods string, fn handlerFunc) http.HandlerFunc {
 	var allowed []string
 	if methods != "" {
@@ -76,15 +79,12 @@ func (s *Server) wrap(methods string, fn handlerFunc) http.HandlerFunc {
 			s.writeError(w, errf(http.StatusServiceUnavailable, "server draining"))
 			return
 		}
-		if len(allowed) > 0 {
-			ok := false
-			for _, m := range allowed {
-				ok = ok || m == r.Method
-			}
-			if !ok {
-				s.writeError(w, errf(http.StatusMethodNotAllowed, "%s %s: method not allowed (allowed: %s)", r.Method, r.URL.Path, methods))
-				return
-			}
+		if len(allowed) > 0 && !slices.Contains(allowed, r.Method) {
+			s.writeError(w, errf(http.StatusMethodNotAllowed, "%s %s: method not allowed (allowed: %s)", r.Method, r.URL.Path, methods))
+			return
+		}
+		if r.Method == http.MethodPost {
+			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		}
 		resp, err := fn(r)
 		if err != nil {
@@ -128,13 +128,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 // the strict-flag rule of the CLIs carried over: a typoed parameter
 // is a usage error naming the valid ones, never a silent default.
 func checkParams(q url.Values, allowed ...string) error {
-	ok := make(map[string]bool, len(allowed))
-	for _, a := range allowed {
-		ok[a] = true
-	}
 	for name := range q {
-		if !ok[name] {
-			return errf(http.StatusBadRequest, "unknown query parameter %q (allowed: %s)", name, strings.Join(sortedCopy(allowed), ", "))
+		if !slices.Contains(allowed, name) {
+			return errf(http.StatusBadRequest, "unknown query parameter %q (allowed: %s)", name, strings.Join(slices.Sorted(slices.Values(allowed)), ", "))
 		}
 	}
 	return nil
@@ -215,6 +211,81 @@ func (s *Server) handleExperiments(r *http.Request) (*response, error) {
 	return &response{body: body}, nil
 }
 
+// A cell is one stored, deterministic result: the store experiment it
+// is filed under, the digest of everything that shapes it except the
+// seed, and the function computing its body for a full store key.
+type cell struct {
+	experiment string
+	digest     string
+	compute    func(key store.Key) ([]byte, error)
+}
+
+// A cellRequest is a compute request after parsing: the cells it asks
+// for and, when it asks for several, the envelope that renders their
+// bodies into the response for the request's seed. Without an
+// envelope the request has exactly one cell, whose body is the
+// response.
+type cellRequest struct {
+	cells    []cell
+	envelope func(seed int64, bodies []json.RawMessage) ([]byte, error)
+}
+
+// serveCells is the one path every compute endpoint takes. parse
+// checks and validates the endpoint's own parameters and returns its
+// cells; serveCells then parses ?seed and ?nocache, answers each cell
+// through s.cell and sets the headers: a single cell's digest and
+// hit or miss, or an envelope's hit and miss counts.
+func (s *Server) serveCells(parse func(r *http.Request, q url.Values) (cellRequest, error)) handlerFunc {
+	return func(r *http.Request) (*response, error) {
+		q := r.URL.Query()
+		req, err := parse(r, q)
+		if err != nil {
+			return nil, err
+		}
+		seed, err := s.seedParam(q)
+		if err != nil {
+			return nil, err
+		}
+		nocache, err := boolParam(q, "nocache", false)
+		if err != nil {
+			return nil, err
+		}
+		var bodies []json.RawMessage
+		if req.envelope != nil {
+			bodies = make([]json.RawMessage, 0, len(req.cells))
+		}
+		hits := 0
+		for _, c := range req.cells {
+			body, hit, err := s.cell(c, seed, nocache)
+			if err != nil {
+				return nil, err
+			}
+			if req.envelope == nil {
+				// The request's only cell: its body and identity are
+				// the response.
+				return &response{body: body, digest: c.digest, cache: cacheTag(hit)}, nil
+			}
+			if hit {
+				hits++
+			}
+			bodies = append(bodies, body)
+		}
+		body, err := req.envelope(seed, bodies)
+		if err != nil {
+			return nil, err
+		}
+		return &response{body: body, cache: fmt.Sprintf("hit=%d;miss=%d", hits, len(bodies)-hits)}, nil
+	}
+}
+
+// cacheTag renders the X-Cres-Cache value for one cell.
+func cacheTag(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
+}
+
 // runBody is the /run response envelope.
 type runBody struct {
 	Schema     string   `json:"schema"`
@@ -225,36 +296,23 @@ type runBody struct {
 	Blocks     []string `json:"blocks"`
 }
 
-// handleRun runs one registered experiment under Stable rendering and
-// returns its text blocks.
-func (s *Server) handleRun(r *http.Request) (*response, error) {
-	q := r.URL.Query()
+// parseRun asks for one registered experiment, run under Stable
+// rendering and served as its text blocks.
+func (s *Server) parseRun(r *http.Request, q url.Values) (cellRequest, error) {
 	if err := checkParams(q, "experiment", "seed", "quick", "nocache"); err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
 	name := q.Get("experiment")
-	allowed := false
-	for _, n := range s.allowed {
-		allowed = allowed || n == name
-	}
-	if !allowed {
-		return nil, errf(http.StatusBadRequest, "experiment %q not served here (valid: %s)", name, joinNames(s.allowed))
+	if !slices.Contains(s.allowed, name) {
+		return cellRequest{}, errf(http.StatusBadRequest, "experiment %q not served here (valid: %s)", name, strings.Join(s.allowed, ", "))
 	}
 	exp, ok := harness.Lookup(name)
 	if !ok {
-		return nil, errf(http.StatusInternalServerError, "experiment %q allowed but not registered", name)
-	}
-	seed, err := s.seedParam(q)
-	if err != nil {
-		return nil, err
+		return cellRequest{}, errf(http.StatusInternalServerError, "experiment %q allowed but not registered", name)
 	}
 	quick, err := boolParam(q, "quick", s.cfg.Quick)
 	if err != nil {
-		return nil, err
-	}
-	nocache, err := boolParam(q, "nocache", false)
-	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
 	digest, err := store.Digest(struct {
 		Endpoint   string `json:"endpoint"`
@@ -262,13 +320,12 @@ func (s *Server) handleRun(r *http.Request) (*response, error) {
 		Quick      bool   `json:"quick"`
 	}{Endpoint: "run", Experiment: name, Quick: quick})
 	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
-	key := store.Key{Experiment: name, Seed: seed, Digest: digest}
-	body, hit, err := s.cell(key, nocache, func() ([]byte, error) {
+	return cellRequest{cells: []cell{{experiment: name, digest: digest, compute: func(key store.Key) ([]byte, error) {
 		// Stable rendering: host-clock readings would differ between a
 		// fresh run and a stored body, breaking byte-identity.
-		out, err := exp.Run(&harness.Context{Seed: seed, Quick: quick, Stable: true, Pool: s.requestPool()})
+		out, err := exp.Run(&harness.Context{Seed: key.Seed, Quick: quick, Stable: true, Pool: s.requestPool()})
 		if err != nil {
 			return nil, err
 		}
@@ -278,21 +335,9 @@ func (s *Server) handleRun(r *http.Request) (*response, error) {
 		}
 		return json.Marshal(runBody{
 			Schema: BodySchema, Endpoint: "run",
-			Experiment: name, Seed: seed, Quick: quick, Blocks: blocks,
+			Experiment: name, Seed: key.Seed, Quick: quick, Blocks: blocks,
 		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &response{body: body, digest: digest, cache: cacheTag(hit)}, nil
-}
-
-// cacheTag renders the X-Cres-Cache value for one cell.
-func cacheTag(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
+	}}}}, nil
 }
 
 // sampleEntry is one resolved anomaly of an appraisal response: the
@@ -369,67 +414,67 @@ func (fr fleetSpecRequest) spec() scenario.FleetSpec {
 	return spec
 }
 
-// handleAppraise attests one fleet: GET for the reference E8 workload
-// at ?size, POST for a full JSON fleet spec. The store key is the
-// canonical compiled config — identical workloads share one cell no
-// matter which form described them.
-func (s *Server) handleAppraise(r *http.Request) (*response, error) {
-	q := r.URL.Query()
+// parseAppraise asks for one fleet appraisal: GET for the reference
+// E8 workload at ?size, POST for a full JSON fleet spec.
+func (s *Server) parseAppraise(r *http.Request, q url.Values) (cellRequest, error) {
 	var spec scenario.FleetSpec
 	if r.Method == http.MethodPost {
 		if err := checkParams(q, "seed", "nocache"); err != nil {
-			return nil, err
+			return cellRequest{}, err
 		}
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		var fr fleetSpecRequest
 		if err := dec.Decode(&fr); err != nil {
-			return nil, errf(http.StatusBadRequest, "fleet spec: %v", err)
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				return cellRequest{}, errf(http.StatusRequestEntityTooLarge, "fleet spec: body exceeds the server cap of %d bytes", tooLarge.Limit)
+			}
+			return cellRequest{}, errf(http.StatusBadRequest, "fleet spec: %v", err)
 		}
 		spec = fr.spec()
 	} else {
 		if err := checkParams(q, "size", "seed", "nocache"); err != nil {
-			return nil, err
+			return cellRequest{}, err
 		}
 		size, err := intParam(q, "size", 0)
 		if err != nil {
-			return nil, err
+			return cellRequest{}, err
 		}
 		if size <= 0 {
-			return nil, errf(http.StatusBadRequest, "size %d: want > 0 (GET /appraise?size=N)", size)
+			return cellRequest{}, errf(http.StatusBadRequest, "size %d: want > 0 (GET /appraise?size=N)", size)
 		}
 		spec = cres.E8FleetSpec(size)
 	}
-	if spec.Size > s.cfg.MaxFleetSize {
-		return nil, errf(http.StatusBadRequest, "size %d exceeds the server cap %d", spec.Size, s.cfg.MaxFleetSize)
-	}
-	seed, err := s.seedParam(q)
+	c, err := s.appraiseCell(spec)
 	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
-	nocache, err := boolParam(q, "nocache", false)
-	if err != nil {
-		return nil, err
+	return cellRequest{cells: []cell{c}}, nil
+}
+
+// appraiseCell builds the /appraise cell of a fleet spec, for
+// /appraise and each /fleet size alike. The digest is the canonical
+// compiled config, so identical workloads share one cell no matter
+// which request form described them.
+func (s *Server) appraiseCell(spec scenario.FleetSpec) (cell, error) {
+	if spec.Size > maxFleetSize {
+		return cell{}, errf(http.StatusBadRequest, "size %d exceeds the server cap %d", spec.Size, maxFleetSize)
 	}
 	cf, err := spec.Compile()
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
+		return cell{}, errf(http.StatusBadRequest, "%v", err)
 	}
 	digest := store.DigestBytes(cf.Config.AppendCanonical(nil))
-	key := store.Key{Experiment: "appraise", Seed: seed, Digest: digest}
-	body, hit, err := s.cell(key, nocache, func() ([]byte, error) {
-		return s.computeAppraise(cf, digest, seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &response{body: body, digest: digest, cache: cacheTag(hit)}, nil
+	return cell{experiment: "appraise", digest: digest, compute: func(key store.Key) ([]byte, error) {
+		return s.computeAppraise(cf, key)
+	}}, nil
 }
 
 // computeAppraise runs one fleet appraisal on the warm engine cache
 // and renders the envelope.
-func (s *Server) computeAppraise(cf *scenario.CompiledFleet, digest string, seed int64) ([]byte, error) {
-	eng, err := s.engine(digest, seed, func() (*fleet.Engine, error) { return cf.Engine(seed) })
+func (s *Server) computeAppraise(cf *scenario.CompiledFleet, key store.Key) ([]byte, error) {
+	eng, err := s.engine(key, func() (*fleet.Engine, error) { return cf.Engine(key.Seed) })
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +494,7 @@ func (s *Server) computeAppraise(cf *scenario.CompiledFleet, digest string, seed
 	return json.Marshal(appraiseBody{
 		Schema: BodySchema, Endpoint: "appraise",
 		Fleet: cf.Spec.Name, Devices: cf.Config.Size, Shards: eng.NumShards(),
-		Seed: seed, ConfigDigest: digest, Summary: sum,
+		Seed: key.Seed, ConfigDigest: key.Digest, Summary: sum,
 		MeanNs: sum.MeanLatency().Nanoseconds(),
 		P50Ns:  sum.Quantile(0.5).Nanoseconds(),
 		P99Ns:  sum.Quantile(0.99).Nanoseconds(),
@@ -469,19 +514,11 @@ type fleetBody struct {
 	Cells    []json.RawMessage `json:"cells"`
 }
 
-// handleFleet sweeps the reference workload across fleet sizes.
-func (s *Server) handleFleet(r *http.Request) (*response, error) {
-	q := r.URL.Query()
+// parseFleet asks for the reference workload at each of ?sizes: one
+// /appraise cell per size, inside the sweep envelope.
+func (s *Server) parseFleet(r *http.Request, q url.Values) (cellRequest, error) {
 	if err := checkParams(q, "sizes", "seed", "nocache"); err != nil {
-		return nil, err
-	}
-	seed, err := s.seedParam(q)
-	if err != nil {
-		return nil, err
-	}
-	nocache, err := boolParam(q, "nocache", false)
-	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
 	sizes := cres.FleetSizes(s.cfg.Quick)
 	if v := q.Get("sizes"); v != "" {
@@ -489,52 +526,30 @@ func (s *Server) handleFleet(r *http.Request) (*response, error) {
 		for _, part := range strings.Split(v, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
-				return nil, errf(http.StatusBadRequest, "sizes %q: want comma-separated integers", v)
+				return cellRequest{}, errf(http.StatusBadRequest, "sizes %q: want comma-separated integers", v)
 			}
 			if n <= 0 {
-				return nil, errf(http.StatusBadRequest, "sizes: %d: want > 0", n)
+				return cellRequest{}, errf(http.StatusBadRequest, "sizes: %d: want > 0", n)
 			}
 			sizes = append(sizes, n)
 		}
 	}
-	if len(sizes) > s.cfg.MaxSweepSizes {
-		return nil, errf(http.StatusBadRequest, "%d sizes exceed the server cap %d", len(sizes), s.cfg.MaxSweepSizes)
+	if len(sizes) > maxSweepSizes {
+		return cellRequest{}, errf(http.StatusBadRequest, "%d sizes exceed the server cap %d", len(sizes), maxSweepSizes)
 	}
-	for _, n := range sizes {
-		if n > s.cfg.MaxFleetSize {
-			return nil, errf(http.StatusBadRequest, "size %d exceeds the server cap %d", n, s.cfg.MaxFleetSize)
-		}
-	}
-
-	hits, misses := 0, 0
-	cells := make([]json.RawMessage, 0, len(sizes))
-	for _, n := range sizes {
-		cf, err := cres.E8FleetSpec(n).Compile()
+	cells := make([]cell, len(sizes))
+	for i, n := range sizes {
+		c, err := s.appraiseCell(cres.E8FleetSpec(n))
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "%v", err)
+			return cellRequest{}, err
 		}
-		digest := store.DigestBytes(cf.Config.AppendCanonical(nil))
-		key := store.Key{Experiment: "appraise", Seed: seed, Digest: digest}
-		body, hit, err := s.cell(key, nocache, func() ([]byte, error) {
-			return s.computeAppraise(cf, digest, seed)
+		cells[i] = c
+	}
+	return cellRequest{cells: cells, envelope: func(seed int64, bodies []json.RawMessage) ([]byte, error) {
+		return json.Marshal(fleetBody{
+			Schema: BodySchema, Endpoint: "fleet", Seed: seed, Sizes: sizes, Cells: bodies,
 		})
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-		cells = append(cells, json.RawMessage(body))
-	}
-	body, err := json.Marshal(fleetBody{
-		Schema: BodySchema, Endpoint: "fleet", Seed: seed, Sizes: sizes, Cells: cells,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &response{body: body, cache: fmt.Sprintf("hit=%d;miss=%d", hits, misses)}, nil
+	}}, nil
 }
 
 // campaignBody is the /campaign response envelope.
@@ -552,30 +567,21 @@ type campaignBody struct {
 	CRESRecoverRate    float64        `json:"cres_recover_rate"`
 }
 
-// handleCampaign runs the E12 scenario-campaign matrix.
-func (s *Server) handleCampaign(r *http.Request) (*response, error) {
-	q := r.URL.Query()
+// parseCampaign asks for the E12 scenario-campaign matrix.
+func (s *Server) parseCampaign(r *http.Request, q url.Values) (cellRequest, error) {
 	if err := checkParams(q, "seed", "seeds", "plan", "nocache"); err != nil {
-		return nil, err
-	}
-	seed, err := s.seedParam(q)
-	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
 	seeds, err := intParam(q, "seeds", 3)
 	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
-	if seeds <= 0 || seeds > s.cfg.MaxCampaignSeeds {
-		return nil, errf(http.StatusBadRequest, "seeds %d: want in [1, %d]", seeds, s.cfg.MaxCampaignSeeds)
-	}
-	nocache, err := boolParam(q, "nocache", false)
-	if err != nil {
-		return nil, err
+	if seeds <= 0 || seeds > maxCampaignSeeds {
+		return cellRequest{}, errf(http.StatusBadRequest, "seeds %d: want in [1, %d]", seeds, maxCampaignSeeds)
 	}
 	plans, err := scenario.ParsePlans(q.Get("plan"))
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
+		return cellRequest{}, errf(http.StatusBadRequest, "%v", err)
 	}
 	planNames := make([]string, len(plans))
 	for i, p := range plans {
@@ -587,29 +593,24 @@ func (s *Server) handleCampaign(r *http.Request) (*response, error) {
 		Plans    []scenario.AttackPlan `json:"plans"`
 	}{Endpoint: "campaign", Seeds: seeds, Plans: plans})
 	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
-	key := store.Key{Experiment: "campaign", Seed: seed, Digest: digest}
-	body, hit, err := s.cell(key, nocache, func() ([]byte, error) {
+	return cellRequest{cells: []cell{{experiment: "campaign", digest: digest, compute: func(key store.Key) ([]byte, error) {
 		res, err := cres.RunE12Campaign(cres.CampaignConfig{
-			RootSeed: seed, Seeds: seeds, Plans: plans,
+			RootSeed: key.Seed, Seeds: seeds, Plans: plans,
 		}, cres.WithRunPool(s.requestPool()))
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(campaignBody{
 			Schema: BodySchema, Endpoint: "campaign",
-			Seed: seed, Seeds: seeds, ConfigDigest: digest, Plans: planNames,
+			Seed: key.Seed, Seeds: seeds, ConfigDigest: key.Digest, Plans: planNames,
 			Rows: res.Rows, Cells: res.Cells,
 			CRESDetectRate:     res.CRESDetectRate,
 			BaselineDetectRate: res.BaselineDetectRate,
 			CRESRecoverRate:    res.CRESRecoverRate,
 		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &response{body: body, digest: digest, cache: cacheTag(hit)}, nil
+	}}}}, nil
 }
 
 // topologyBody is the /topology response envelope: one E13 cell plus
@@ -630,67 +631,58 @@ type topologyBody struct {
 	Events       []cres.SwarmEvent `json:"events"`
 }
 
-// handleTopology runs one worm-over-fleet cell with its timeline —
+// parseTopology asks for one worm-over-fleet cell with its timeline —
 // the service face of cresim -topology, with the same strict
 // valid-value errors.
-func (s *Server) handleTopology(r *http.Request) (*response, error) {
-	q := r.URL.Query()
+func (s *Server) parseTopology(r *http.Request, q url.Values) (cellRequest, error) {
 	if err := checkParams(q, "kind", "size", "fanout", "dwell", "mode", "worm", "faults", "seed", "nocache"); err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
 	kind := q.Get("kind")
 	if err := oneOfParam("kind", kind, scenario.TopologyKinds()); err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
 	size, err := intParam(q, "size", 10)
 	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
-	if size <= 0 || size > s.cfg.MaxTopologySize {
-		return nil, errf(http.StatusBadRequest, "size %d: want in [1, %d]", size, s.cfg.MaxTopologySize)
+	if size <= 0 || size > maxTopologySize {
+		return cellRequest{}, errf(http.StatusBadRequest, "size %d: want in [1, %d]", size, maxTopologySize)
 	}
 	fanout, err := intParam(q, "fanout", 0)
 	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
 	mode := q.Get("mode")
 	if mode == "" {
 		mode = cres.SwarmCooperative
 	}
 	if err := oneOfParam("mode", mode, cres.SwarmModes()); err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
 	worm := q.Get("worm")
 	if worm == "" {
 		worm = "secure-probe"
 	}
-	if err := oneOfParam("worm", worm, attackNames()); err != nil {
-		return nil, err
+	if err := oneOfParam("worm", worm, attack.Names()); err != nil {
+		return cellRequest{}, err
 	}
 	level, err := faultLevel(q.Get("faults"))
 	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
 	dwell := 2 * time.Millisecond
 	if v := q.Get("dwell"); v != "" {
 		dwell, err = time.ParseDuration(v)
 		if err != nil || dwell <= 0 {
-			return nil, errf(http.StatusBadRequest, "dwell %q: want a positive duration (e.g. 2ms)", v)
+			return cellRequest{}, errf(http.StatusBadRequest, "dwell %q: want a positive duration (e.g. 2ms)", v)
 		}
 		// The cell simulates the dwell in virtual time, monitor tick by
 		// monitor tick — an hours-long dwell is a denial of service,
 		// not a workload.
 		if dwell > maxDwell {
-			return nil, errf(http.StatusBadRequest, "dwell %v exceeds the server cap %v", dwell, maxDwell)
+			return cellRequest{}, errf(http.StatusBadRequest, "dwell %v exceeds the server cap %v", dwell, maxDwell)
 		}
-	}
-	seed, err := s.seedParam(q)
-	if err != nil {
-		return nil, err
-	}
-	nocache, err := boolParam(q, "nocache", false)
-	if err != nil {
-		return nil, err
 	}
 	digest, err := store.Digest(struct {
 		Endpoint string `json:"endpoint"`
@@ -704,17 +696,16 @@ func (s *Server) handleTopology(r *http.Request) (*response, error) {
 	}{Endpoint: "topology", Kind: kind, Size: size, Fanout: fanout,
 		DwellNs: dwell.Nanoseconds(), Mode: mode, Worm: worm, Faults: level.Name})
 	if err != nil {
-		return nil, err
+		return cellRequest{}, err
 	}
-	spec := scenario.TopologySpec{Kind: kind, Size: size, Fanout: fanout, Seed: seed}
-	if _, err := spec.Compile(); err != nil {
+	if _, err := (scenario.TopologySpec{Kind: kind, Size: size, Fanout: fanout}).Compile(); err != nil {
 		// Spec-shape errors (too few nodes, bad fanout) are the
-		// requester's, not the server's.
-		return nil, errf(http.StatusBadRequest, "%v", err)
+		// requester's, not the server's. None depends on the seed.
+		return cellRequest{}, errf(http.StatusBadRequest, "%v", err)
 	}
-	key := store.Key{Experiment: "topology", Seed: seed, Digest: digest}
-	body, hit, err := s.cell(key, nocache, func() ([]byte, error) {
-		out, err := cres.RunSwarmUnderFaults(spec, dwell, mode, worm, seed, level.Spec)
+	return cellRequest{cells: []cell{{experiment: "topology", digest: digest, compute: func(key store.Key) ([]byte, error) {
+		spec := scenario.TopologySpec{Kind: kind, Size: size, Fanout: fanout, Seed: key.Seed}
+		out, err := cres.RunSwarmUnderFaults(spec, dwell, mode, worm, key.Seed, level.Spec)
 		if err != nil {
 			return nil, err
 		}
@@ -724,36 +715,19 @@ func (s *Server) handleTopology(r *http.Request) (*response, error) {
 		}
 		return json.Marshal(topologyBody{
 			Schema: BodySchema, Endpoint: "topology",
-			Seed: seed, Kind: kind, Size: size, Fanout: fanout,
+			Seed: key.Seed, Kind: kind, Size: size, Fanout: fanout,
 			DwellNs: dwell.Nanoseconds(), Mode: mode, Worm: worm, Faults: level.Name,
-			ConfigDigest: digest, Cell: out.Cell, Events: events,
+			ConfigDigest: key.Digest, Cell: out.Cell, Events: events,
 		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &response{body: body, digest: digest, cache: cacheTag(hit)}, nil
+	}}}}, nil
 }
 
 // oneOfParam is the query-parameter face of the CLIs' oneOf rule.
 func oneOfParam(name, val string, valid []string) error {
-	for _, v := range valid {
-		if v == val {
-			return nil
-		}
+	if slices.Contains(valid, val) {
+		return nil
 	}
 	return errf(http.StatusBadRequest, "%s: unknown value %q (valid: %s)", name, val, strings.Join(valid, ", "))
-}
-
-// attackNames lists the registered attack scenarios for the worm
-// usage error.
-func attackNames() []string {
-	all := attack.All()
-	names := make([]string, len(all))
-	for i, sc := range all {
-		names[i] = sc.Name()
-	}
-	return names
 }
 
 // faultLevel resolves a fault-level name ("" = none) against the E14

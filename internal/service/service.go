@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,23 +20,29 @@ import (
 // carries.
 const BodySchema = "cresd/v1"
 
-// Default request caps. They bound what one HTTP request may ask the
-// engines to compute; a request beyond a cap is a 400, never a
-// silently clamped workload.
+// Request caps. They bound what one HTTP request may ask the engines
+// to compute; a request beyond a cap is a 400 (a 413 for a body),
+// never a silently clamped workload.
 const (
-	DefaultMaxFleetSize     = 1 << 20
-	DefaultMaxSweepSizes    = 16
-	DefaultMaxCampaignSeeds = 8
-	DefaultMaxTopologySize  = 64
-	DefaultSeed             = 7
+	maxFleetSize     = 1 << 20 // devices in one /appraise or /fleet cell
+	maxSweepSizes    = 16      // sizes in one /fleet sweep
+	maxCampaignSeeds = 8       // /campaign seed replicas per cell
+	maxTopologySize  = 64      // /topology fleet size
+	maxBodyBytes     = 1 << 20 // POST body (the /appraise fleet spec)
+	// maxDwell bounds /topology's worm dwell: the cell simulates the
+	// dwell in virtual time, so an unbounded dwell is unbounded CPU.
+	maxDwell = time.Second
+)
+
+const (
+	// DefaultSeed is the root seed of a request that omits seed, unless
+	// Config.DefaultSeed chooses another.
+	DefaultSeed = 7
 	// engineCacheCap bounds the warm compiled-engine cache.
 	engineCacheCap = 64
 	// drainTimeout bounds how long a graceful shutdown waits for
 	// in-flight requests.
 	drainTimeout = 30 * time.Second
-	// maxDwell bounds /topology's worm dwell: the cell simulates the
-	// dwell in virtual time, so an unbounded dwell is unbounded CPU.
-	maxDwell = time.Second
 )
 
 // Config parameterizes a Server. The zero value of every field selects
@@ -55,14 +61,6 @@ type Config struct {
 	// Experiments restricts /run to the named registry experiments.
 	// Nil allows every registered experiment.
 	Experiments []string
-	// MaxFleetSize caps /appraise and /fleet device counts.
-	MaxFleetSize int
-	// MaxSweepSizes caps how many sizes one /fleet request may sweep.
-	MaxSweepSizes int
-	// MaxCampaignSeeds caps /campaign seed replicas per cell.
-	MaxCampaignSeeds int
-	// MaxTopologySize caps /topology fleet sizes.
-	MaxTopologySize int
 	// DefaultSeed is the root seed used when a request omits seed.
 	DefaultSeed int64
 }
@@ -92,8 +90,8 @@ type Server struct {
 	allowed []string
 
 	engMu    sync.Mutex
-	engines  map[string]*fleet.Engine
-	engOrder []string
+	engines  map[store.Key]*fleet.Engine
+	engOrder []store.Key
 
 	requests  atomic.Uint64
 	computed  atomic.Uint64
@@ -110,18 +108,6 @@ type Server struct {
 
 // New validates the config, fills defaults and builds the server.
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxFleetSize <= 0 {
-		cfg.MaxFleetSize = DefaultMaxFleetSize
-	}
-	if cfg.MaxSweepSizes <= 0 {
-		cfg.MaxSweepSizes = DefaultMaxSweepSizes
-	}
-	if cfg.MaxCampaignSeeds <= 0 {
-		cfg.MaxCampaignSeeds = DefaultMaxCampaignSeeds
-	}
-	if cfg.MaxTopologySize <= 0 {
-		cfg.MaxTopologySize = DefaultMaxTopologySize
-	}
 	if cfg.DefaultSeed == 0 {
 		cfg.DefaultSeed = DefaultSeed
 	}
@@ -132,7 +118,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		allowed: allowed,
-		engines: make(map[string]*fleet.Engine),
+		engines: make(map[store.Key]*fleet.Engine),
 		quitCh:  make(chan struct{}),
 	}
 	s.mux = http.NewServeMux()
@@ -150,7 +136,7 @@ func resolveExperiments(names []string) ([]string, error) {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
 		if _, ok := harness.Lookup(n); !ok {
-			return nil, fmt.Errorf("service: unknown experiment %q (registry has %s)", n, joinNames(harness.Names()))
+			return nil, fmt.Errorf("service: unknown experiment %q (registry has %s)", n, strings.Join(harness.Names(), ", "))
 		}
 		want[n] = true
 	}
@@ -161,18 +147,6 @@ func resolveExperiments(names []string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// joinNames renders a name list for error messages.
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }
 
 // Handler returns the service's HTTP handler. It can be mounted on
@@ -249,12 +223,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // and no request's fan-out can starve another's.
 func (s *Server) requestPool() *harness.Pool { return harness.NewPool(s.cfg.Parallel) }
 
-// engine returns the warm compiled engine for (digest, seed),
-// building and caching it on first use. Engines are immutable after
-// construction and safe for concurrent runs, so one warm engine
-// serves any number of concurrent identical requests.
-func (s *Server) engine(digest string, seed int64, build func() (*fleet.Engine, error)) (*fleet.Engine, error) {
-	key := fmt.Sprintf("%s/%d", digest, seed)
+// engine returns the warm compiled engine for a cell key, building and
+// caching it on first use. Engines are immutable after construction
+// and safe for concurrent runs, so one warm engine serves any number
+// of concurrent identical requests.
+func (s *Server) engine(key store.Key, build func() (*fleet.Engine, error)) (*fleet.Engine, error) {
 	s.engMu.Lock()
 	if eng, ok := s.engines[key]; ok {
 		s.engMu.Unlock()
@@ -284,11 +257,12 @@ func (s *Server) engine(digest string, seed int64, build func() (*fleet.Engine, 
 	return eng, nil
 }
 
-// cell answers one deterministic request cell: serve the stored body
-// when the store has the key, otherwise compute, record and serve.
-// The returned bool reports a cache hit. Identical keys always yield
-// byte-identical bodies — fresh or stored.
-func (s *Server) cell(key store.Key, nocache bool, compute func() ([]byte, error)) ([]byte, bool, error) {
+// cell answers one deterministic cell at one seed: serve the stored
+// body when the store has the key, otherwise compute, record and
+// serve. The returned bool reports a cache hit. Identical keys always
+// yield byte-identical bodies — fresh or stored.
+func (s *Server) cell(c cell, seed int64, nocache bool) ([]byte, bool, error) {
+	key := store.Key{Experiment: c.experiment, Seed: seed, Digest: c.digest}
 	if s.cfg.Store != nil && !nocache {
 		if rec, ok := s.cfg.Store.Get(key); ok {
 			s.cacheHits.Add(1)
@@ -296,7 +270,7 @@ func (s *Server) cell(key store.Key, nocache bool, compute func() ([]byte, error
 		}
 	}
 	start := time.Now()
-	body, err := compute()
+	body, err := c.compute(key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -315,13 +289,4 @@ func (s *Server) cell(key store.Key, nocache bool, compute func() ([]byte, error
 		}
 	}
 	return body, false, nil
-}
-
-// sortedCopy returns a sorted copy of names (for deterministic error
-// listings over map-derived sets).
-func sortedCopy(names []string) []string {
-	out := make([]string, len(names))
-	copy(out, names)
-	sort.Strings(out)
-	return out
 }

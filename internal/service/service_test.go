@@ -231,7 +231,7 @@ func TestAppraiseGet(t *testing.T) {
 	errBody(t, ts, "/appraise?size=0", http.StatusBadRequest)
 	errBody(t, ts, "/appraise?size=abc", http.StatusBadRequest)
 	errBody(t, ts, "/appraise", http.StatusBadRequest)
-	msg := errBody(t, ts, fmt.Sprintf("/appraise?size=%d", DefaultMaxFleetSize+1), http.StatusBadRequest)
+	msg := errBody(t, ts, fmt.Sprintf("/appraise?size=%d", maxFleetSize+1), http.StatusBadRequest)
 	if !strings.Contains(msg, "cap") {
 		t.Fatalf("over-cap error %q does not mention the cap", msg)
 	}
@@ -281,6 +281,20 @@ func TestAppraisePostMatchesGet(t *testing.T) {
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Fatalf("POST with bad fractions: %d, want 400", resp3.StatusCode)
 	}
+	// A body past the cap is refused with 413 and a JSON reason.
+	oversize := `{"name":"` + strings.Repeat("x", maxBodyBytes) + `","size":8}`
+	resp4, err := ts.Client().Post(ts.URL+"/appraise", "application/json", strings.NewReader(oversize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body4, _ := io.ReadAll(resp4.Body)
+	resp4.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if resp4.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(body4, &e) != nil || !strings.Contains(e.Error, "cap") {
+		t.Fatalf("POST of an oversize spec: %d %s, want 413 with a JSON reason naming the cap", resp4.StatusCode, body4)
+	}
 }
 
 func TestFleetSweepAndResume(t *testing.T) {
@@ -323,7 +337,7 @@ func TestFleetSweepAndResume(t *testing.T) {
 
 	errBody(t, ts, "/fleet?sizes=4,x", http.StatusBadRequest)
 	errBody(t, ts, "/fleet?sizes=0", http.StatusBadRequest)
-	errBody(t, ts, "/fleet?sizes="+strings.Repeat("4,", DefaultMaxSweepSizes)+"4", http.StatusBadRequest)
+	errBody(t, ts, "/fleet?sizes="+strings.Repeat("4,", maxSweepSizes)+"4", http.StatusBadRequest)
 }
 
 func TestTopologyEndpoint(t *testing.T) {
@@ -356,7 +370,7 @@ func TestTopologyEndpoint(t *testing.T) {
 		}
 	}
 	errBody(t, ts, "/topology?kind=ring&dwell=fast", http.StatusBadRequest)
-	errBody(t, ts, fmt.Sprintf("/topology?kind=ring&size=%d", DefaultMaxTopologySize+1), http.StatusBadRequest)
+	errBody(t, ts, fmt.Sprintf("/topology?kind=ring&size=%d", maxTopologySize+1), http.StatusBadRequest)
 	// A fuzz regression: an hours-long dwell simulates hours of
 	// virtual monitor ticks — it must be refused, not attempted. And a
 	// size below the topology minimum is the requester's error (400),
@@ -390,7 +404,7 @@ func TestCampaignEndpoint(t *testing.T) {
 	}
 
 	errBody(t, ts, "/campaign?seeds=0", http.StatusBadRequest)
-	errBody(t, ts, fmt.Sprintf("/campaign?seeds=%d", DefaultMaxCampaignSeeds+1), http.StatusBadRequest)
+	errBody(t, ts, fmt.Sprintf("/campaign?seeds=%d", maxCampaignSeeds+1), http.StatusBadRequest)
 	errBody(t, ts, "/campaign?plan=mystery-plan", http.StatusBadRequest)
 }
 
