@@ -1,159 +1,77 @@
-// Command benchdiff compares a freshly generated BENCH_perf.json
-// against the committed baseline and exits non-zero on a performance
-// regression — the CI guard that keeps the simulator's monitoring hot
-// path from silently slowing down or re-growing heap traffic.
+// Command benchdiff compares a freshly generated benchmark report
+// against the committed baseline (BENCH_perf.json) and exits non-zero
+// on a performance regression — the CI guard that keeps the monitoring
+// hot path (E9), fleet attestation (E8), the verifier hierarchy (E15)
+// and the resident service (SVC) from silently slowing down.
 //
-// Two checks run over the E9 monitoring-overhead rows (matched by
-// configuration name):
+// Both reports are cres-bench/v2: one flat list of harness.Metric
+// entries, each naming its own gate. The fresh entry's gate, budget
+// and norm apply; the budgets live with the experiments that measure
+// the metrics, so benchdiff takes no thresholds.
 //
-//   - ns/tx: the fresh value must not exceed the baseline by more than
-//     -max-regress (default 25%). With -normalize, the comparison is on
-//     each configuration's overhead ratio against its own file's
-//     no-monitoring row, which cancels out raw machine-speed
-//     differences between the baseline host and the CI runner.
-//   - allocs/tx: any fresh value above zero fails outright; the hot
-//     path is allocation-free and must stay that way.
+//   - rel: fails when the fresh value is worse than the baseline's by
+//     more than Budget, as a fraction of the baseline, in the direction
+//     Better names. When Norm names another metric, each side is first
+//     scaled by its own report's value of it — divided when lower is
+//     better, multiplied when higher is better — which cancels out a
+//     uniformly faster or slower host.
+//   - max: fails when the fresh value exceeds Budget, whatever the
+//     baseline holds.
+//   - no gate: the value is printed, never judged.
 //
-// A third check gates the streaming fleet engine's appraisal
-// throughput (the fleet.devices_per_sec field E8 writes): the fresh
-// value must not fall below the baseline by more than
-// -max-fleet-regress (default 35% — host throughput is noisier than a
-// ns/tx ratio). With -normalize, each file's throughput is multiplied
-// by its own no-monitoring ns/tx before comparing: throughput scales
-// inversely with host speed and the reference row scales directly, so
-// the product cancels the machine out. Throughput is only comparable
-// config-for-config, so when both reports record the engine's
-// batch_size/shard_size the values must match — a mismatch fails the
-// gate rather than comparing incommensurable numbers. Reports without
-// a fleet section — older artifacts, or fresh runs restricted to
-// -only E9 — skip this gate with a note instead of failing, so the
-// check works against baselines generated before the field existed.
-//
-// A fourth check gates the fleet's heap allocations per appraised
-// device (fleet.allocs_per_device) against an absolute budget
-// (-max-fleet-allocs, default 4 — matching the internal/fleet
-// allocation test). Allocation counts do not vary with host speed, so
-// no normalization applies; reports lacking the field (older
-// artifacts, -only E9 runs) skip the gate with a note.
-//
-// A fifth check gates the E15 verifier-hierarchy sweep (the hierarchy
-// section): every injected lying verifier in the fresh report must be
-// attributed and healed (a correctness invariant, checked regardless
-// of the baseline), and when the baseline also records the section,
-// per-shape signature counts and detection lags — deterministic
-// virtual-time quantities — must not grow beyond -max-regress.
-// Reports without the section (baselines predating the hierarchy, or
-// runs without E15) skip the comparison with a note.
-//
-// A sixth check gates the resident service (the service section the
-// SVC experiment writes): aggregate requests/sec through a loopback
-// cresd must not fall more than -max-service-regress below the
-// baseline. Like the fleet gate it is a host-clock quantity, so the
-// tolerance is loose; reports without the section skip with a note.
+// A gated metric in one report but not the other fails: a renamed,
+// new or dropped measurement is a change the baseline must follow.
+// The exception is a fresh report holding no metric at all of the
+// experiment named before the first "/" (an -only run that skipped
+// it); that experiment gets one note instead.
 //
 // The -store mode gates a cresd result store against its own
 // trajectory instead of comparing two reports: within every stored
 // key's history the bodies must be byte-identical (the determinism
 // invariant — a drift is a correctness failure, whatever the host),
 // and the latest compute cost must not exceed the best prior run by
-// more than -max-store-regress.
+// more than 50%.
 //
 // Usage:
 //
-//	benchdiff -base BENCH_perf.json -new fresh.json [-max-regress 0.25] [-max-fleet-regress 0.35] [-max-fleet-allocs 4] [-max-service-regress 0.5] [-normalize]
-//	benchdiff -store results [-max-store-regress 0.5]
+//	benchdiff -base BENCH_perf.json -new fresh_perf.json
+//	benchdiff -store results
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
+	"cres/internal/harness"
 	"cres/internal/store"
 )
 
-// benchFile mirrors the cresbench BENCH_perf.json schema (the fields
-// benchdiff consumes).
-type benchFile struct {
-	Schema    string          `json:"schema"`
-	E9        benchE9         `json:"e9"`
-	Fleet     benchFleet      `json:"fleet"`
-	Hierarchy *benchHierarchy `json:"hierarchy"`
-	Service   *benchService   `json:"service"`
+// report is the part of a cres-bench/v2 report the gate reads.
+type report struct {
+	Schema  string           `json:"schema"`
+	Metrics []harness.Metric `json:"metrics"`
 }
 
-type benchService struct {
-	Requests       int                    `json:"requests"`
-	RequestsPerSec float64                `json:"requests_per_sec"`
-	Endpoints      []benchServiceEndpoint `json:"endpoints"`
-}
-
-type benchServiceEndpoint struct {
-	Path     string  `json:"path"`
-	Requests int     `json:"requests"`
-	Bytes    int     `json:"bytes"`
-	BodySHA  string  `json:"body_sha"`
-	NsPerReq float64 `json:"ns_per_req"`
-}
-
-type benchHierarchy struct {
-	TotalSigChecks int                 `json:"total_sig_checks"`
-	MaxDetectLagMs float64             `json:"max_detect_lag_ms"`
-	Rows           []benchHierarchyRow `json:"rows"`
-}
-
-type benchHierarchyRow struct {
-	Depth       int     `json:"depth"`
-	Fanout      int     `json:"fanout"`
-	SigChecks   int     `json:"sig_checks"`
-	DetectLagMs float64 `json:"detect_lag_ms"`
-	Attributed  bool    `json:"attributed"`
-	Healed      bool    `json:"healed"`
-}
-
-type benchFleet struct {
-	TotalDevices    int     `json:"total_devices"`
-	DevicesPerSec   float64 `json:"devices_per_sec"`
-	BatchSize       int     `json:"batch_size"`
-	ShardSize       int     `json:"shard_size"`
-	AllocsPerDevice float64 `json:"allocs_per_device"`
-	GoVersion       string  `json:"go_version"`
-	NumCPU          int     `json:"num_cpu"`
-}
-
-type benchE9 struct {
-	Txs  int          `json:"txs"`
-	Rows []benchE9Row `json:"rows"`
-}
-
-type benchE9Row struct {
-	Config      string  `json:"config"`
-	NsPerTx     float64 `json:"ns_per_tx"`
-	AllocsPerTx float64 `json:"allocs_per_tx"`
-}
-
-// baselineConfig is the E9 row every other row normalizes against.
-const baselineConfig = "no-monitoring"
+// maxStoreRegress is how far a stored key's latest ns/op may exceed its
+// best prior run in -store mode.
+const maxStoreRegress = 0.5
 
 func main() {
 	basePath := flag.String("base", "BENCH_perf.json", "committed baseline report")
 	newPath := flag.String("new", "", "freshly generated report to check")
-	maxRegress := flag.Float64("max-regress", 0.25, "maximum tolerated fractional ns/tx regression")
-	maxFleetRegress := flag.Float64("max-fleet-regress", 0.35, "maximum tolerated fractional fleet devices/sec drop")
-	maxFleetAllocs := flag.Float64("max-fleet-allocs", 4, "maximum tolerated fleet heap allocations per device")
-	maxServiceRegress := flag.Float64("max-service-regress", 0.5, "maximum tolerated fractional service requests/sec drop")
-	normalize := flag.Bool("normalize", false, "compare overhead ratios vs the no-monitoring row instead of raw ns/tx")
 	storeDir := flag.String("store", "", "gate this cresd result store against its own trajectory instead of comparing reports")
-	maxStoreRegress := flag.Float64("max-store-regress", 0.5, "maximum tolerated fractional ns/op growth over a stored key's best prior run (-store mode)")
 	flag.Parse()
 
 	var err error
 	if *storeDir != "" {
-		err = runStore(*storeDir, *maxStoreRegress, os.Stdout)
+		err = runStore(*storeDir, os.Stdout)
 	} else {
-		err = run(*basePath, *newPath, *maxRegress, *maxFleetRegress, *maxFleetAllocs, *maxServiceRegress, *normalize, os.Stdout)
+		err = run(*basePath, *newPath, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
@@ -161,7 +79,7 @@ func main() {
 	}
 }
 
-func run(basePath, newPath string, maxRegress, maxFleetRegress, maxFleetAllocs, maxServiceRegress float64, normalize bool, out *os.File) error {
+func run(basePath, newPath string, out io.Writer) error {
 	if newPath == "" {
 		return fmt.Errorf("-new is required")
 	}
@@ -173,276 +91,167 @@ func run(basePath, newPath string, maxRegress, maxFleetRegress, maxFleetAllocs, 
 	if err != nil {
 		return err
 	}
-	problems, lines := compare(base, fresh, maxRegress, normalize)
-	fleetProblems, fleetLines := compareFleet(base, fresh, maxFleetRegress, normalize)
-	problems = append(problems, fleetProblems...)
-	lines = append(lines, fleetLines...)
-	allocProblems, allocLines := compareFleetAllocs(base, fresh, maxFleetAllocs)
-	problems = append(problems, allocProblems...)
-	lines = append(lines, allocLines...)
-	hierProblems, hierLines := compareHierarchy(base, fresh, maxRegress)
-	problems = append(problems, hierProblems...)
-	lines = append(lines, hierLines...)
-	svcProblems, svcLines := compareService(base, fresh, maxServiceRegress)
-	problems = append(problems, svcProblems...)
-	lines = append(lines, svcLines...)
+	problems, lines := compare(base.Metrics, fresh.Metrics)
 	for _, l := range lines {
 		fmt.Fprintln(out, l)
 	}
 	if len(problems) > 0 {
-		return fmt.Errorf("%d perf regression(s):\n  %s", len(problems), joinLines(problems))
+		return fmt.Errorf("%d perf regression(s):\n  %s", len(problems), strings.Join(problems, "\n  "))
 	}
 	fmt.Fprintln(out, "benchdiff: no regression")
 	return nil
 }
 
-func load(path string) (*benchFile, error) {
+func load(path string) (*report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	var r report
+	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(f.E9.Rows) == 0 {
-		return nil, fmt.Errorf("%s: no E9 rows (schema %q)", path, f.Schema)
+	if r.Schema != harness.MetricsSchema {
+		return nil, fmt.Errorf("%s: schema %q, want %q (regenerate it with cmd/cresbench)", path, r.Schema, harness.MetricsSchema)
 	}
-	return &f, nil
+	if len(r.Metrics) == 0 {
+		return nil, fmt.Errorf("%s: no metrics", path)
+	}
+	return &r, nil
 }
 
-// compare checks fresh against base and returns the failures plus a
-// human-readable comparison table.
-func compare(base, fresh *benchFile, maxRegress float64, normalize bool) (problems, lines []string) {
-	baseRows := make(map[string]benchE9Row, len(base.E9.Rows))
-	for _, r := range base.E9.Rows {
-		baseRows[r.Config] = r
+// compare gates fresh against base metric by metric and returns the
+// failures plus a printable table.
+func compare(base, fresh []harness.Metric) (problems, lines []string) {
+	baseBy, freshBy := byName(base), byName(fresh)
+	ran := make(map[string]bool)
+	for _, f := range fresh {
+		ran[experiment(f.Name)] = true
+	}
+	line := func(name, old, now, change, verdict, rule string) {
+		l := fmt.Sprintf("  %-46s %16s -> %16s %9s  %-10s %s", name, old, now, change, verdict, rule)
+		lines = append(lines, strings.TrimRight(l, " "))
 	}
 
-	baseRef, freshRef := 1.0, 1.0
-	if normalize {
-		br, ok := baseRows[baselineConfig]
-		if !ok {
-			return []string{fmt.Sprintf("baseline report lacks the %q row needed by -normalize", baselineConfig)}, nil
-		}
-		fr, ok := findRow(fresh.E9.Rows, baselineConfig)
-		if !ok {
-			return []string{fmt.Sprintf("fresh report lacks the %q row needed by -normalize", baselineConfig)}, nil
-		}
-		if br.NsPerTx <= 0 || fr.NsPerTx <= 0 {
-			return []string{fmt.Sprintf("%q ns/tx must be positive to normalize", baselineConfig)}, nil
-		}
-		baseRef, freshRef = br.NsPerTx, fr.NsPerTx
-	}
-
-	metric := "ns/tx"
-	if normalize {
-		metric = "ns/tx ratio vs " + baselineConfig
-	}
-	lines = append(lines, fmt.Sprintf("E9 comparison (%s, limit +%.0f%%):", metric, maxRegress*100))
-
-	for _, fr := range fresh.E9.Rows {
-		br, ok := baseRows[fr.Config]
-		if !ok {
-			problems = append(problems, fmt.Sprintf("config %q missing from baseline", fr.Config))
+	lines = append(lines, fmt.Sprintf("benchdiff: %d baseline metrics, %d fresh", len(base), len(fresh)))
+	for _, f := range fresh {
+		b, inBase := baseBy[f.Name]
+		if !inBase {
+			if f.Gate == "" {
+				line(f.Name, "-", num(f.Value), "", "info", "")
+				continue
+			}
+			problems = append(problems, fmt.Sprintf("%s: gated metric missing from the baseline", f.Name))
+			line(f.Name, "-", num(f.Value), "", "NEW", rule(f))
 			continue
 		}
-		if fr.AllocsPerTx > 0 {
-			problems = append(problems, fmt.Sprintf("%s: %.4f allocs/tx — hot path must stay allocation-free", fr.Config, fr.AllocsPerTx))
+		oldV, newV, problem := judge(b, f, baseBy, freshBy)
+		change := ""
+		if oldV != 0 {
+			change = fmt.Sprintf("%+.1f%%", (newV/oldV-1)*100)
 		}
-		oldV, newV := br.NsPerTx/baseRef, fr.NsPerTx/freshRef
-		delta := 0.0
-		if oldV > 0 {
-			delta = newV/oldV - 1
+		verdict := "ok"
+		switch {
+		case problem != "":
+			verdict = "REGRESSION"
+			problems = append(problems, problem)
+		case f.Gate == "":
+			verdict = "info"
 		}
-		status := "ok"
-		if normalize && fr.Config == baselineConfig {
-			status = "reference"
-		} else if delta > maxRegress {
-			status = "REGRESSION"
-			problems = append(problems, fmt.Sprintf("%s: %s %.3f -> %.3f (%+.1f%%, limit %+.0f%%)",
-				fr.Config, metric, oldV, newV, delta*100, maxRegress*100))
-		}
-		lines = append(lines, fmt.Sprintf("  %-32s %10.3f -> %10.3f  (%+6.1f%%)  %s", fr.Config, oldV, newV, delta*100, status))
+		line(f.Name, num(oldV), num(newV), change, verdict, rule(f))
 	}
-	for _, br := range base.E9.Rows {
-		if _, ok := findRow(fresh.E9.Rows, br.Config); !ok {
-			problems = append(problems, fmt.Sprintf("config %q dropped from fresh report", br.Config))
-		}
-	}
-	return problems, lines
-}
 
-// compareFleet gates the streaming fleet's appraisal throughput the
-// way compare gates E9: fresh devices/sec must not fall more than
-// maxRegress below the baseline. With normalize, each file's
-// throughput is multiplied by its own no-monitoring ns/tx — the two
-// quantities scale oppositely with host speed, so the machine cancels
-// out of the product. A report without a fleet section (an older
-// baseline, or a fresh run restricted to -only E9) skips the gate
-// with a note: the field's absence is a provenance fact, not a
-// regression.
-func compareFleet(base, fresh *benchFile, maxRegress float64, normalize bool) (problems, lines []string) {
-	if base.Fleet.DevicesPerSec <= 0 {
-		return nil, []string{"fleet gate skipped: baseline report has no fleet section"}
-	}
-	if fresh.Fleet.DevicesPerSec <= 0 {
-		return nil, []string{"fleet gate skipped: fresh report has no fleet section (select E8 when generating it)"}
-	}
-	// Throughput only compares config-for-config: a bigger batch amortizes
-	// more key setup per device, so differing batching silently shifts the
-	// number without any code change. Reports from before the fields
-	// existed record zeros and skip the check.
-	if base.Fleet.BatchSize > 0 && fresh.Fleet.BatchSize > 0 &&
-		(base.Fleet.BatchSize != fresh.Fleet.BatchSize || base.Fleet.ShardSize != fresh.Fleet.ShardSize) {
-		return []string{fmt.Sprintf("fleet gate: batching config differs (base batch=%d shard=%d, fresh batch=%d shard=%d) — throughput is only comparable config-for-config",
-			base.Fleet.BatchSize, base.Fleet.ShardSize, fresh.Fleet.BatchSize, fresh.Fleet.ShardSize)}, nil
-	}
-	metric := "devices/sec"
-	baseV, freshV := base.Fleet.DevicesPerSec, fresh.Fleet.DevicesPerSec
-	if normalize {
-		br, bok := findRow(base.E9.Rows, baselineConfig)
-		fr, fok := findRow(fresh.E9.Rows, baselineConfig)
-		if !bok || !fok || br.NsPerTx <= 0 || fr.NsPerTx <= 0 {
-			return []string{fmt.Sprintf("fleet gate: %q ns/tx must be present and positive in both reports to normalize", baselineConfig)}, nil
-		}
-		metric = "devices/sec × " + baselineConfig + " ns/tx"
-		baseV *= br.NsPerTx
-		freshV *= fr.NsPerTx
-	}
-	delta := freshV/baseV - 1
-	status := "ok"
-	if delta < -maxRegress {
-		status = "REGRESSION"
-		problems = append(problems, fmt.Sprintf("fleet: %s %.3f -> %.3f (%+.1f%%, limit -%.0f%%)",
-			metric, baseV, freshV, delta*100, maxRegress*100))
-	}
-	lines = append(lines,
-		fmt.Sprintf("Fleet comparison (%s, limit -%.0f%%):", metric, maxRegress*100),
-		fmt.Sprintf("  %-32s %10.3f -> %10.3f  (%+6.1f%%)  %s", "streaming-attestation", baseV, freshV, delta*100, status))
-	return problems, lines
-}
-
-// compareFleetAllocs gates the fleet's heap allocations per appraised
-// device against an absolute budget — the cross-binary twin of the
-// internal/fleet TestBatchLoopAllocsPerDeviceO1 gate, so a return to
-// per-device TPM/quote/log allocation fails CI even if only the
-// benchmark job runs. The budget is absolute rather than relative
-// because allocation counts, unlike wall-clock numbers, do not vary
-// with host speed. A fresh report recording zero (an artifact from
-// before the field existed, or an E9-only run) skips the gate with a
-// note, mirroring the other absent-field rules.
-func compareFleetAllocs(base, fresh *benchFile, maxAllocs float64) (problems, lines []string) {
-	if fresh.Fleet.AllocsPerDevice <= 0 {
-		return nil, []string{"fleet allocs gate skipped: fresh report has no allocs_per_device field"}
-	}
-	baseStr := "n/a"
-	if base.Fleet.AllocsPerDevice > 0 {
-		baseStr = fmt.Sprintf("%.2f", base.Fleet.AllocsPerDevice)
-	}
-	status := "ok"
-	if fresh.Fleet.AllocsPerDevice > maxAllocs {
-		status = "REGRESSION"
-		problems = append(problems, fmt.Sprintf("fleet: %.2f allocs/device exceeds the %.0f budget", fresh.Fleet.AllocsPerDevice, maxAllocs))
-	}
-	lines = append(lines,
-		fmt.Sprintf("Fleet allocations (allocs/device, budget %.0f):", maxAllocs),
-		fmt.Sprintf("  %-32s %10s -> %10.2f  %s", "streaming-attestation", baseStr, fresh.Fleet.AllocsPerDevice, status))
-	return problems, lines
-}
-
-// compareHierarchy gates the E15 verifier-hierarchy sweep. Two kinds
-// of check: correctness invariants on the fresh report alone (every
-// injected liar must be attributed and the summary healed — a false
-// there is a broken hierarchy, whatever the baseline says), and a
-// shape-for-shape cost comparison when the baseline also has the
-// section: E15's signature counts and detection lags are virtual-time
-// quantities, deterministic per shape, so growth beyond maxRegress
-// means the protocol got structurally more expensive. A report
-// without the section — a baseline from before the hierarchy existed,
-// or a fresh run restricted to -only E9 — skips the comparison with a
-// note, same pattern as the fleet-allocs gate.
-func compareHierarchy(base, fresh *benchFile, maxRegress float64) (problems, lines []string) {
-	if fresh.Hierarchy == nil {
-		return nil, []string{"hierarchy gate skipped: fresh report has no hierarchy section (select E15 when generating it)"}
-	}
-	for _, r := range fresh.Hierarchy.Rows {
-		if !r.Attributed {
-			problems = append(problems, fmt.Sprintf("hierarchy %dx%d: lying verifier not attributed", r.Depth, r.Fanout))
-		}
-		if !r.Healed {
-			problems = append(problems, fmt.Sprintf("hierarchy %dx%d: excision did not heal the fleet summary", r.Depth, r.Fanout))
-		}
-	}
-	if base.Hierarchy == nil {
-		return problems, []string{"hierarchy cost comparison skipped: baseline predates the hierarchy section"}
-	}
-	baseRows := make(map[[2]int]benchHierarchyRow, len(base.Hierarchy.Rows))
-	for _, r := range base.Hierarchy.Rows {
-		baseRows[[2]int{r.Depth, r.Fanout}] = r
-	}
-	lines = append(lines, fmt.Sprintf("Hierarchy comparison (sig checks and detect lag per shape, limit +%.0f%%):", maxRegress*100))
-	for _, fr := range fresh.Hierarchy.Rows {
-		br, ok := baseRows[[2]int{fr.Depth, fr.Fanout}]
-		if !ok {
-			lines = append(lines, fmt.Sprintf("  %dx%-29d %23s  new shape", fr.Depth, fr.Fanout, ""))
+	noted := make(map[string]bool)
+	for _, b := range base {
+		if _, ok := freshBy[b.Name]; ok || b.Gate == "" {
 			continue
 		}
-		status := "ok"
-		if br.SigChecks > 0 && float64(fr.SigChecks)/float64(br.SigChecks)-1 > maxRegress {
-			status = "REGRESSION"
-			problems = append(problems, fmt.Sprintf("hierarchy %dx%d: sig checks %d -> %d (limit +%.0f%%)",
-				fr.Depth, fr.Fanout, br.SigChecks, fr.SigChecks, maxRegress*100))
+		if exp := experiment(b.Name); !ran[exp] {
+			if !noted[exp] {
+				noted[exp] = true
+				lines = append(lines, fmt.Sprintf("  %s: not in the fresh report, its gates skipped (select it when generating the report)", exp))
+			}
+			continue
 		}
-		if br.DetectLagMs > 0 && fr.DetectLagMs/br.DetectLagMs-1 > maxRegress {
-			status = "REGRESSION"
-			problems = append(problems, fmt.Sprintf("hierarchy %dx%d: detect lag %.3fms -> %.3fms (limit +%.0f%%)",
-				fr.Depth, fr.Fanout, br.DetectLagMs, fr.DetectLagMs, maxRegress*100))
-		}
-		lines = append(lines, fmt.Sprintf("  %dx%-30d %6d -> %6d checks, %8.3f -> %8.3f ms lag  %s",
-			fr.Depth, fr.Fanout, br.SigChecks, fr.SigChecks, br.DetectLagMs, fr.DetectLagMs, status))
+		problems = append(problems, fmt.Sprintf("%s: gated metric dropped from the fresh report", b.Name))
+		line(b.Name, num(b.Value), "-", "", "DROPPED", rule(b))
 	}
 	return problems, lines
 }
 
-// compareService gates the resident service's scripted throughput
-// (the section the SVC experiment writes): fresh requests/sec must
-// not fall more than maxRegress below the baseline. Per-endpoint
-// ns/req is printed for context but not gated — a single aggregate
-// threshold keeps a loopback host-clock quantity from flaking CI.
-// Reports without the section skip with a note, same rule as the
-// fleet and hierarchy gates.
-func compareService(base, fresh *benchFile, maxRegress float64) (problems, lines []string) {
-	if fresh.Service == nil {
-		return nil, []string{"service gate skipped: fresh report has no service section (select SVC when generating it)"}
+// judge applies the fresh metric's gate to one baseline/fresh pair. It
+// returns the two values compared — scaled by the norm, if any — and
+// a description of the failure, empty when the metric passes.
+func judge(b, f harness.Metric, baseBy, freshBy map[string]harness.Metric) (oldV, newV float64, problem string) {
+	oldV, newV = b.Value, f.Value
+	switch f.Gate {
+	case "":
+		return oldV, newV, ""
+	case harness.GateMax:
+		if newV > f.Budget {
+			return oldV, newV, fmt.Sprintf("%s: %g %s exceeds the budget of %g", f.Name, newV, f.Unit, f.Budget)
+		}
+		return oldV, newV, ""
+	case harness.GateRel:
+	default:
+		return oldV, newV, fmt.Sprintf("%s: unknown gate %q", f.Name, f.Gate)
 	}
-	if base.Service == nil {
-		return nil, []string{"service gate skipped: baseline predates the service section"}
+	if f.Better != harness.Lower && f.Better != harness.Higher {
+		return oldV, newV, fmt.Sprintf("%s: better must be %q or %q, not %q", f.Name, harness.Lower, harness.Higher, f.Better)
 	}
-	baseV, freshV := base.Service.RequestsPerSec, fresh.Service.RequestsPerSec
-	if baseV <= 0 || freshV <= 0 {
-		return []string{"service gate: requests/sec must be positive in both reports"}, nil
-	}
-	delta := freshV/baseV - 1
-	status := "ok"
-	if delta < -maxRegress {
-		status = "REGRESSION"
-		problems = append(problems, fmt.Sprintf("service: requests/sec %.3f -> %.3f (%+.1f%%, limit -%.0f%%)",
-			baseV, freshV, delta*100, maxRegress*100))
-	}
-	lines = append(lines,
-		fmt.Sprintf("Service comparison (requests/sec, limit -%.0f%%):", maxRegress*100),
-		fmt.Sprintf("  %-32s %10.3f -> %10.3f  (%+6.1f%%)  %s", "resident-service", baseV, freshV, delta*100, status))
-	baseEp := make(map[string]benchServiceEndpoint, len(base.Service.Endpoints))
-	for _, ep := range base.Service.Endpoints {
-		baseEp[ep.Path] = ep
-	}
-	for _, ep := range fresh.Service.Endpoints {
-		if bp, ok := baseEp[ep.Path]; ok {
-			lines = append(lines, fmt.Sprintf("  %-32s %10.0f -> %10.0f  ns/req", ep.Path, bp.NsPerReq, ep.NsPerReq))
+	if f.Norm != "" {
+		bn, fn := baseBy[f.Norm].Value, freshBy[f.Norm].Value
+		if bn <= 0 || fn <= 0 {
+			return oldV, newV, fmt.Sprintf("%s: norm %s must be present and positive in both reports", f.Name, f.Norm)
+		}
+		if f.Better == harness.Lower {
+			oldV, newV = oldV/bn, newV/fn
+		} else {
+			oldV, newV = oldV*bn, newV*fn
 		}
 	}
-	return problems, lines
+	if oldV <= 0 {
+		return oldV, newV, fmt.Sprintf("%s: baseline value %g must be positive for a relative gate", f.Name, oldV)
+	}
+	worse := newV/oldV - 1
+	if f.Better == harness.Higher {
+		worse = -worse
+	}
+	if worse > f.Budget {
+		return oldV, newV, fmt.Sprintf("%s: %.3f -> %.3f is %.1f%% worse (%s is better, limit %.0f%%)",
+			f.Name, oldV, newV, worse*100, f.Better, f.Budget*100)
+	}
+	return oldV, newV, ""
+}
+
+// rule describes a metric's gate for the comparison table.
+func rule(m harness.Metric) string {
+	switch {
+	case m.Gate == harness.GateMax:
+		return fmt.Sprintf("max %g", m.Budget)
+	case m.Gate == harness.GateRel && m.Norm != "":
+		return fmt.Sprintf("%s is better, limit %.0f%%, scaled by %s", m.Better, m.Budget*100, m.Norm)
+	case m.Gate == harness.GateRel:
+		return fmt.Sprintf("%s is better, limit %.0f%%", m.Better, m.Budget*100)
+	}
+	return ""
+}
+
+func num(v float64) string { return fmt.Sprintf("%.3f", v) }
+
+func byName(ms []harness.Metric) map[string]harness.Metric {
+	by := make(map[string]harness.Metric, len(ms))
+	for _, m := range ms {
+		by[m.Name] = m
+	}
+	return by
+}
+
+// experiment returns the registry experiment that measured a metric:
+// the name's text before the first "/".
+func experiment(name string) string {
+	exp, _, _ := strings.Cut(name, "/")
+	return exp
 }
 
 // runStore gates a cresd result store against its own trajectory. Two
@@ -450,10 +259,11 @@ func compareService(base, fresh *benchFile, maxRegress float64) (problems, lines
 // byte-identical bodies — identical (experiment, seed, config digest)
 // must mean identical results, on any host, or the simulator's
 // determinism contract is broken — and the latest recorded compute
-// cost must not exceed the best prior run's by more than maxRegress.
+// cost must not exceed the best prior run's by more than
+// maxStoreRegress.
 // Keys with a single record have no trajectory yet and are noted, not
 // failed.
-func runStore(dir string, maxRegress float64, out *os.File) error {
+func runStore(dir string, out io.Writer) error {
 	path := filepath.Join(dir, store.FileName)
 	if _, err := os.Stat(path); err != nil {
 		return fmt.Errorf("-store: no result store at %s", path)
@@ -464,22 +274,22 @@ func runStore(dir string, maxRegress float64, out *os.File) error {
 	}
 	defer st.Close()
 
-	problems, lines := compareStore(st, maxRegress)
+	problems, lines := compareStore(st)
 	for _, l := range lines {
 		fmt.Fprintln(out, l)
 	}
 	if len(problems) > 0 {
-		return fmt.Errorf("%d store regression(s):\n  %s", len(problems), joinLines(problems))
+		return fmt.Errorf("%d store regression(s):\n  %s", len(problems), strings.Join(problems, "\n  "))
 	}
 	fmt.Fprintln(out, "benchdiff: store trajectory clean")
 	return nil
 }
 
 // compareStore runs the -store mode's checks over an open store.
-func compareStore(st *store.Store, maxRegress float64) (problems, lines []string) {
+func compareStore(st *store.Store) (problems, lines []string) {
 	keys := st.Keys()
 	lines = append(lines, fmt.Sprintf("Store trajectory (%d records, %d keys; ns/op limit +%.0f%% over best prior run):",
-		st.Len(), len(keys), maxRegress*100))
+		st.Len(), len(keys), maxStoreRegress*100))
 	for _, k := range keys {
 		hist := st.History(k)
 		for i := 1; i < len(hist); i++ {
@@ -504,32 +314,12 @@ func compareStore(st *store.Store, maxRegress float64) (problems, lines []string
 		}
 		delta := last/best - 1
 		status := "ok"
-		if delta > maxRegress {
+		if delta > maxStoreRegress {
 			status = "REGRESSION"
 			problems = append(problems, fmt.Sprintf("%s: ns/op %.0f -> %.0f (%+.1f%%, limit +%.0f%%)",
-				k, best, last, delta*100, maxRegress*100))
+				k, best, last, delta*100, maxStoreRegress*100))
 		}
 		lines = append(lines, fmt.Sprintf("  %-48s %10.0f -> %10.0f  (%+6.1f%%)  %s", k, best, last, delta*100, status))
 	}
 	return problems, lines
-}
-
-func findRow(rows []benchE9Row, config string) (benchE9Row, bool) {
-	for _, r := range rows {
-		if r.Config == config {
-			return r, true
-		}
-	}
-	return benchE9Row{}, false
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }

@@ -2,93 +2,260 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"cres"
+	"cres/internal/fleet"
+	"cres/internal/harness"
+	"cres/internal/service"
 	"cres/internal/store"
 )
 
-func report(rows ...benchE9Row) *benchFile {
-	return &benchFile{Schema: "cres-bench/v1", E9: benchE9{Txs: 200_000, Rows: rows}}
+// The metric builders below go through the experiments' own Metrics
+// methods, so every row is judged under the budgets the code ships.
+
+func e9(config string, ns, allocs float64) []harness.Metric {
+	return (&cres.E9Result{Rows: []cres.E9Row{{Config: config, WallNsPerTx: ns, AllocsPerTx: allocs}}}).Metrics()
 }
 
-func row(config string, ns, allocs float64) benchE9Row {
-	return benchE9Row{Config: config, NsPerTx: ns, AllocsPerTx: allocs}
+// ref is the E9 no-monitoring row every normalized metric scales by.
+func ref(ns float64) []harness.Metric { return e9("no-monitoring", ns, 0) }
+
+func e8(batch, shard int, devicesPerSec, allocs float64) []harness.Metric {
+	return (&cres.E8Result{TotalDevices: int(devicesPerSec), Wall: time.Second,
+		BatchSize: batch, ShardSize: shard, AllocsPerDevice: allocs}).Metrics()
 }
 
-func TestCompareNoRegression(t *testing.T) {
-	base := report(row("no-monitoring", 16, 0), row("bus-monitor", 22, 0))
-	fresh := report(row("no-monitoring", 17, 0), row("bus-monitor", 23, 0))
-	problems, _ := compare(base, fresh, 0.25, false)
-	if len(problems) != 0 {
-		t.Fatalf("unexpected problems: %v", problems)
+func e15(depth, fanout, checks int, lagMs float64, attributed, healed bool) []harness.Metric {
+	return (&cres.E15Result{Rows: []cres.E15Row{{Depth: depth, Fanout: fanout, SigChecks: checks,
+		Detection:  fleet.Detection{Lag: time.Duration(lagMs * float64(time.Millisecond))},
+		Attributed: attributed, Healed: healed}}}).Metrics()
+}
+
+func svc(requestsPerSec, healthzNs float64) []harness.Metric {
+	return (&service.SVCResult{Requests: int(requestsPerSec), Wall: time.Second,
+		Endpoints: []service.SVCEndpoint{{Path: "/healthz", NsPerReq: healthzNs}}}).Metrics()
+}
+
+func nsPerOp(exp string, ns float64) []harness.Metric {
+	return []harness.Metric{{Name: exp + "/ns_per_op", Unit: "ns", Value: ns, Better: harness.Lower}}
+}
+
+func join(parts ...[]harness.Metric) []harness.Metric {
+	var ms []harness.Metric
+	for _, p := range parts {
+		ms = append(ms, p...)
+	}
+	return ms
+}
+
+// compareCase is one row of the comparator table: want holds one
+// substring per expected problem (none means the gate passes), note a
+// substring the printed table must carry.
+type compareCase struct {
+	name        string
+	base, fresh []harness.Metric
+	want        []string
+	note        string
+}
+
+// compareCases is the comparator's table. A row's name is
+// "<group>/<case>"; TestCompare<group> runs the group's rows.
+var compareCases = []compareCase{
+	{name: "NoRegression/small drift on every row",
+		base:  join(ref(16), e9("bus-monitor", 22, 0)),
+		fresh: join(ref(17), e9("bus-monitor", 23, 0))},
+	{name: "NoRegression/ungated metrics may move freely",
+		base:  join(nsPerOp("E3", 100), ref(16), svc(100, 1000)),
+		fresh: join(nsPerOp("E3", 900), ref(160), svc(100, 9000))},
+
+	{name: "FlagsNsRegression/overhead ratio past budget",
+		base:  join(ref(16), e9("bus-monitor", 22, 0)),
+		fresh: join(ref(16), e9("bus-monitor", 40, 0)),
+		want:  []string{"E9/bus-monitor/ns_per_tx"}},
+
+	{name: "WithinThresholdPasses/ratio up 24.4%",
+		base:  join(ref(16), e9("bus-monitor", 22, 0)),
+		fresh: join(ref(16), e9("bus-monitor", 27.368, 0))},
+
+	{name: "FlagsAllocRegression/any allocs per tx",
+		base:  join(ref(16), e9("bus-monitor", 22, 0)),
+		fresh: join(ref(16), e9("bus-monitor", 22, 0.5)),
+		want:  []string{"E9/bus-monitor/allocs_per_tx"}},
+
+	{name: "NormalizedIgnoresMachineSpeed/uniformly 3x slower host",
+		base:  join(ref(16), e9("bus-monitor", 22, 0)),
+		fresh: join(ref(48), e9("bus-monitor", 66, 0))},
+	{name: "NormalizedIgnoresMachineSpeed/ratio regression on a slow host",
+		base:  join(ref(16), e9("bus-monitor", 22, 0)),
+		fresh: join(ref(48), e9("bus-monitor", 120, 0)),
+		want:  []string{"E9/bus-monitor/ns_per_tx"}},
+	{name: "NormalizedIgnoresMachineSpeed/missing reference",
+		base:  join(ref(16), e9("bus-monitor", 22, 0)),
+		fresh: e9("bus-monitor", 22, 0),
+		want:  []string{"norm E9/no-monitoring/ns_per_tx", "E9/no-monitoring/allocs_per_tx: gated metric dropped"}},
+
+	{name: "FlagsMissingAndDroppedConfigs/new and dropped config",
+		base:  join(ref(16), e9("bus-monitor", 22, 0)),
+		fresh: join(ref(16), e9("brand-new", 1, 0)),
+		want: []string{"E9/brand-new/ns_per_tx: gated metric missing", "E9/brand-new/allocs_per_tx: gated metric missing",
+			"E9/bus-monitor/ns_per_tx: gated metric dropped", "E9/bus-monitor/allocs_per_tx: gated metric dropped"}},
+
+	{name: "FleetGate/throughput down 10%",
+		base:  join(ref(16), e8(256, 4096, 10_000, 1)),
+		fresh: join(ref(16), e8(256, 4096, 9_000, 1))},
+	{name: "FleetGate/throughput down 50%",
+		base:  join(ref(16), e8(256, 4096, 10_000, 1)),
+		fresh: join(ref(16), e8(256, 4096, 5_000, 1)),
+		want:  []string{"devices_per_sec"}},
+
+	{name: "FleetNormalizedIgnoresMachineSpeed/uniformly 3x slower host",
+		base:  join(ref(16), e8(256, 4096, 9_000, 1)),
+		fresh: join(ref(48), e8(256, 4096, 3_000, 1))},
+	{name: "FleetNormalizedIgnoresMachineSpeed/engine regression on a slow host",
+		base:  join(ref(16), e8(256, 4096, 9_000, 1)),
+		fresh: join(ref(48), e8(256, 4096, 1_000, 1)),
+		want:  []string{"devices_per_sec"}},
+
+	{name: "FleetConfigMismatch/batching config differs",
+		base:  join(ref(16), e8(256, 4096, 9_000, 1)),
+		fresh: join(ref(16), e8(1024, 4096, 9_000, 1)),
+		want: []string{"E8/batch=1024/shard=4096/devices_per_sec: gated metric missing", "E8/batch=1024/shard=4096/allocs_per_device: gated metric missing",
+			"E8/batch=256/shard=4096/devices_per_sec: gated metric dropped", "E8/batch=256/shard=4096/allocs_per_device: gated metric dropped"}},
+	{name: "FleetConfigMismatch/same config",
+		base:  join(ref(16), e8(256, 4096, 9_000, 1)),
+		fresh: join(ref(16), e8(256, 4096, 8_500, 1))},
+
+	{name: "FleetAllocsGate/within budget",
+		base:  join(ref(16), e8(256, 4096, 9_000, 2.1)),
+		fresh: join(ref(16), e8(256, 4096, 9_000, 3.5))},
+	{name: "FleetAllocsGate/over budget",
+		base:  join(ref(16), e8(256, 4096, 9_000, 2.1)),
+		fresh: join(ref(16), e8(256, 4096, 9_000, 9.5)),
+		want:  []string{"allocs_per_device"}},
+	{name: "FleetAllocsGate/budget holds whatever the baseline",
+		base:  join(ref(16), e8(256, 4096, 9_000, 20)),
+		fresh: join(ref(16), e8(256, 4096, 9_000, 9.5)),
+		want:  []string{"allocs_per_device"}},
+
+	{name: "FleetSkipsWithoutSection/fresh run without E8",
+		base:  join(ref(16), e8(256, 4096, 9_000, 1)),
+		fresh: ref(16),
+		note:  "E8: not in the fresh report"},
+	{name: "FleetSkipsWithoutSection/baseline without E8",
+		base:  ref(16),
+		fresh: join(ref(16), e8(256, 4096, 9_000, 1)),
+		want:  []string{"devices_per_sec: gated metric missing", "allocs_per_device: gated metric missing"}},
+
+	{name: "HierarchyGate/identical",
+		base:  join(e15(2, 4, 41, 0.71, true, true), e15(3, 2, 29, 0.57, true, true)),
+		fresh: join(e15(2, 4, 41, 0.71, true, true), e15(3, 2, 29, 0.57, true, true))},
+	{name: "HierarchyGate/costlier",
+		base:  join(e15(2, 4, 41, 0.71, true, true), e15(3, 2, 29, 0.57, true, true)),
+		fresh: join(e15(2, 4, 80, 0.71, true, true), e15(3, 2, 29, 1.9, true, true)),
+		want:  []string{"E15/2x4/sig_checks", "E15/3x2/detect_lag_ms"}},
+	{name: "HierarchyGate/liar unattributed and summary unhealed",
+		base:  join(e15(2, 4, 41, 0.71, true, true), e15(3, 2, 29, 0.57, true, true)),
+		fresh: join(e15(2, 4, 41, 0.71, false, false), e15(3, 2, 29, 0.57, true, true)),
+		want:  []string{"E15/2x4/unattributed", "E15/2x4/unhealed"}},
+
+	{name: "HierarchySkipsWithoutSection/fresh run without E15",
+		base:  join(ref(16), e15(2, 4, 41, 0.71, true, true)),
+		fresh: ref(16),
+		note:  "E15: not in the fresh report"},
+	{name: "HierarchySkipsWithoutSection/dropped shape",
+		base:  join(e15(2, 4, 41, 0.71, true, true), e15(3, 2, 29, 0.57, true, true)),
+		fresh: e15(2, 4, 41, 0.71, true, true),
+		want: []string{"E15/3x2/sig_checks: gated metric dropped", "E15/3x2/detect_lag_ms: gated metric dropped",
+			"E15/3x2/unattributed: gated metric dropped", "E15/3x2/unhealed: gated metric dropped"}},
+	{name: "HierarchySkipsWithoutSection/new shape",
+		base:  e15(2, 4, 41, 0.71, true, true),
+		fresh: join(e15(2, 4, 41, 0.71, true, true), e15(3, 2, 29, 0.57, true, true)),
+		want: []string{"E15/3x2/sig_checks: gated metric missing", "E15/3x2/detect_lag_ms: gated metric missing",
+			"E15/3x2/unattributed: gated metric missing", "E15/3x2/unhealed: gated metric missing"}},
+
+	{name: "ServiceGate/throughput down 30%",
+		base:  svc(10_000, 50_000),
+		fresh: svc(7_000, 50_000)},
+	{name: "ServiceGate/throughput down 80%",
+		base:  svc(10_000, 50_000),
+		fresh: svc(2_000, 50_000),
+		want:  []string{"SVC/requests_per_sec"}},
+	{name: "ServiceGate/fresh run without SVC",
+		base:  join(ref(16), svc(10_000, 50_000)),
+		fresh: ref(16),
+		note:  "SVC: not in the fresh report"},
+
+	{name: "RejectsMalformedMetrics/unknown gate",
+		base:  []harness.Metric{{Name: "X/v", Value: 1, Better: harness.Lower, Gate: "abs"}},
+		fresh: []harness.Metric{{Name: "X/v", Value: 1, Better: harness.Lower, Gate: "abs"}},
+		want:  []string{`unknown gate "abs"`}},
+	{name: "RejectsMalformedMetrics/unknown direction",
+		base:  []harness.Metric{{Name: "X/v", Value: 1, Better: "up", Gate: harness.GateRel}},
+		fresh: []harness.Metric{{Name: "X/v", Value: 1, Better: "up", Gate: harness.GateRel}},
+		want:  []string{"better must be"}},
+	{name: "RejectsMalformedMetrics/zero baseline under a relative gate",
+		base:  []harness.Metric{{Name: "X/v", Value: 0, Better: harness.Lower, Gate: harness.GateRel}},
+		fresh: []harness.Metric{{Name: "X/v", Value: 1, Better: harness.Lower, Gate: harness.GateRel}},
+		want:  []string{"must be positive"}},
+}
+
+// runCases runs the compareCases rows of the calling test's group.
+func runCases(t *testing.T) {
+	group := strings.TrimPrefix(t.Name(), "TestCompare")
+	ran := 0
+	for _, tc := range compareCases {
+		g, sub, _ := strings.Cut(tc.name, "/")
+		if g != group {
+			continue
+		}
+		ran++
+		t.Run(sub, func(t *testing.T) {
+			problems, lines := compare(tc.base, tc.fresh)
+			if len(problems) != len(tc.want) {
+				t.Fatalf("problems = %q, want %d matching %q", problems, len(tc.want), tc.want)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(strings.Join(problems, "\n"), w) {
+					t.Errorf("problems = %q, want one containing %q", problems, w)
+				}
+			}
+			if table := strings.Join(lines, "\n"); !strings.Contains(table, tc.note) {
+				t.Errorf("table lacks %q:\n%s", tc.note, table)
+			}
+		})
+	}
+	if ran == 0 {
+		t.Fatalf("compareCases has no %q rows", group)
 	}
 }
 
-func TestCompareFlagsNsRegression(t *testing.T) {
-	base := report(row("no-monitoring", 16, 0), row("bus-monitor", 22, 0))
-	fresh := report(row("no-monitoring", 16, 0), row("bus-monitor", 40, 0))
-	problems, _ := compare(base, fresh, 0.25, false)
-	if len(problems) != 1 || !strings.Contains(problems[0], "bus-monitor") {
-		t.Fatalf("problems = %v, want one bus-monitor regression", problems)
-	}
-}
-
-func TestCompareWithinThresholdPasses(t *testing.T) {
-	base := report(row("no-monitoring", 16, 0))
-	fresh := report(row("no-monitoring", 19.9, 0)) // +24.4%
-	if problems, _ := compare(base, fresh, 0.25, false); len(problems) != 0 {
-		t.Fatalf("within-threshold drift flagged: %v", problems)
-	}
-}
-
-func TestCompareFlagsAllocRegression(t *testing.T) {
-	base := report(row("no-monitoring", 16, 0), row("bus-monitor", 22, 0))
-	fresh := report(row("no-monitoring", 16, 0), row("bus-monitor", 22, 0.5))
-	problems, _ := compare(base, fresh, 0.25, false)
-	if len(problems) != 1 || !strings.Contains(problems[0], "allocs/tx") {
-		t.Fatalf("problems = %v, want one allocation regression", problems)
-	}
-}
-
-// TestCompareNormalizedIgnoresMachineSpeed models a CI runner that is
-// uniformly 3x slower than the baseline host: raw comparison would flag
-// every row, normalized comparison must flag none — while a genuine
-// monitoring-path slowdown (ratio increase) must still be caught.
-func TestCompareNormalizedIgnoresMachineSpeed(t *testing.T) {
-	base := report(row("no-monitoring", 16, 0), row("bus-monitor", 22, 0))
-	slowHost := report(row("no-monitoring", 48, 0), row("bus-monitor", 66, 0))
-	if problems, _ := compare(base, slowHost, 0.25, true); len(problems) != 0 {
-		t.Fatalf("uniform slowdown flagged under -normalize: %v", problems)
-	}
-	if problems, _ := compare(base, slowHost, 0.25, false); len(problems) == 0 {
-		t.Fatal("raw comparison should flag a 3x slower host (sanity check)")
-	}
-
-	ratioRegress := report(row("no-monitoring", 48, 0), row("bus-monitor", 120, 0)) // ratio 1.375 -> 2.5
-	problems, _ := compare(base, ratioRegress, 0.25, true)
-	if len(problems) != 1 || !strings.Contains(problems[0], "bus-monitor") {
-		t.Fatalf("problems = %v, want one normalized regression", problems)
-	}
-}
-
-func TestCompareFlagsMissingAndDroppedConfigs(t *testing.T) {
-	base := report(row("no-monitoring", 16, 0), row("bus-monitor", 22, 0))
-	fresh := report(row("no-monitoring", 16, 0), row("brand-new", 1, 0))
-	problems, _ := compare(base, fresh, 0.25, false)
-	joined := strings.Join(problems, "; ")
-	if !strings.Contains(joined, "brand-new") || !strings.Contains(joined, "bus-monitor") {
-		t.Fatalf("problems = %v, want missing + dropped config flagged", problems)
-	}
-}
+func TestCompareNoRegression(t *testing.T)                       { runCases(t) }
+func TestCompareFlagsNsRegression(t *testing.T)                  { runCases(t) }
+func TestCompareWithinThresholdPasses(t *testing.T)              { runCases(t) }
+func TestCompareFlagsAllocRegression(t *testing.T)               { runCases(t) }
+func TestCompareNormalizedIgnoresMachineSpeed(t *testing.T)      { runCases(t) }
+func TestCompareFlagsMissingAndDroppedConfigs(t *testing.T)      { runCases(t) }
+func TestCompareFleetGate(t *testing.T)                          { runCases(t) }
+func TestCompareFleetNormalizedIgnoresMachineSpeed(t *testing.T) { runCases(t) }
+func TestCompareFleetConfigMismatch(t *testing.T)                { runCases(t) }
+func TestCompareFleetAllocsGate(t *testing.T)                    { runCases(t) }
+func TestCompareFleetSkipsWithoutSection(t *testing.T)           { runCases(t) }
+func TestCompareHierarchyGate(t *testing.T)                      { runCases(t) }
+func TestCompareHierarchySkipsWithoutSection(t *testing.T)       { runCases(t) }
+func TestCompareServiceGate(t *testing.T)                        { runCases(t) }
+func TestCompareRejectsMalformedMetrics(t *testing.T)            { runCases(t) }
 
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, f *benchFile) string {
+	write := func(name string, v any) string {
 		t.Helper()
-		data, err := json.Marshal(f)
+		data, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,231 +265,40 @@ func TestRunEndToEnd(t *testing.T) {
 		}
 		return path
 	}
-	basePath := write("base.json", report(row("no-monitoring", 16, 0)))
-	goodPath := write("good.json", report(row("no-monitoring", 16.5, 0)))
-	badPath := write("bad.json", report(row("no-monitoring", 30, 0)))
+	v2 := func(ms ...[]harness.Metric) report {
+		return report{Schema: harness.MetricsSchema, Metrics: join(ms...)}
+	}
+	basePath := write("base.json", v2(ref(16), e9("bus-monitor", 22, 0)))
+	goodPath := write("good.json", v2(ref(16.5), e9("bus-monitor", 22, 0)))
+	badPath := write("bad.json", v2(ref(16), e9("bus-monitor", 30, 0)))
+	v1Path := write("v1.json", map[string]any{"schema": "cres-bench/v1",
+		"e9": map[string]any{"rows": []map[string]any{{"config": "no-monitoring", "ns_per_tx": 16}}}})
 
-	if err := run(basePath, goodPath, 0.25, 0.35, 4, 0.5, false, os.Stdout); err != nil {
+	if err := run(basePath, goodPath, io.Discard); err != nil {
 		t.Fatalf("clean comparison failed: %v", err)
 	}
-	if err := run(basePath, badPath, 0.25, 0.35, 4, 0.5, false, os.Stdout); err == nil {
+	if err := run(basePath, badPath, io.Discard); err == nil {
 		t.Fatal("regression passed the gate")
 	}
-	if err := run(basePath, "", 0.25, 0.35, 4, 0.5, false, os.Stdout); err == nil {
+	if err := run(basePath, "", io.Discard); err == nil {
 		t.Fatal("missing -new accepted")
 	}
-	if err := run(basePath, filepath.Join(dir, "absent.json"), 0.25, 0.35, 4, 0.5, false, os.Stdout); err == nil {
+	if err := run(basePath, filepath.Join(dir, "absent.json"), io.Discard); err == nil {
 		t.Fatal("unreadable fresh report accepted")
 	}
-}
-
-// withFleet attaches a fleet section to a report.
-func withFleet(f *benchFile, devicesPerSec float64) *benchFile {
-	f.Fleet = benchFleet{TotalDevices: 1_000_000, DevicesPerSec: devicesPerSec}
-	return f
-}
-
-func TestCompareFleetGate(t *testing.T) {
-	base := withFleet(report(row("no-monitoring", 16, 0)), 10_000)
-
-	if problems, _ := compareFleet(base, withFleet(report(row("no-monitoring", 16, 0)), 9_000), 0.35, false); len(problems) != 0 {
-		t.Fatalf("-10%% throughput flagged: %v", problems)
-	}
-	problems, _ := compareFleet(base, withFleet(report(row("no-monitoring", 16, 0)), 5_000), 0.35, false)
-	if len(problems) != 1 || !strings.Contains(problems[0], "fleet") {
-		t.Fatalf("problems = %v, want one fleet regression for -50%% throughput", problems)
-	}
-}
-
-// TestCompareFleetNormalizedIgnoresMachineSpeed models a CI runner
-// uniformly 3x slower than the baseline host: devices/sec drops to a
-// third AND no-monitoring ns/tx triples, so the normalized product is
-// unchanged and must pass — while a genuine engine slowdown on the
-// same slow host must still be caught.
-func TestCompareFleetNormalizedIgnoresMachineSpeed(t *testing.T) {
-	base := withFleet(report(row("no-monitoring", 16, 0)), 9_000)
-	slowHost := withFleet(report(row("no-monitoring", 48, 0)), 3_000)
-	if problems, _ := compareFleet(base, slowHost, 0.35, true); len(problems) != 0 {
-		t.Fatalf("uniform slowdown flagged under -normalize: %v", problems)
-	}
-	if problems, _ := compareFleet(base, slowHost, 0.35, false); len(problems) == 0 {
-		t.Fatal("raw comparison should flag a 3x slower host (sanity check)")
-	}
-	engineRegress := withFleet(report(row("no-monitoring", 48, 0)), 1_000)
-	if problems, _ := compareFleet(base, engineRegress, 0.35, true); len(problems) != 1 {
-		t.Fatalf("problems = %v, want one normalized fleet regression", problems)
-	}
-}
-
-// TestCompareFleetConfigMismatch pins the config-for-config contract:
-// when both reports record the engine batching configuration, a
-// mismatch fails the gate (throughput numbers are incommensurable),
-// while reports from before the fields existed (zeros) still compare.
-func TestCompareFleetConfigMismatch(t *testing.T) {
-	withCfg := func(f *benchFile, batch, shard int) *benchFile {
-		f.Fleet.BatchSize, f.Fleet.ShardSize = batch, shard
-		return f
-	}
-	base := withCfg(withFleet(report(row("no-monitoring", 16, 0)), 9_000), 256, 4096)
-	mismatch := withCfg(withFleet(report(row("no-monitoring", 16, 0)), 9_000), 1024, 4096)
-	problems, _ := compareFleet(base, mismatch, 0.35, false)
-	if len(problems) != 1 || !strings.Contains(problems[0], "config") {
-		t.Fatalf("problems = %v, want one batching-config mismatch", problems)
-	}
-	same := withCfg(withFleet(report(row("no-monitoring", 16, 0)), 8_500), 256, 4096)
-	if problems, _ := compareFleet(base, same, 0.35, false); len(problems) != 0 {
-		t.Fatalf("matching config flagged: %v", problems)
-	}
-	// A baseline predating the fields records zeros: compare anyway.
-	legacy := withFleet(report(row("no-monitoring", 16, 0)), 9_000)
-	if problems, _ := compareFleet(legacy, same, 0.35, false); len(problems) != 0 {
-		t.Fatalf("legacy baseline without config fields flagged: %v", problems)
-	}
-}
-
-// TestCompareFleetAllocsGate pins the allocs/device budget: within
-// budget passes, above fails, and a fresh report without the field
-// (older cresbench, or an -only E9 run) skips with a note — the same
-// absent-field back-compat rule as the throughput gate.
-func TestCompareFleetAllocsGate(t *testing.T) {
-	withAllocs := func(a float64) *benchFile {
-		f := withFleet(report(row("no-monitoring", 16, 0)), 9_000)
-		f.Fleet.AllocsPerDevice = a
-		return f
-	}
-	base := withAllocs(2.1)
-
-	if problems, _ := compareFleetAllocs(base, withAllocs(3.5), 4); len(problems) != 0 {
-		t.Fatalf("within-budget allocs flagged: %v", problems)
-	}
-	problems, _ := compareFleetAllocs(base, withAllocs(9.5), 4)
-	if len(problems) != 1 || !strings.Contains(problems[0], "allocs/device") {
-		t.Fatalf("problems = %v, want one allocs/device regression", problems)
-	}
-	// Absent field (zero) in the fresh report: skip, don't fail.
-	problems, lines := compareFleetAllocs(base, withAllocs(0), 4)
-	if len(problems) != 0 {
-		t.Fatalf("absent allocs field treated as regression: %v", problems)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "skipped") {
-		t.Fatalf("lines = %v, want a single skip note", lines)
-	}
-	// A baseline without the field still gates the fresh value.
-	legacy := withFleet(report(row("no-monitoring", 16, 0)), 9_000)
-	if problems, _ := compareFleetAllocs(legacy, withAllocs(9.5), 4); len(problems) != 1 {
-		t.Fatalf("legacy baseline suppressed the absolute gate: %v", problems)
-	}
-}
-
-// withHierarchy attaches an E15 hierarchy section to a report.
-func withHierarchy(f *benchFile, rows ...benchHierarchyRow) *benchFile {
-	f.Hierarchy = &benchHierarchy{Rows: rows}
-	for _, r := range rows {
-		f.Hierarchy.TotalSigChecks += r.SigChecks
-		if r.DetectLagMs > f.Hierarchy.MaxDetectLagMs {
-			f.Hierarchy.MaxDetectLagMs = r.DetectLagMs
+	for _, pair := range [][2]string{{v1Path, goodPath}, {basePath, v1Path}} {
+		if err := run(pair[0], pair[1], io.Discard); err == nil || !strings.Contains(err.Error(), "cres-bench/v1") {
+			t.Fatalf("v1 report in %v: err = %v, want it refused by schema", pair, err)
 		}
 	}
-	return f
 }
 
-func hierRow(depth, fanout, checks int, lagMs float64) benchHierarchyRow {
-	return benchHierarchyRow{Depth: depth, Fanout: fanout, SigChecks: checks, DetectLagMs: lagMs, Attributed: true, Healed: true}
-}
-
-// TestCompareHierarchyGate pins the E15 gate: matching shapes pass,
-// cost growth beyond the limit fails, and a broken correctness
-// invariant (unattributed liar, unhealed summary) fails regardless of
-// the baseline.
-func TestCompareHierarchyGate(t *testing.T) {
-	base := withHierarchy(report(row("no-monitoring", 16, 0)), hierRow(2, 4, 41, 0.71), hierRow(3, 2, 29, 0.57))
-	same := withHierarchy(report(row("no-monitoring", 16, 0)), hierRow(2, 4, 41, 0.71), hierRow(3, 2, 29, 0.57))
-	if problems, _ := compareHierarchy(base, same, 0.25); len(problems) != 0 {
-		t.Fatalf("identical hierarchy flagged: %v", problems)
-	}
-
-	costlier := withHierarchy(report(row("no-monitoring", 16, 0)), hierRow(2, 4, 80, 0.71), hierRow(3, 2, 29, 1.9))
-	problems, _ := compareHierarchy(base, costlier, 0.25)
-	if len(problems) != 2 {
-		t.Fatalf("problems = %v, want a sig-check and a detect-lag regression", problems)
-	}
-
-	broken := withHierarchy(report(row("no-monitoring", 16, 0)), hierRow(2, 4, 41, 0.71))
-	broken.Hierarchy.Rows[0].Attributed = false
-	broken.Hierarchy.Rows[0].Healed = false
-	problems, _ = compareHierarchy(base, broken, 0.25)
-	if len(problems) != 2 || !strings.Contains(strings.Join(problems, "; "), "attributed") {
-		t.Fatalf("problems = %v, want attribution + healing failures", problems)
-	}
-}
-
-// TestCompareHierarchySkipsWithoutSection pins the back-compat
-// contract: a baseline from before the hierarchy existed skips the
-// cost comparison (but still checks fresh invariants), and a fresh
-// report without E15 skips entirely.
-func TestCompareHierarchySkipsWithoutSection(t *testing.T) {
-	plain := report(row("no-monitoring", 16, 0))
-	withH := withHierarchy(report(row("no-monitoring", 16, 0)), hierRow(2, 4, 41, 0.71))
-
-	problems, lines := compareHierarchy(plain, withH, 0.25)
-	if len(problems) != 0 {
-		t.Fatalf("pre-hierarchy baseline treated as regression: %v", problems)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "predates") {
-		t.Fatalf("lines = %v, want a single predates-section note", lines)
-	}
-	// Fresh invariants still gate even against a pre-hierarchy baseline.
-	bad := withHierarchy(report(row("no-monitoring", 16, 0)), hierRow(2, 4, 41, 0.71))
-	bad.Hierarchy.Rows[0].Healed = false
-	if problems, _ := compareHierarchy(plain, bad, 0.25); len(problems) != 1 {
-		t.Fatalf("problems = %v, want the healing failure despite legacy baseline", problems)
-	}
-
-	problems, lines = compareHierarchy(withH, plain, 0.25)
-	if len(problems) != 0 {
-		t.Fatalf("E15-less fresh report treated as regression: %v", problems)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "skipped") {
-		t.Fatalf("lines = %v, want a single skip note", lines)
-	}
-}
-
-// withService attaches a service section to a report.
-func withService(f *benchFile, reqPerSec float64) *benchFile {
-	f.Service = &benchService{
-		Requests:       192,
-		RequestsPerSec: reqPerSec,
-		Endpoints: []benchServiceEndpoint{
-			{Path: "/healthz", Requests: 32, Bytes: 40, BodySHA: "aaaaaaaaaaaa", NsPerReq: 50_000},
-			{Path: "/appraise?size=256&seed=7", Requests: 32, Bytes: 900, BodySHA: "bbbbbbbbbbbb", NsPerReq: 120_000},
-		},
-	}
-	return f
-}
-
-// TestCompareServiceGate pins the resident-service gate: throughput
-// within the limit passes, a collapse fails, and a report without the
-// section skips with a note in either direction.
-func TestCompareServiceGate(t *testing.T) {
-	base := withService(report(row("no-monitoring", 16, 0)), 10_000)
-
-	if problems, _ := compareService(base, withService(report(row("no-monitoring", 16, 0)), 7_000), 0.5); len(problems) != 0 {
-		t.Fatalf("-30%% throughput flagged: %v", problems)
-	}
-	problems, _ := compareService(base, withService(report(row("no-monitoring", 16, 0)), 2_000), 0.5)
-	if len(problems) != 1 || !strings.Contains(problems[0], "requests/sec") {
-		t.Fatalf("problems = %v, want one service regression for -80%% throughput", problems)
-	}
-
-	plain := report(row("no-monitoring", 16, 0))
-	for _, tc := range []struct{ base, fresh *benchFile }{{plain, base}, {base, plain}} {
-		problems, lines := compareService(tc.base, tc.fresh, 0.5)
-		if len(problems) != 0 {
-			t.Fatalf("missing service section treated as regression: %v", problems)
-		}
-		if len(lines) != 1 || !strings.Contains(lines[0], "skipped") {
-			t.Fatalf("lines = %v, want a single skip note", lines)
-		}
+// TestCommittedBaselinePassesItself pins that the committed baseline
+// is a well-formed v2 report whose every gate holds against itself.
+func TestCommittedBaselinePassesItself(t *testing.T) {
+	const baseline = "../../BENCH_perf.json"
+	if err := run(baseline, baseline, io.Discard); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -354,7 +330,7 @@ func TestCompareStoreTrajectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	problems, lines := compareStore(st, 0.5)
+	problems, lines := compareStore(st)
 	joined := strings.Join(problems, "; ")
 	if len(problems) != 2 {
 		t.Fatalf("problems = %v, want the slow trajectory and the body drift", problems)
@@ -369,10 +345,10 @@ func TestCompareStoreTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := runStore(dir, 0.5, os.Stdout); err == nil {
+	if err := runStore(dir, io.Discard); err == nil {
 		t.Fatal("store with regressions passed the gate")
 	}
-	if err := runStore(filepath.Join(t.TempDir(), "absent"), 0.5, os.Stdout); err == nil {
+	if err := runStore(filepath.Join(t.TempDir(), "absent"), io.Discard); err == nil {
 		t.Fatal("missing store accepted")
 	}
 
@@ -390,24 +366,7 @@ func TestCompareStoreTrajectory(t *testing.T) {
 	if err := cst.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := runStore(cleanDir, 0.5, os.Stdout); err != nil {
+	if err := runStore(cleanDir, io.Discard); err != nil {
 		t.Fatalf("clean store failed the gate: %v", err)
-	}
-}
-
-// TestCompareFleetSkipsWithoutSection pins the back-compat contract:
-// a baseline generated before the fleet field existed, or a fresh
-// report from an -only E9 run, must skip the gate — not fail it.
-func TestCompareFleetSkipsWithoutSection(t *testing.T) {
-	noFleet := report(row("no-monitoring", 16, 0))
-	withF := withFleet(report(row("no-monitoring", 16, 0)), 9_000)
-	for _, tc := range []struct{ base, fresh *benchFile }{{noFleet, withF}, {withF, noFleet}} {
-		problems, lines := compareFleet(tc.base, tc.fresh, 0.35, false)
-		if len(problems) != 0 {
-			t.Fatalf("missing fleet section treated as regression: %v", problems)
-		}
-		if len(lines) != 1 || !strings.Contains(lines[0], "skipped") {
-			t.Fatalf("lines = %v, want a single skip note", lines)
-		}
 	}
 }

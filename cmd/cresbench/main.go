@@ -9,10 +9,14 @@
 // determinism gate enforces by diffing -parallel=1 against -parallel=8
 // (with -stable masking the host-clock cells of E9).
 //
-// It also emits a machine-readable benchmark artifact (BENCH_perf.json)
-// recording host-CPU ns/op for each experiment and the E9 ablation's
-// ns/tx and allocs/tx, which cmd/benchdiff compares against the
-// committed baseline to gate perf regressions.
+// It also emits a machine-readable benchmark report when -json names a
+// file: a cres-bench/v2 report whose flat metrics list holds ns/op for
+// each experiment plus every gated metric an experiment reports (E9
+// ns/tx and allocs/tx, E8 devices/sec and allocs/device, E15 costs and
+// invariants, SVC requests/sec), each carrying its own gate and budget.
+// cmd/benchdiff compares one against the committed BENCH_perf.json to
+// gate perf regressions. No mode writes a report unless asked, so no
+// run can overwrite the committed baseline by accident.
 //
 // -campaign switches to the E12 scenario campaign: every attack
 // scenario and staged attack plan × {cres, baseline} × -shards seeds,
@@ -22,11 +26,12 @@
 //
 // -fleet switches to the streaming fleet sweep alone: a comma-separated
 // size list ("4096,1048576") runs the E8 fleet engine at exactly those
-// sizes and reports devices/sec throughput alongside the summary table.
+// sizes and reports devices/sec throughput alongside the summary table;
+// its report carries the E8 metrics only.
 //
 // Usage:
 //
-//	cresbench [-seed 7] [-quick] [-parallel N] [-only E3,E9] [-stable] [-json BENCH_perf.json]
+//	cresbench [-seed 7] [-quick] [-parallel N] [-only E3,E9] [-stable] [-json fresh_perf.json]
 //	cresbench -campaign [-shards 3] [-seed 7] [-parallel N] [-plan implant-persist] [-json campaign.json]
 //	cresbench -fleet 4096,65536 [-parallel N] [-json fleet.json] [-cpuprofile fleet.pprof]
 package main
@@ -45,7 +50,7 @@ import (
 	"cres"
 	"cres/internal/harness"
 	"cres/internal/scenario"
-	"cres/internal/service"
+	_ "cres/internal/service" // registers the SVC experiment
 )
 
 // options collects the CLI flags.
@@ -63,191 +68,54 @@ type options struct {
 	cpuprofile string
 }
 
-func main() {
+// parseFlags defines the CLI flags on fs and parses args into options.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
-	flag.Int64Var(&o.seed, "seed", 7, "simulation root seed; shard seeds derive from it")
-	flag.BoolVar(&o.quick, "quick", false, "smaller sweeps for a fast run")
-	flag.StringVar(&o.jsonPath, "json", "BENCH_perf.json", "write the machine-readable report here (empty to disable)")
-	flag.IntVar(&o.parallel, "parallel", 0, "worker pool size for independent simulation runs (0 = GOMAXPROCS)")
-	flag.BoolVar(&o.campaign, "campaign", false, "run the E12 scenario campaign instead of the experiment suite")
-	flag.IntVar(&o.shards, "shards", 3, "campaign seed replicas per attack × architecture cell")
-	flag.StringVar(&o.plan, "plan", "", `campaign staged plans: built-in names, "scenario@delay,..." syntax, or "none" (default: all built-ins)`)
-	flag.StringVar(&o.fleet, "fleet", "", `comma-separated fleet sizes, e.g. "4096,1048576": run the streaming fleet sweep only`)
-	flag.StringVar(&o.only, "only", "", "comma-separated experiment filter, e.g. E3,E9 (suite mode)")
-	flag.BoolVar(&o.stable, "stable", false, "mask host-clock readings so output is byte-identical across runs")
-	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
-	flag.Parse()
-	if err := run(o); err != nil {
+	fs.Int64Var(&o.seed, "seed", 7, "simulation root seed; shard seeds derive from it")
+	fs.BoolVar(&o.quick, "quick", false, "smaller sweeps for a fast run")
+	fs.StringVar(&o.jsonPath, "json", "", "write the machine-readable report here (default: none)")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size for independent simulation runs (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.campaign, "campaign", false, "run the E12 scenario campaign instead of the experiment suite")
+	fs.IntVar(&o.shards, "shards", 3, "campaign seed replicas per attack × architecture cell")
+	fs.StringVar(&o.plan, "plan", "", `campaign staged plans: built-in names, "scenario@delay,..." syntax, or "none" (default: all built-ins)`)
+	fs.StringVar(&o.fleet, "fleet", "", `comma-separated fleet sizes, e.g. "4096,1048576": run the streaming fleet sweep only`)
+	fs.StringVar(&o.only, "only", "", "comma-separated experiment filter, e.g. E3,E9 (suite mode)")
+	fs.BoolVar(&o.stable, "stable", false, "mask host-clock readings so output is byte-identical across runs")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
+	err := fs.Parse(args)
+	return o, err
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "cresbench:", err)
 		os.Exit(1)
 	}
 }
 
-// benchReport is the schema of BENCH_perf.json.
+// benchReport is the schema of a BENCH_perf.json report: the run's
+// provenance and one flat list of metrics, each naming its own gate.
 type benchReport struct {
-	Schema string     `json:"schema"`
-	Seed   int64      `json:"seed"`
-	Quick  bool       `json:"quick"`
-	E9     benchE9    `json:"e9"`
-	Fleet  benchFleet `json:"fleet"`
-	// Hierarchy records the E15 verifier-tree sweep; nil in artifacts
-	// from before the hierarchy existed, which benchdiff treats as
-	// "skip", not "fail".
-	Hierarchy *benchHierarchy `json:"hierarchy,omitempty"`
-	// Service records the SVC resident-service bench; nil in artifacts
-	// from before the service existed — the same skip-not-fail rule.
-	Service     *benchService     `json:"service,omitempty"`
-	Experiments []benchExperiment `json:"experiments"`
+	Schema    string           `json:"schema"`
+	Seed      int64            `json:"seed"`
+	Quick     bool             `json:"quick"`
+	GoVersion string           `json:"go_version"`
+	NumCPU    int              `json:"num_cpu"`
+	Metrics   []harness.Metric `json:"metrics"`
 }
 
-// benchE9 records the monitoring-overhead ablation, the paper's central
-// cost argument: monitoring must be cheap enough for every transaction.
-type benchE9 struct {
-	Txs  int          `json:"txs"`
-	Rows []benchE9Row `json:"rows"`
-}
-
-type benchE9Row struct {
-	Config      string  `json:"config"`
-	NsPerTx     float64 `json:"ns_per_tx"`
-	AllocsPerTx float64 `json:"allocs_per_tx"`
-	Alerts      uint64  `json:"alerts"`
-}
-
-type benchExperiment struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
-}
-
-// benchFleet records the streaming fleet engine's throughput — the
-// scale argument: how many device appraisals per second one host
-// sustains with memory bounded by the batch size.
-type benchFleet struct {
-	TotalDevices  int     `json:"total_devices"`
-	DevicesPerSec float64 `json:"devices_per_sec"`
-	// BatchSize and ShardSize pin the engine batching configuration the
-	// sweep ran with, so benchdiff only compares throughput
-	// config-for-config.
-	BatchSize int `json:"batch_size"`
-	ShardSize int `json:"shard_size"`
-	// AllocsPerDevice is the sweep's heap allocations per appraised
-	// device — benchdiff gates it against an absolute budget. GoVersion
-	// and NumCPU record the measurement's provenance so a trajectory
-	// shift can be traced to a toolchain or host change. All three are
-	// absent (zero) in artifacts from before the fields existed, which
-	// benchdiff treats as "skip", not "fail".
-	AllocsPerDevice float64         `json:"allocs_per_device,omitempty"`
-	GoVersion       string          `json:"go_version,omitempty"`
-	NumCPU          int             `json:"num_cpu,omitempty"`
-	Rows            []benchFleetRow `json:"rows"`
-}
-
-type benchFleetRow struct {
-	Devices      int     `json:"devices"`
-	Shards       int     `json:"shards"`
-	Caught       int     `json:"caught"`
-	Tampered     int     `json:"tampered"`
-	CompletionMs float64 `json:"completion_virtual_ms"`
-}
-
-func fleetSection(res *cres.E8Result) benchFleet {
-	f := benchFleet{
-		TotalDevices:    res.TotalDevices,
-		DevicesPerSec:   res.DevicesPerSec(),
-		BatchSize:       res.BatchSize,
-		ShardSize:       res.ShardSize,
-		AllocsPerDevice: res.AllocsPerDevice,
-		GoVersion:       runtime.Version(),
-		NumCPU:          runtime.NumCPU(),
+func newBenchReport(o options) *benchReport {
+	return &benchReport{
+		Schema:    harness.MetricsSchema,
+		Seed:      o.seed,
+		Quick:     o.quick,
+		GoVersion: runtime.Version(),
+		NumCPU:    runtime.NumCPU(),
 	}
-	for _, r := range res.Rows {
-		f.Rows = append(f.Rows, benchFleetRow{
-			Devices:      r.Devices,
-			Shards:       r.Shards,
-			Caught:       r.Summary.Caught,
-			Tampered:     r.Summary.Tampered,
-			CompletionMs: float64(r.Summary.Completion.Milliseconds()),
-		})
-	}
-	return f
-}
-
-// benchHierarchy records the E15 hierarchical re-attestation sweep:
-// per-shape detection latency for a lying mid-tier verifier plus the
-// signature-check cost of the guarantee. Every number is virtual-time
-// or a count, so the section is byte-stable across hosts.
-type benchHierarchy struct {
-	TotalSigChecks int                 `json:"total_sig_checks"`
-	MaxDetectLagMs float64             `json:"max_detect_lag_ms"`
-	Rows           []benchHierarchyRow `json:"rows"`
-}
-
-type benchHierarchyRow struct {
-	Depth       int     `json:"depth"`
-	Fanout      int     `json:"fanout"`
-	Leaves      int     `json:"leaves"`
-	Devices     int     `json:"devices"`
-	SigChecks   int     `json:"sig_checks"`
-	MaxHeld     int     `json:"max_held"`
-	DetectLagMs float64 `json:"detect_lag_ms"`
-	Attributed  bool    `json:"attributed"`
-	Healed      bool    `json:"healed"`
-}
-
-func hierarchySection(res *cres.E15Result) *benchHierarchy {
-	h := &benchHierarchy{
-		TotalSigChecks: res.TotalSigChecks,
-		MaxDetectLagMs: float64(res.MaxDetectLag.Microseconds()) / 1000,
-	}
-	for _, r := range res.Rows {
-		h.Rows = append(h.Rows, benchHierarchyRow{
-			Depth:       r.Depth,
-			Fanout:      r.Fanout,
-			Leaves:      r.Leaves,
-			Devices:     r.Devices,
-			SigChecks:   r.SigChecks,
-			MaxHeld:     r.MaxHeld,
-			DetectLagMs: float64(r.Detection.Lag.Microseconds()) / 1000,
-			Attributed:  r.Attributed,
-			Healed:      r.Healed,
-		})
-	}
-	return h
-}
-
-// benchService records the SVC resident-service bench: aggregate
-// requests/sec through a loopback cresd plus per-endpoint body
-// fingerprints and costs. The SHAs are deterministic per (seed,
-// quick); the timings are host-clock, gated loosely by benchdiff.
-type benchService struct {
-	Requests       int                    `json:"requests"`
-	RequestsPerSec float64                `json:"requests_per_sec"`
-	Endpoints      []benchServiceEndpoint `json:"endpoints"`
-}
-
-type benchServiceEndpoint struct {
-	Path     string  `json:"path"`
-	Requests int     `json:"requests"`
-	Bytes    int     `json:"bytes"`
-	BodySHA  string  `json:"body_sha"`
-	NsPerReq float64 `json:"ns_per_req"`
-}
-
-func serviceSection(res *service.SVCResult) *benchService {
-	s := &benchService{
-		Requests:       res.Requests,
-		RequestsPerSec: res.RequestsPerSec(),
-	}
-	for _, ep := range res.Endpoints {
-		s.Endpoints = append(s.Endpoints, benchServiceEndpoint{
-			Path:     ep.Path,
-			Requests: ep.Requests,
-			Bytes:    ep.Bytes,
-			BodySHA:  ep.BodySHA,
-			NsPerReq: ep.NsPerReq,
-		})
-	}
-	return s
 }
 
 // campaignReport is the schema of the -campaign JSON artifact.
@@ -303,11 +171,11 @@ func runSuite(o options, pool *harness.Pool) error {
 	}
 	for name := range selected {
 		if _, ok := harness.Lookup(name); !ok {
-			return fmt.Errorf("unknown experiment %q in -only (registry has %s)", name, registryNames())
+			return fmt.Errorf("unknown experiment %q in -only (registry has %s)", name, strings.Join(harness.Names(), ", "))
 		}
 	}
 
-	rep := benchReport{Schema: "cres-bench/v1", Seed: o.seed, Quick: o.quick}
+	rep := newBenchReport(o)
 	ctx := &harness.Context{Seed: o.seed, Quick: o.quick, Stable: o.stable, Pool: pool}
 	for _, exp := range harness.Experiments() {
 		if len(selected) > 0 && !selected[exp.Name] {
@@ -317,44 +185,19 @@ func runSuite(o options, pool *harness.Pool) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", exp.Name, err)
 		}
-		// NsPerOp is measured by the runner around the computation only,
-		// so the artifact tracks the simulator, not the rendering.
-		rep.Experiments = append(rep.Experiments, benchExperiment{
-			Name:    exp.Name,
-			NsPerOp: out.NsPerOp,
-		})
 		for _, block := range out.Blocks {
 			fmt.Println(block)
 		}
-		if e8, ok := out.Payload.(*cres.E8Result); ok {
-			rep.Fleet = fleetSection(e8)
-		}
-		if e15, ok := out.Payload.(*cres.E15Result); ok {
-			rep.Hierarchy = hierarchySection(e15)
-		}
-		if svc, ok := out.Payload.(*service.SVCResult); ok {
-			rep.Service = serviceSection(svc)
-		}
-		if e9, ok := out.Payload.(*cres.E9Result); ok {
-			rep.E9.Txs = e9.Txs
-			for _, r := range e9.Rows {
-				rep.E9.Rows = append(rep.E9.Rows, benchE9Row{
-					Config:      r.Config,
-					NsPerTx:     r.WallNsPerTx,
-					AllocsPerTx: r.AllocsPerTx,
-					Alerts:      r.Alerts,
-				})
-			}
-		}
+		// NsPerOp is measured by the runner around the computation only,
+		// so the report tracks the simulator, not the rendering. It is a
+		// whole-experiment host-clock reading, so it is printed, never
+		// gated.
+		rep.Metrics = append(rep.Metrics, harness.Metric{
+			Name: exp.Name + "/ns_per_op", Unit: "ns", Value: out.NsPerOp, Better: harness.Lower,
+		})
+		rep.Metrics = append(rep.Metrics, out.Metrics...)
 	}
-
-	if o.jsonPath != "" {
-		if err := writeJSON(o.jsonPath, &rep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote benchmark report to %s\n", o.jsonPath)
-	}
-	return nil
+	return writeReport(o.jsonPath, "benchmark", rep)
 }
 
 // runCampaign runs the E12 scenario campaign matrix.
@@ -375,30 +218,16 @@ func runCampaign(o options, pool *harness.Pool) error {
 	}
 	fmt.Println(res.Table.Render())
 
-	if o.jsonPath != "" {
-		rep := campaignReport{
-			Schema:             "cres-campaign/v1",
-			Seed:               o.seed,
-			SeedsPerCell:       o.shards,
-			Plans:              len(plans),
-			Cells:              len(res.Cells),
-			CRESDetectRate:     res.CRESDetectRate,
-			CRESRecoverRate:    res.CRESRecoverRate,
-			BaselineDetectRate: res.BaselineDetectRate,
-		}
-		if err := writeJSON(o.jsonPath, &rep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote campaign report to %s\n", o.jsonPath)
-	}
-	return nil
-}
-
-// fleetReport is the schema of the -fleet JSON artifact.
-type fleetReport struct {
-	Schema string     `json:"schema"`
-	Seed   int64      `json:"seed"`
-	Fleet  benchFleet `json:"fleet"`
+	return writeReport(o.jsonPath, "campaign", &campaignReport{
+		Schema:             "cres-campaign/v1",
+		Seed:               o.seed,
+		SeedsPerCell:       o.shards,
+		Plans:              len(plans),
+		Cells:              len(res.Cells),
+		CRESDetectRate:     res.CRESDetectRate,
+		CRESRecoverRate:    res.CRESRecoverRate,
+		BaselineDetectRate: res.BaselineDetectRate,
+	})
 }
 
 // runFleet runs the streaming fleet sweep at exactly the -fleet sizes.
@@ -423,14 +252,9 @@ func runFleet(o options, pool *harness.Pool) error {
 		fmt.Printf("appraised %d devices in %v (%.0f devices/sec)\n", res.TotalDevices, res.Wall.Round(time.Millisecond), res.DevicesPerSec())
 	}
 
-	if o.jsonPath != "" {
-		rep := fleetReport{Schema: "cres-fleet/v1", Seed: o.seed, Fleet: fleetSection(res)}
-		if err := writeJSON(o.jsonPath, &rep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote fleet report to %s\n", o.jsonPath)
-	}
-	return nil
+	rep := newBenchReport(o)
+	rep.Metrics = res.Metrics()
+	return writeReport(o.jsonPath, "fleet", rep)
 }
 
 // parseFleetSizes parses the -fleet value: a comma-separated list of
@@ -454,15 +278,12 @@ func parseFleetSizes(s string) ([]int, error) {
 	return sizes, nil
 }
 
-func registryNames() string {
-	var names []string
-	for _, e := range harness.Experiments() {
-		names = append(names, e.Name)
+// writeReport writes v as indented JSON to path; an empty path writes
+// nothing.
+func writeReport(path, kind string, v any) error {
+	if path == "" {
+		return nil
 	}
-	return strings.Join(names, ", ")
-}
-
-func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("marshal report: %w", err)
@@ -471,5 +292,6 @@ func writeJSON(path string, v any) error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("write report: %w", err)
 	}
+	fmt.Printf("wrote %s report to %s\n", kind, path)
 	return nil
 }

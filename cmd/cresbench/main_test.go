@@ -2,10 +2,38 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"cres/internal/harness"
 )
+
+// readReport loads a benchmark report run wrote, indexed by metric name.
+func readReport(t *testing.T, path string) (*benchReport, map[string]harness.Metric) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("benchmark report not written: %v", err)
+	}
+	var rep benchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("benchmark report is not valid JSON: %v", err)
+	}
+	if rep.Schema != harness.MetricsSchema {
+		t.Fatalf("report schema = %q, want %q", rep.Schema, harness.MetricsSchema)
+	}
+	by := make(map[string]harness.Metric, len(rep.Metrics))
+	for _, m := range rep.Metrics {
+		if _, dup := by[m.Name]; dup {
+			t.Fatalf("metric %q reported twice", m.Name)
+		}
+		by[m.Name] = m
+	}
+	return &rep, by
+}
 
 func TestRunQuick(t *testing.T) {
 	if testing.Short() {
@@ -15,35 +43,18 @@ func TestRunQuick(t *testing.T) {
 	if err := run(options{seed: 7, quick: true, jsonPath: jsonPath, parallel: 4, shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("benchmark report not written: %v", err)
+	rep, by := readReport(t, jsonPath)
+	if !rep.Quick || rep.GoVersion == "" || rep.NumCPU <= 0 {
+		t.Fatalf("report provenance = quick %v, go %q, cpus %d", rep.Quick, rep.GoVersion, rep.NumCPU)
 	}
-	var report benchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("benchmark report is not valid JSON: %v", err)
-	}
-	if report.Schema != "cres-bench/v1" {
-		t.Fatalf("report schema = %q, want cres-bench/v1", report.Schema)
-	}
-	if len(report.E9.Rows) != 4 {
-		t.Fatalf("E9 rows = %d, want 4", len(report.E9.Rows))
-	}
-	if report.E9.Txs != 50_000 {
-		t.Fatalf("E9 txs = %d, want the quick sweep's 50000", report.E9.Txs)
-	}
-	for _, row := range report.E9.Rows {
-		if row.NsPerTx <= 0 {
-			t.Errorf("E9 %s: ns/tx = %v, want > 0", row.Config, row.NsPerTx)
+	for _, config := range []string{"no-monitoring", "counting-observer", "bus-monitor", "bus-monitor+watchpoints+rate"} {
+		if m, ok := by["E9/"+config+"/ns_per_tx"]; !ok || m.Value <= 0 {
+			t.Errorf("E9 %s: ns/tx = %+v, want > 0", config, m)
 		}
 	}
-	if len(report.Experiments) == 0 {
-		t.Fatal("no per-experiment timings recorded")
-	}
-	for _, exp := range report.Experiments {
-		if exp.NsPerOp <= 0 {
-			t.Errorf("%s: ns/op = %v, want > 0", exp.Name, exp.NsPerOp)
+	for _, name := range harness.Names() {
+		if m, ok := by[name+"/ns_per_op"]; !ok || m.Value <= 0 {
+			t.Errorf("%s: ns/op = %+v, want > 0", name, m)
 		}
 	}
 }
@@ -53,19 +64,9 @@ func TestRunOnlyFilter(t *testing.T) {
 	if err := run(options{seed: 7, quick: true, jsonPath: jsonPath, parallel: 2, only: "E7,E11", shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report benchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Experiments) != 2 {
-		t.Fatalf("experiments = %+v, want exactly E7 and E11", report.Experiments)
-	}
-	if report.Experiments[0].Name != "E7" || report.Experiments[1].Name != "E11" {
-		t.Fatalf("filtered experiments = %+v", report.Experiments)
+	rep, _ := readReport(t, jsonPath)
+	if len(rep.Metrics) != 2 || rep.Metrics[0].Name != "E7/ns_per_op" || rep.Metrics[1].Name != "E11/ns_per_op" {
+		t.Fatalf("metrics = %+v, want exactly E7 and E11 ns/op", rep.Metrics)
 	}
 }
 
@@ -134,140 +135,129 @@ func TestRunFleetMode(t *testing.T) {
 	if err := run(options{seed: 7, fleet: "4,512", parallel: 4, jsonPath: jsonPath, stable: true, cpuprofile: profPath}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("fleet report not written: %v", err)
+	rep, by := readReport(t, jsonPath)
+	if len(rep.Metrics) != 2 {
+		t.Fatalf("metrics = %+v, want E8's devices/sec and allocs/device", rep.Metrics)
 	}
-	var rep fleetReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "cres-fleet/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if rep.Fleet.TotalDevices != 4+512 {
-		t.Fatalf("total devices = %d", rep.Fleet.TotalDevices)
-	}
-	if rep.Fleet.DevicesPerSec <= 0 {
-		t.Fatalf("devices/sec = %v, want > 0", rep.Fleet.DevicesPerSec)
-	}
-	if len(rep.Fleet.Rows) != 2 || rep.Fleet.Rows[1].Caught != 64 {
-		t.Fatalf("fleet rows = %+v", rep.Fleet.Rows)
-	}
-	if rep.Fleet.BatchSize <= 0 || rep.Fleet.ShardSize <= 0 {
-		t.Fatalf("fleet report lacks batching config: batch=%d shard=%d", rep.Fleet.BatchSize, rep.Fleet.ShardSize)
+	if m := by["E8/batch=256/shard=4096/devices_per_sec"]; m.Value <= 0 {
+		t.Fatalf("devices/sec = %+v, want > 0 under the default batching config", m)
 	}
 	if fi, err := os.Stat(profPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("-cpuprofile wrote nothing: %v", err)
 	}
 }
 
+// TestReportPathDefaultsEmpty pins that no mode writes a report unless
+// -json asks for one, so a run from the repository root cannot replace
+// the committed BENCH_perf.json baseline.
+func TestReportPathDefaultsEmpty(t *testing.T) {
+	for _, args := range [][]string{{}, {"-quick"}, {"-fleet", "4"}, {"-campaign"}} {
+		fs := flag.NewFlagSet("cresbench", flag.ContinueOnError)
+		o, err := parseFlags(fs, args)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if o.jsonPath != "" {
+			t.Errorf("%v: report path = %q, want none", args, o.jsonPath)
+		}
+	}
+}
+
 func TestRunQuickRecordsFleetThroughput(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(options{seed: 7, quick: true, only: "E8", parallel: 2, jsonPath: jsonPath}); err != nil {
-		t.Fatal(err)
+	by := runOnly(t, "E8")
+	if m := by["E8/batch=256/shard=4096/devices_per_sec"]; m.Value <= 0 || m.Gate != harness.GateRel {
+		t.Fatalf("devices/sec = %+v, want a gated value > 0", m)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Fleet.DevicesPerSec <= 0 || rep.Fleet.TotalDevices == 0 {
-		t.Fatalf("suite run recorded no fleet throughput: %+v", rep.Fleet)
+	if m, ok := by["E8/batch=256/shard=4096/allocs_per_device"]; !ok || m.Gate != harness.GateMax {
+		t.Fatalf("allocs/device = %+v, want a max-gated value", m)
 	}
 }
 
 func TestRunQuickRecordsHierarchy(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(options{seed: 7, quick: true, only: "E15", parallel: 2, jsonPath: jsonPath}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Hierarchy == nil {
-		t.Fatal("suite run recorded no hierarchy section")
-	}
-	if len(rep.Hierarchy.Rows) != 3 {
-		t.Fatalf("hierarchy rows = %d, want the quick sweep's 3 shapes", len(rep.Hierarchy.Rows))
-	}
-	if rep.Hierarchy.TotalSigChecks <= 0 || rep.Hierarchy.MaxDetectLagMs <= 0 {
-		t.Fatalf("hierarchy section lacks costs: %+v", rep.Hierarchy)
-	}
-	for _, r := range rep.Hierarchy.Rows {
-		if !r.Attributed || !r.Healed {
-			t.Errorf("shape %dx%d: attributed=%v healed=%v, want both", r.Depth, r.Fanout, r.Attributed, r.Healed)
+	by := runOnly(t, "E15")
+	shapes := 0
+	for name, m := range by {
+		switch {
+		case strings.HasSuffix(name, "/sig_checks"):
+			shapes++
+			if m.Value <= 0 {
+				t.Errorf("%s = %v, want > 0", name, m.Value)
+			}
+		case strings.HasSuffix(name, "/detect_lag_ms") && m.Value <= 0:
+			t.Errorf("%s = %v, want > 0", name, m.Value)
+		case strings.HasSuffix(name, "/unattributed") || strings.HasSuffix(name, "/unhealed"):
+			if m.Value != 0 {
+				t.Errorf("%s = %v, want 0", name, m.Value)
+			}
 		}
 	}
-	// A filtered run without E15 must leave the section nil, so old
-	// baselines and new partial runs look the same to benchdiff.
-	if err := run(options{seed: 7, quick: true, only: "E7", jsonPath: jsonPath}); err != nil {
-		t.Fatal(err)
-	}
-	if data, err = os.ReadFile(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	rep = benchReport{}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Hierarchy != nil {
-		t.Fatalf("E15-less run still wrote a hierarchy section: %+v", rep.Hierarchy)
+	if shapes != 3 || len(by) != 1+3*4 {
+		t.Fatalf("metrics = %v, want ns/op plus 4 per quick shape (3)", by)
 	}
 }
 
-// TestRunQuickRecordsService pins the SVC section: an SVC-only run
-// writes the resident-service bench into the report — per-endpoint
-// body fingerprints plus throughput — and a run without SVC leaves
-// the section nil so benchdiff's skip rule applies.
 func TestRunQuickRecordsService(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(options{seed: 7, quick: true, only: "SVC", parallel: 2, jsonPath: jsonPath}); err != nil {
+	by := runOnly(t, "SVC")
+	if m := by["SVC/requests_per_sec"]; m.Value <= 0 || m.Gate != harness.GateRel {
+		t.Fatalf("requests/sec = %+v, want a gated value > 0", m)
+	}
+	if m := by["SVC/healthz/ns_per_req"]; m.Value <= 0 || m.Gate != "" {
+		t.Fatalf("/healthz ns/req = %+v, want an ungated value > 0", m)
+	}
+	if len(by) != 1+1+6 {
+		t.Fatalf("metrics = %v, want ns/op, requests/sec and the script's 6 endpoints", by)
+	}
+}
+
+// runOnly runs the quick suite restricted to exp, then E7 alone, and
+// returns the first run's metrics after checking the second holds none
+// of exp's: a run without an experiment reports nothing for it, which
+// benchdiff reads as "skipped", not "dropped".
+func runOnly(t *testing.T, exp string) map[string]harness.Metric {
+	t.Helper()
+	dir := t.TempDir()
+	withPath, withoutPath := filepath.Join(dir, "with.json"), filepath.Join(dir, "without.json")
+	if err := run(options{seed: 7, quick: true, only: exp, parallel: 2, jsonPath: withPath}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
+	if err := run(options{seed: 7, quick: true, only: "E7", jsonPath: withoutPath}); err != nil {
 		t.Fatal(err)
 	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Service == nil {
-		t.Fatal("SVC run recorded no service section")
-	}
-	if rep.Service.Requests <= 0 || rep.Service.RequestsPerSec <= 0 {
-		t.Fatalf("service section lacks throughput: %+v", rep.Service)
-	}
-	if len(rep.Service.Endpoints) != 6 {
-		t.Fatalf("service endpoints = %d, want the script's 6", len(rep.Service.Endpoints))
-	}
-	for _, ep := range rep.Service.Endpoints {
-		if len(ep.BodySHA) != 12 || ep.Bytes <= 0 || ep.Requests <= 0 {
-			t.Errorf("endpoint %s: incomplete record %+v", ep.Path, ep)
+	_, without := readReport(t, withoutPath)
+	for name := range without {
+		if strings.HasPrefix(name, exp+"/") {
+			t.Fatalf("%s-less run reported %s", exp, name)
 		}
 	}
+	_, with := readReport(t, withPath)
+	return with
+}
 
-	if err := run(options{seed: 7, quick: true, only: "E7", jsonPath: jsonPath}); err != nil {
+// TestCommittedBaselineMatchesCode pins the committed baseline to the
+// code: every gated metric a quick run of the gated experiments
+// reports is in BENCH_perf.json under the same name, with the same
+// unit, direction, gate, budget and norm. A renamed metric or a moved
+// budget fails here, not first in CI's perf gate.
+func TestCommittedBaselineMatchesCode(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "fresh.json")
+	if err := run(options{seed: 7, quick: true, only: "E9,E8,E15,SVC", parallel: 2, jsonPath: jsonPath}); err != nil {
 		t.Fatal(err)
 	}
-	if data, err = os.ReadFile(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	rep = benchReport{}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Service != nil {
-		t.Fatalf("SVC-less run still wrote a service section: %+v", rep.Service)
+	fresh, _ := readReport(t, jsonPath)
+	_, base := readReport(t, "../../BENCH_perf.json")
+	for _, f := range fresh.Metrics {
+		if f.Gate == "" {
+			continue
+		}
+		b, ok := base[f.Name]
+		if !ok {
+			t.Errorf("%s: gated metric missing from BENCH_perf.json", f.Name)
+			continue
+		}
+		b.Value = f.Value
+		if b != f {
+			t.Errorf("%s: BENCH_perf.json has %+v, code reports %+v", f.Name, b, f)
+		}
 	}
 }
 

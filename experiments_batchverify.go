@@ -15,8 +15,9 @@ import (
 // latency sweep into one number; BV isolates the verification
 // primitive itself, so a regression in the multi-scalar multiplication
 // or the hint fast path is visible directly instead of diluted ~5x.
-// CI watches it through the BENCH_perf.json experiments section via
-// `cresbench -only BV`.
+// CI's perf guard records its whole-run cost as BV/ns_per_op in the
+// fresh report; that metric is printed next to the baseline's, not
+// gated.
 
 // bvSigs is the batch size BV measures — the fleet engine's default
 // provisioning-epoch batch, so the measured shape is the deployed one.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cres/internal/fleet"
+	"cres/internal/harness"
 	"cres/internal/report"
 	"cres/internal/scenario"
 )
@@ -99,11 +100,39 @@ type E15Row struct {
 type E15Result struct {
 	Rows  []E15Row
 	Table *report.Table
-	// MaxDetectLag is the slowest detection across the sweep — the
-	// headline "how long can a lie live" number.
-	MaxDetectLag time.Duration
-	// TotalSigChecks sums the honest runs' signature verifications.
-	TotalSigChecks int
+}
+
+// e15CostBudget is how far a shape's signature checks and detection
+// lag may grow over the baseline's. Both are deterministic
+// virtual-time quantities, so any growth means the protocol got
+// structurally more expensive.
+const e15CostBudget = 0.25
+
+// Metrics reports, per shape, the honest run's signature checks and
+// the forged run's detection lag, gated against the baseline, plus
+// whether the liar went unattributed or the summary unhealed: a
+// correctness invariant, so its budget is 0 whatever the baseline says.
+func (r *E15Result) Metrics() []harness.Metric {
+	count := func(failed bool) float64 {
+		if failed {
+			return 1
+		}
+		return 0
+	}
+	var ms []harness.Metric
+	for _, row := range r.Rows {
+		prefix := fmt.Sprintf("E15/%dx%d/", row.Depth, row.Fanout)
+		ms = append(ms,
+			harness.Metric{Name: prefix + "sig_checks", Unit: "count", Value: float64(row.SigChecks),
+				Better: harness.Lower, Gate: harness.GateRel, Budget: e15CostBudget},
+			harness.Metric{Name: prefix + "detect_lag_ms", Unit: "ms", Value: float64(row.Detection.Lag.Microseconds()) / 1000,
+				Better: harness.Lower, Gate: harness.GateRel, Budget: e15CostBudget},
+			harness.Metric{Name: prefix + "unattributed", Unit: "count", Value: count(!row.Attributed),
+				Better: harness.Lower, Gate: harness.GateMax},
+			harness.Metric{Name: prefix + "unhealed", Unit: "count", Value: count(!row.Healed),
+				Better: harness.Lower, Gate: harness.GateMax})
+	}
+	return ms
 }
 
 // RunE15Hierarchy sweeps hierarchy shapes: for each depth × fan-out it
@@ -158,10 +187,6 @@ func RunE15Hierarchy(cfg E15Config, opts ...RunOption) (*E15Result, error) {
 				honest.Summary.AppendCanonical(nil)),
 		}
 		res.Rows = append(res.Rows, row)
-		res.TotalSigChecks += row.SigChecks
-		if det.Lag > res.MaxDetectLag {
-			res.MaxDetectLag = det.Lag
-		}
 	}
 
 	t := report.NewTable("E15 — Hierarchical re-attestation (verifier tree over fleet shards; one mid-tier verifier forges its merged summary)",

@@ -33,10 +33,41 @@ type E9Row struct {
 
 // E9Result is the overhead ablation.
 type E9Result struct {
-	// Txs is the number of transactions measured per configuration.
-	Txs   int
 	Rows  []E9Row
 	Table *report.Table
+}
+
+// e9Reference is the configuration with no observers attached; every
+// other configuration's ns/tx is gated as an overhead ratio against it,
+// so a uniformly faster or slower host cancels out.
+const e9Reference = "no-monitoring"
+
+// e9RefNsPerTx names the reference's ns/tx metric. E8 normalizes its
+// devices/sec by it too: throughput scales inversely with host speed
+// and the reference scales directly, so their product cancels the
+// machine out.
+const e9RefNsPerTx = "E9/" + e9Reference + "/ns_per_tx"
+
+// e9OverheadBudget is how far a configuration's overhead ratio may
+// grow over the baseline's before the perf gate fails.
+const e9OverheadBudget = 0.25
+
+// Metrics reports each configuration's ns/tx, gated as an overhead
+// ratio against the reference (whose raw ns/tx is printed only), and
+// its allocs/tx, which must stay 0: the monitored hot path is
+// allocation-free.
+func (r *E9Result) Metrics() []harness.Metric {
+	var ms []harness.Metric
+	for _, row := range r.Rows {
+		prefix := "E9/" + row.Config + "/"
+		ns := harness.Metric{Name: prefix + "ns_per_tx", Unit: "ns", Value: row.WallNsPerTx, Better: harness.Lower}
+		if row.Config != e9Reference {
+			ns.Gate, ns.Budget, ns.Norm = harness.GateRel, e9OverheadBudget, e9RefNsPerTx
+		}
+		ms = append(ms, ns, harness.Metric{Name: prefix + "allocs_per_tx", Unit: "allocs",
+			Value: row.AllocsPerTx, Better: harness.Lower, Gate: harness.GateMax})
+	}
+	return ms
 }
 
 // RenderStable renders the ablation table with host-clock readings
@@ -87,14 +118,14 @@ func RunE9MonitorOverhead(txs int) (*E9Result, error) {
 	if txs <= 0 {
 		txs = 200_000
 	}
-	res := &E9Result{Txs: txs}
+	res := &E9Result{}
 
 	type setup struct {
 		name  string
 		build func(e *sim.Engine, soc *hw.SoC) (alerts *uint64, err error)
 	}
 	setups := []setup{
-		{"no-monitoring", func(e *sim.Engine, soc *hw.SoC) (*uint64, error) {
+		{e9Reference, func(e *sim.Engine, soc *hw.SoC) (*uint64, error) {
 			var zero uint64
 			return &zero, nil
 		}},

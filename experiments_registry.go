@@ -11,8 +11,14 @@ import (
 // print order. The benchmark CLI iterates the registry instead of
 // owning one hand-rolled call per experiment; each runner translates
 // the shared harness.Context (seed, quick, stable, pool) into the
-// experiment's own knobs and hands back rendered blocks plus the raw
-// result payload.
+// experiment's own knobs and hands back rendered blocks plus the
+// result's gated metrics.
+
+// metricsReporter is a result that reports gated metrics (E8, E9,
+// E15); timedRunner copies them into Outcome.Metrics.
+type metricsReporter interface {
+	Metrics() []harness.Metric
+}
 
 // timedRunner builds a registry runner that times compute and renders
 // outside the timing window, so Outcome.NsPerOp tracks the simulator,
@@ -25,7 +31,11 @@ func timedRunner[T any](compute func(*harness.Context) (T, error), render func(*
 			return nil, err
 		}
 		elapsed := float64(time.Since(start).Nanoseconds())
-		return &harness.Outcome{Blocks: render(ctx, r), Payload: r, NsPerOp: elapsed}, nil
+		out := &harness.Outcome{Blocks: render(ctx, r), NsPerOp: elapsed}
+		if m, ok := any(r).(metricsReporter); ok {
+			out.Metrics = m.Metrics()
+		}
+		return out, nil
 	}
 }
 

@@ -11,7 +11,8 @@
 // finish in arbitrary order.
 //
 // The package also hosts the experiment registry (registry.go): the
-// E1–E11 experiments register themselves once, in print order, and the
+// experiments register themselves once, in print order, and the
 // benchmark CLI iterates the registry instead of hand-rolling a loop per
-// experiment.
+// experiment. Each run's Outcome carries its Metrics (metric.go), the
+// one record type of the BENCH_perf.json report and its gate.
 package harness

@@ -25,9 +25,10 @@ type Outcome struct {
 	// Blocks are rendered text blocks in print order (tables, series,
 	// free-form lines). The driver prints each followed by a newline.
 	Blocks []string
-	// Payload is the experiment's raw result, for drivers that need more
-	// than the rendering (e.g. the E9 rows feeding BENCH_perf.json).
-	Payload any
+	// Metrics are the gated measurements the experiment reports for
+	// BENCH_perf.json, each carrying its own gate and budget; nil for
+	// experiments that gate nothing.
+	Metrics []Metric
 	// NsPerOp is the host-CPU nanoseconds the experiment's computation
 	// took, measured by the runner around the computation only — table
 	// rendering happens outside the window, so the recorded perf

@@ -78,6 +78,23 @@ func (r *SVCResult) RequestsPerSec() float64 {
 	return float64(r.Requests) / r.Wall.Seconds()
 }
 
+// svcThroughputBudget is how far aggregate requests/sec may fall below
+// the baseline. It is loose, and not normalized by host speed, because
+// loopback HTTP throughput is the noisiest number the perf gate reads.
+const svcThroughputBudget = 0.5
+
+// Metrics reports the script's aggregate requests/sec, gated against
+// the baseline, and each endpoint's ns/req, which is printed only: one
+// aggregate threshold keeps a host-clock quantity from flaking CI.
+func (r *SVCResult) Metrics() []harness.Metric {
+	ms := []harness.Metric{{Name: "SVC/requests_per_sec", Unit: "1/s", Value: r.RequestsPerSec(),
+		Better: harness.Higher, Gate: harness.GateRel, Budget: svcThroughputBudget}}
+	for _, ep := range r.Endpoints {
+		ms = append(ms, harness.Metric{Name: "SVC" + ep.Path + "/ns_per_req", Unit: "ns", Value: ep.NsPerReq, Better: harness.Lower})
+	}
+	return ms
+}
+
 // RenderStable renders the table with host-clock cells masked, for
 // the determinism gate's byte-compare.
 func (r *SVCResult) RenderStable() string { return r.render(true).Render() }
@@ -204,6 +221,6 @@ func init() {
 			// byte-compare; mask them.
 			blocks = []string{res.RenderStable()}
 		}
-		return &harness.Outcome{Blocks: blocks, Payload: res, NsPerOp: elapsed}, nil
+		return &harness.Outcome{Blocks: blocks, Metrics: res.Metrics(), NsPerOp: elapsed}, nil
 	})
 }
