@@ -81,8 +81,8 @@ func RunBVBatchVerify(seed int64) (*BVResult, error) {
 		if _, err := entropy.Read(msgs[i]); err != nil {
 			return nil, err
 		}
-		sigs[i], hints[i] = signer.Sign(msgs[i])
 	}
+	signer.SignBatch(msgs, sigs, hints)
 
 	res := &BVResult{Sigs: bvSigs}
 	measure := func(path string, verify func() int) {

@@ -152,14 +152,26 @@ func (b *BatchAppraiser) Appraise(aik cryptoutil.PublicKey, nonce, sig []byte) e
 
 // SignFast is Sign through the variable-time signer: same spliced
 // body, byte-identical signature, plus the R hint that lets the
-// verifier's batch path skip decompression. The fleet's device side
-// uses this; Sign remains for callers holding only a KeyPair.
+// verifier's batch path skip decompression, for callers signing one
+// quote at a time (the fleet signs a whole epoch through AppendBody
+// and VartimeSigner.SignBatch); Sign remains for callers holding only
+// a KeyPair.
 func (b *BatchAppraiser) SignFast(signer *cryptoutil.VartimeSigner, nonce []byte) (sig [64]byte, hint cryptoutil.RHint, err error) {
 	if err := b.spliceNonce(nonce); err != nil {
 		return sig, hint, err
 	}
 	sig, hint = signer.Sign(b.body)
 	return sig, hint, nil
+}
+
+// AppendBody splices nonce into the canonical quote body and appends
+// the body to dst: the bytes SignFast signs, for a caller that signs a
+// whole provisioning epoch in one VartimeSigner.SignBatch call.
+func (b *BatchAppraiser) AppendBody(dst, nonce []byte) ([]byte, error) {
+	if err := b.spliceNonce(nonce); err != nil {
+		return dst, err
+	}
+	return append(dst, b.body...), nil
 }
 
 // Enqueue is the accumulation half of Appraise for the batched

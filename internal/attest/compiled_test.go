@@ -70,13 +70,22 @@ func TestCompiledAppraisalMatchesFullPath(t *testing.T) {
 			// Device side: the batched signature over the spliced body must
 			// equal a signature under the same key over the canonical
 			// encoding of the full Quote.
-			wantSig := kp.Sign(tpm.AppendQuoteBody(nil, q.Nonce, q.Selection, q.Values))
+			wantBody := tpm.AppendQuoteBody(nil, q.Nonce, q.Selection, q.Values)
+			wantSig := kp.Sign(wantBody)
 			sig, err := batch.Sign(kp, nonce)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(sig, wantSig) {
 				t.Fatal("batched signature differs from the full quote-body signature")
+			}
+			// AppendBody hands out those same signed bytes, after dst's.
+			body, err := batch.AppendBody([]byte("dst"), nonce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, append([]byte("dst"), wantBody...)) {
+				t.Fatal("AppendBody differs from the full quote body")
 			}
 
 			// Verifier side: same verdict class as the unbatched path.
@@ -144,6 +153,9 @@ func TestCompiledAppraisalMissingRequiredPCR(t *testing.T) {
 	// Wrong-length nonces are caller bugs, reported loudly.
 	if _, err := batch.Sign(kp, []byte("short")); err == nil {
 		t.Fatal("short nonce accepted by Sign")
+	}
+	if _, err := batch.AppendBody(nil, []byte("short")); err == nil {
+		t.Fatal("short nonce accepted by AppendBody")
 	}
 	if err := batch.Appraise(kp.Public(), []byte("short"), sig); err == nil {
 		t.Fatal("short nonce accepted by Appraise")

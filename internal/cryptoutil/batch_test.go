@@ -220,9 +220,12 @@ func TestBatchVerifierReuse(t *testing.T) {
 }
 
 // TestVartimeSignerMatchesKeyPair pins the fast signer against the
-// stdlib-backed KeyPair for identical bytes.
+// stdlib-backed KeyPair for identical bytes, one message at a time and
+// in batches of 1..4 through one re-initialised signer, whose hints
+// must equal Sign's.
 func TestVartimeSignerMatchesKeyPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
+	var vs VartimeSigner
 	for i := 0; i < 20; i++ {
 		seed := make([]byte, 32)
 		rng.Read(seed)
@@ -230,16 +233,27 @@ func TestVartimeSignerMatchesKeyPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var vs VartimeSigner
 		vs.Init(seed)
 		if !vs.Public().Equal(kp.Public()) {
 			t.Fatalf("seed %x: public key mismatch", seed)
 		}
-		msg := make([]byte, 132)
-		rng.Read(msg)
-		sig, _ := vs.Sign(msg)
-		if want := kp.Sign(msg); string(sig[:]) != string(want) {
-			t.Fatalf("seed %x: signature mismatch\n got %x\nwant %x", seed, sig, want)
+		msgs := make([][]byte, i%4+1)
+		for j := range msgs {
+			msgs[j] = make([]byte, 132)
+			rng.Read(msgs[j])
+		}
+		sigs := make([][64]byte, len(msgs))
+		hints := make([]RHint, len(msgs))
+		vs.SignBatch(msgs, sigs, hints)
+		for j, msg := range msgs {
+			want := kp.Sign(msg)
+			sig, hint := vs.Sign(msg)
+			if string(sig[:]) != string(want) || string(sigs[j][:]) != string(want) {
+				t.Fatalf("seed %x message %d: signature mismatch\n  Sign %x\nbatch %x\n want %x", seed, j, sig, sigs[j], want)
+			}
+			if hints[j] != hint {
+				t.Fatalf("seed %x message %d: SignBatch hint differs from Sign's", seed, j)
+			}
 		}
 	}
 }

@@ -3,7 +3,8 @@
 // scalar arithmetic, point decompression with the same strictness as
 // crypto/ed25519, fixed-base and variable-base scalar multiplication,
 // a 128-bit-coefficient Pippenger multi-scalar multiplication, and an
-// RFC 8032 signer that also emits its commitment point in affine form.
+// RFC 8032 signer that signs a batch of messages with one shared field
+// inversion and also emits each commitment point in affine form.
 //
 // The API deliberately mirrors the shape of filippo.io/edwards25519
 // (Point, Scalar, SetBytes/Bytes, SetUniformBytes) so that swapping in

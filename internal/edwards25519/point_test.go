@@ -39,6 +39,36 @@ func TestScalarBaseMultMatchesStdlib(t *testing.T) {
 	}
 }
 
+// edgeScalars are the radix-2^8 digit edge cases: digits at 0, ±1 and
+// the ±128 boundary, a carry out of every byte but the top one (0x80
+// in each), 2^252 and l-1, the largest canonical scalar.
+func edgeScalars() []*big.Int {
+	carryChain := new(big.Int).SetBytes(bytes.Repeat([]byte{0x80}, 31))
+	return []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(127), big.NewInt(128),
+		big.NewInt(129), big.NewInt(255), big.NewInt(256),
+		carryChain,
+		new(big.Int).Lsh(big.NewInt(1), 252),
+		new(big.Int).Sub(scL, big.NewInt(1)),
+	}
+}
+
+// TestScalarBaseMultEdgeScalars checks the fixed-base table against
+// ScalarMultVartime on the basepoint, which uses no fixed-base table.
+func TestScalarBaseMultEdgeScalars(t *testing.T) {
+	var base Point
+	base.setAffine(&genB)
+	for _, x := range edgeScalars() {
+		s := scFromBig(t, x)
+		var got, want Point
+		got.ScalarBaseMultVartime(s)
+		want.ScalarMultVartime(s, &base)
+		if got.Bytes() != want.Bytes() {
+			t.Fatalf("scalar %x: ScalarBaseMult = %x, want %x", x, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
 // TestPointRoundTrip decompresses stdlib public keys and re-encodes
 // them.
 func TestPointRoundTrip(t *testing.T) {

@@ -125,15 +125,35 @@ func TestScalarSetShortBytes(t *testing.T) {
 	s.SetShortBytes(make([]byte, 17))
 }
 
-// TestSignedDigits checks that both digit decompositions reconstruct
+// checkRadix256 fails t unless s's radix-2^8 digits reconstruct x; a
+// digit that overflowed int8 would not.
+func checkRadix256(t *testing.T, s *Scalar, x *big.Int) {
+	t.Helper()
+	var e [32]int8
+	s.signedRadix256(&e)
+	acc := new(big.Int)
+	for j := 31; j >= 0; j-- {
+		acc.Lsh(acc, 8)
+		acc.Add(acc, big.NewInt(int64(e[j])))
+	}
+	if acc.Cmp(x) != 0 {
+		t.Fatalf("signedRadix256 reconstructed %v, want %v", acc, x)
+	}
+}
+
+// TestSignedDigits checks that every digit decomposition reconstructs
 // the scalar.
 func TestSignedDigits(t *testing.T) {
+	for _, x := range edgeScalars() {
+		checkRadix256(t, scFromBig(t, x), x)
+	}
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 100; i++ {
 		b := make([]byte, 32)
 		rng.Read(b)
 		x := new(big.Int).Mod(new(big.Int).SetBytes(b), scL)
 		s := scFromBig(t, x)
+		checkRadix256(t, s, x)
 
 		var e [64]int8
 		s.signedRadix16(&e)

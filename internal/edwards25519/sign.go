@@ -11,7 +11,11 @@ type Signer struct {
 	a      Scalar
 	prefix [32]byte
 	pub    [32]byte
-	buf    []byte // pooled hash-input buffer, so Sign stays alloc-free
+	// Pooled batch state, so signing stays alloc-free once warm: the
+	// hash-input buffer, and per message the nonce r_i and R_i = r_i*B.
+	buf []byte
+	rs  []Scalar
+	pts []Point
 }
 
 // Init derives the signing state from a 32-byte Ed25519 seed.
@@ -43,34 +47,57 @@ func (sg *Signer) PublicKey() [32]byte { return sg.pub }
 // seed and message; the coordinates let a verifier skip decompressing
 // R from the signature.
 func (sg *Signer) Sign(msg []byte) (sig [64]byte, rx, ry Element) {
-	sg.buf = append(sg.buf[:0], sg.prefix[:]...)
-	sg.buf = append(sg.buf, msg...)
-	rDigest := sha512.Sum512(sg.buf)
-	var r Scalar
-	r.SetUniformBytes(rDigest[:])
+	msgs := [1][]byte{msg}
+	var sigs [1][64]byte
+	var xs, ys [1]Element
+	sg.SignBatch(msgs[:], sigs[:], xs[:], ys[:])
+	return sigs[0], xs[0], ys[0]
+}
 
-	var R Point
-	R.ScalarBaseMultVartime(&r)
-	var zInv Element
-	zInv.Invert(&R.z)
-	rx.Mul(&R.x, &zInv)
-	ry.Mul(&R.y, &zInv)
-	rEnc := ry.Bytes()
-	if rx.IsNegative() {
-		rEnc[31] |= 0x80
+// SignBatch signs every msgs[i] into sigs[i], with R's affine
+// coordinates in (rx[i], ry[i]); all four slices must have the same
+// length. Each signature is the one Sign would return. The batch
+// shares one field inversion: every R_i = r_i*B stays projective until
+// one inversion of the product of their Z coordinates makes them all
+// affine (Montgomery's trick), which is what R's encoding needs.
+func (sg *Signer) SignBatch(msgs [][]byte, sigs [][64]byte, rx, ry []Element) {
+	n := len(msgs)
+	if len(sigs) != n || len(rx) != n || len(ry) != n {
+		panic("edwards25519: SignBatch slice lengths differ")
 	}
+	if cap(sg.pts) < n {
+		sg.rs = make([]Scalar, n)
+		sg.pts = make([]Point, n)
+	}
+	rs, pts := sg.rs[:n], sg.pts[:n]
 
-	sg.buf = append(sg.buf[:0], rEnc[:]...)
-	sg.buf = append(sg.buf, sg.pub[:]...)
-	sg.buf = append(sg.buf, msg...)
-	hDigest := sha512.Sum512(sg.buf)
-	var k, s Scalar
-	k.SetUniformBytes(hDigest[:])
-	s.Mul(&k, &sg.a)
-	s.Add(&s, &r)
+	// Pass 1: r_i = H(prefix || m_i) and R_i = r_i*B.
+	for i, msg := range msgs {
+		sg.buf = append(sg.buf[:0], sg.prefix[:]...)
+		sg.buf = append(sg.buf, msg...)
+		rDigest := sha512.Sum512(sg.buf)
+		rs[i].SetUniformBytes(rDigest[:])
+		pts[i].ScalarBaseMultVartime(&rs[i])
+	}
+	batchAffine(pts, rx, ry)
 
-	copy(sig[:32], rEnc[:])
-	sBytes := s.Bytes()
-	copy(sig[32:], sBytes[:])
-	return sig, rx, ry
+	// Pass 2: encode R_i, then s_i = H(R_i || A || m_i)*a + r_i.
+	for i, msg := range msgs {
+		rEnc := ry[i].Bytes()
+		if rx[i].IsNegative() {
+			rEnc[31] |= 0x80
+		}
+		sg.buf = append(sg.buf[:0], rEnc[:]...)
+		sg.buf = append(sg.buf, sg.pub[:]...)
+		sg.buf = append(sg.buf, msg...)
+		hDigest := sha512.Sum512(sg.buf)
+		var k, s Scalar
+		k.SetUniformBytes(hDigest[:])
+		s.Mul(&k, &sg.a)
+		s.Add(&s, &rs[i])
+
+		copy(sigs[i][:32], rEnc[:])
+		sBytes := s.Bytes()
+		copy(sigs[i][32:], sBytes[:])
+	}
 }

@@ -6,9 +6,11 @@ import (
 
 // TestBatchLoopAllocsPerDeviceO1 gates the batched appraise scratch's
 // memory behavior: the steady-state batch loop allocates O(1) per
-// device — today ~1 allocation, the device's signature, with the boot
-// variants, quote bodies and provisioning-epoch key material pooled in
-// the per-shard scratch — independent of fleet, shard and batch size.
+// device — today ~0.035 (E8's allocs_per_device), all of it
+// per-shard scratch setup and per-epoch key derivation, with the boot
+// variants, the epoch's quote bodies, signatures and hints, and the
+// provisioning-epoch key material pooled in the per-shard scratch —
+// independent of fleet, shard and batch size.
 // A per-device cost that grew with any of those would mean the engine
 // is quietly retaining per-device state, the exact failure mode the
 // streaming design exists to make impossible.
@@ -33,11 +35,11 @@ func TestBatchLoopAllocsPerDeviceO1(t *testing.T) {
 
 	small := perDevice(256)  // one batch
 	large := perDevice(1024) // four batches
-	// The absolute budget: the batched hot path allocates the per-device
-	// ed25519 signature (~1/device) plus per-batch key derivation and
-	// per-shard scratch setup. 4 leaves headroom for go runtime drift
-	// without masking a return to per-device TPM/quote/log allocation
-	// (~30/device before the scratch landed).
+	// The absolute budget: the batched hot path allocates only for
+	// per-batch key derivation and per-shard scratch setup. 4 leaves
+	// headroom for go runtime drift without masking a return to
+	// per-device TPM/quote/log allocation (~30/device before the
+	// scratch landed).
 	if small > 4 || large > 4 {
 		t.Fatalf("batch loop allocates %.1f (256 dev) / %.1f (1024 dev) per device, budget 4", small, large)
 	}

@@ -351,6 +351,13 @@ type appraiseScratch struct {
 	bv      *cryptoutil.BatchVerifier
 	aik     cryptoutil.PublicKey
 	queue   []pending
+	// The epoch's signing batch, in device-index order: every quote
+	// body back to back in body, msgs[j] slicing out queue[j]'s, and
+	// its signature and R hint.
+	body    []byte
+	msgs    [][]byte
+	sigs    [][64]byte
+	hints   []cryptoutil.RHint
 	seedBuf [nonceLen]byte
 	keySeed [32]byte
 	nonce   [nonceLen]byte
@@ -363,16 +370,25 @@ type appraiseScratch struct {
 // be a data race AND would entangle shard outputs; see
 // TestScratchEntropyIsolation in batch_race_test.go.
 func (e *Engine) newScratch() *appraiseScratch {
+	n := e.cfg.BatchSize
 	sc := &appraiseScratch{
 		batches: make([]*attest.BatchAppraiser, len(e.variants)),
 		entropy: cryptoutil.NewDeterministicEntropy(nil),
 		coeff:   cryptoutil.NewDeterministicEntropy(nil),
-		queue:   make([]pending, 0, e.cfg.BatchSize),
+		queue:   make([]pending, 0, n),
+		msgs:    make([][]byte, 0, n),
+		sigs:    make([][64]byte, n),
+		hints:   make([]cryptoutil.RHint, n),
 	}
 	sc.bv = cryptoutil.NewBatchVerifier(sc.coeff)
 	for i, v := range e.variants {
 		sc.batches[i] = v.Batch()
 	}
+	// Every variant quotes the same PCR selection under the same nonce
+	// size, so one body's length sizes the epoch's buffer. The probe
+	// cannot fail: sc.nonce has the length the variants compiled for.
+	probe, _ := sc.batches[0].AppendBody(nil, sc.nonce[:])
+	sc.body = make([]byte, 0, n*len(probe))
 	return sc
 }
 
@@ -405,35 +421,49 @@ func (sc *appraiseScratch) provision(e *Engine, lo int) error {
 	return nil
 }
 
-// enqueue runs the device side of one attestation exchange on the
-// batched hot path — fresh per-device nonce, a real signature over the
-// device's canonical quote body — and queues the signature on the
-// scratch's batch verifier. The verifier-side verdict, and therefore
-// the outcome code, lands in resolveBatch once the epoch flushes.
-func (sc *appraiseScratch) enqueue(e *Engine, index int) (variant int, tampered bool, err error) {
-	tampered = e.Tampered(index)
-	variant = len(sc.batches) - 1 // the implanted boot state
-	if !tampered {
-		variant = e.ShareOf(index)
-	}
-	b := sc.batches[variant]
+// signEpoch runs the device side of the attestation exchanges for
+// devices [lo, hi), dispatched from clock. Each device's tamper fate,
+// boot variant and fresh nonce derive from (seed, global index) and
+// land in the queue and in its canonical quote body; then the epoch's
+// AIK signs every body in one call, yielding the signatures and R
+// hints the verifier admits.
+func (sc *appraiseScratch) signEpoch(e *Engine, lo, hi int, clock time.Duration) error {
+	sc.queue, sc.body, sc.msgs = sc.queue[:0], sc.body[:0], sc.msgs[:0]
+	for i := lo; i < hi; i++ {
+		tampered := e.Tampered(i)
+		variant := len(sc.batches) - 1 // the implanted boot state
+		if !tampered {
+			variant = e.ShareOf(i)
+		}
+		binary.BigEndian.PutUint64(sc.nonce[:8], uint64(harness.ShardSeed(e.nonceRoot, 2*i)))
+		binary.BigEndian.PutUint64(sc.nonce[8:], uint64(harness.ShardSeed(e.nonceRoot, 2*i+1)))
+		start := len(sc.body)
+		var err error
+		if sc.body, err = sc.batches[variant].AppendBody(sc.body, sc.nonce[:]); err != nil {
+			return fmt.Errorf("fleet: device %d: quote: %w", i, err)
+		}
+		// Should an append ever move body, the earlier slices keep
+		// the old array, whose bytes no longer change.
+		sc.msgs = append(sc.msgs, sc.body[start:])
 
-	binary.BigEndian.PutUint64(sc.nonce[:8], uint64(harness.ShardSeed(e.nonceRoot, 2*index)))
-	binary.BigEndian.PutUint64(sc.nonce[8:], uint64(harness.ShardSeed(e.nonceRoot, 2*index+1)))
-	sig, hint, err := b.SignFast(&sc.signer, sc.nonce[:])
-	if err != nil {
-		return 0, false, fmt.Errorf("fleet: device %d: quote: %w", index, err)
+		dispatch := clock + time.Duration(i-lo)*e.cfg.Dispatch
+		sc.queue = append(sc.queue, pending{
+			arrive:   dispatch + 2*e.cfg.Latency + e.jitterOf(i),
+			dispatch: dispatch,
+			index:    i,
+			variant:  variant,
+			tampered: tampered,
+		})
 	}
-	if err := b.Enqueue(sc.bv, sc.aik, sc.nonce[:], sig[:], &hint); err != nil {
-		return 0, false, fmt.Errorf("fleet: device %d: quote: %w", index, err)
-	}
-	return variant, tampered, nil
+	n := len(sc.msgs)
+	sc.signer.SignBatch(sc.msgs, sc.sigs[:n], sc.hints[:n])
+	return nil
 }
 
 // resolveBatch flushes the scratch's batch verifier — one random-
 // linear-combination check standing in for one signature verification
 // per queued device — and maps each verdict to its outcome code. The
-// queue must still be in enqueue order: entry j of the flush answers
+// queue must still be in index order: entry j of the flush answers
 // queue[j].
 func (sc *appraiseScratch) resolveBatch() {
 	sigOK := sc.bv.Flush()
@@ -455,8 +485,8 @@ func (sc *appraiseScratch) resolveBatch() {
 
 // RunShard streams shard's devices through batches and returns the
 // folded summary. Memory is O(BatchSize): a device's TPM, quote and log
-// die with the loop iteration that appraised them, and only the scratch
-// arrival queue spans a batch.
+// die with the loop iteration that appraised them, and only the
+// scratch's arrival queue and signing batch span a batch.
 //
 // The virtual-time model: a shard is one verifier. It dispatches a
 // batch's challenges back to back (Dispatch apart), each quote returns
@@ -484,23 +514,14 @@ func (e *Engine) RunShard(shard int) (Summary, error) {
 		if err := sc.provision(e, b); err != nil {
 			return Summary{}, err
 		}
-		sc.queue = sc.queue[:0]
-		for i := b; i < bHi; i++ {
-			variant, tampered, err := sc.enqueue(e, i)
-			if err != nil {
-				return Summary{}, err
-			}
-			dispatch := clock + time.Duration(i-b)*e.cfg.Dispatch
-			sc.queue = append(sc.queue, pending{
-				arrive:   dispatch + 2*e.cfg.Latency + e.jitterOf(i),
-				dispatch: dispatch,
-				index:    i,
-				variant:  variant,
-				tampered: tampered,
-			})
+		if err := sc.signEpoch(e, b, bHi, clock); err != nil {
+			return Summary{}, err
 		}
-		// One flush settles the whole epoch's signatures before the
-		// arrival sort reorders the queue.
+		// The verifier admits each quote in index order, and one flush
+		// settles them all before the arrival sort reorders the queue.
+		for j, msg := range sc.msgs {
+			sc.bv.AddHinted(sc.aik, msg, sc.sigs[j][:], &sc.hints[j])
+		}
 		sc.resolveBatch()
 		// Serial appraisal in arrival order; ties break by index so the
 		// sweep is deterministic.
