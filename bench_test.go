@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"cres/internal/hw"
+	"cres/internal/scenario"
 )
 
 func BenchmarkE1_TableI(b *testing.B) {
@@ -39,7 +40,7 @@ func BenchmarkE2_Figure1(b *testing.B) {
 func BenchmarkE3_DetectionMatrix(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunE3DetectionMatrix(7)
+		res, err := RunE3DetectionMatrix(7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func BenchmarkE3_DetectionMatrix(b *testing.B) {
 func BenchmarkE4_EvidenceContinuity(b *testing.B) {
 	var cont float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunE4EvidenceContinuity(7)
+		res, err := RunE4EvidenceContinuity(7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func BenchmarkE4_EvidenceContinuity(b *testing.B) {
 func BenchmarkE5_GracefulDegradation(b *testing.B) {
 	var avail float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunE5GracefulDegradation(7, 300*time.Millisecond)
+		res, err := RunE5GracefulDegradation(7, 300*time.Millisecond, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func BenchmarkE5_GracefulDegradation(b *testing.B) {
 func BenchmarkE6_Recovery(b *testing.B) {
 	var fastest time.Duration
 	for i := 0; i < b.N; i++ {
-		res, err := RunE6Recovery(7)
+		res, err := RunE6Recovery(7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func BenchmarkE6_Recovery(b *testing.B) {
 
 func BenchmarkE7_Rollback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunE7Rollback(7)
+		res, err := RunE7Rollback(7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func BenchmarkE8_FleetAttestation(b *testing.B) {
 	var mean time.Duration
 	var throughput float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunE8FleetAttestation(sizes, 7)
+		res, err := RunE8FleetAttestation(sizes, 7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func BenchmarkE9_MonitorOverhead(b *testing.B) {
 func BenchmarkE10_CovertChannel(b *testing.B) {
 	var bw float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunE10CovertChannel(7)
+		res, err := RunE10CovertChannel(7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func BenchmarkE10_CovertChannel(b *testing.B) {
 
 func BenchmarkDeviceBoot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := NewDevice("bench", WithSeed(int64(i)))
+		d, err := NewDevice(scenario.DeviceSpec{Name: "bench", Seed: int64(i)}, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func BenchmarkDeviceBoot(b *testing.B) {
 }
 
 func BenchmarkMonitoredBusTransaction(b *testing.B) {
-	d, err := NewDevice("bench")
+	d, err := NewDevice(scenario.DeviceSpec{Name: "bench", Seed: 1}, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func BenchmarkMonitoredBusTransaction(b *testing.B) {
 func BenchmarkE3b_DetectionAblation(b *testing.B) {
 	var combined float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunE3bDetectionAblation(7)
+		res, err := RunE3bDetectionAblation(7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func BenchmarkE3b_DetectionAblation(b *testing.B) {
 func BenchmarkE11_PointerAuth(b *testing.B) {
 	var caught int
 	for i := 0; i < b.N; i++ {
-		res, err := RunE11PointerAuth(7, 500)
+		res, err := RunE11PointerAuth(7, 500, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

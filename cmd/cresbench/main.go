@@ -212,7 +212,7 @@ func runCampaign(o options, pool *harness.Pool) error {
 		RootSeed: o.seed,
 		Seeds:    o.shards,
 		Plans:    plans,
-	}, cres.WithRunPool(pool))
+	}, pool)
 	if err != nil {
 		return err
 	}
@@ -238,7 +238,7 @@ func runFleet(o options, pool *harness.Pool) error {
 	}
 	fmt.Println("CRES streaming fleet sweep — remote attestation at fleet scale")
 	fmt.Println()
-	res, err := cres.RunE8FleetAttestation(sizes, o.seed, cres.WithRunPool(pool))
+	res, err := cres.RunE8FleetAttestation(sizes, o.seed, pool)
 	if err != nil {
 		return err
 	}

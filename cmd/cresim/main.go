@@ -150,7 +150,7 @@ func run(o options) error {
 			RootSeed: o.seed,
 			Seeds:    o.shards,
 			Plans:    plans,
-		}, cres.WithRunPool(harness.NewPool(o.parallel)))
+		}, harness.NewPool(o.parallel))
 		if err != nil {
 			return err
 		}
@@ -158,15 +158,12 @@ func run(o options) error {
 		return nil
 	}
 
-	var archs []cres.Architecture
+	if err := oneOf("-arch", o.arch, []string{scenario.ArchCRES, scenario.ArchBaseline, "both"}); err != nil {
+		return err
+	}
+	archs := []string{o.arch}
 	if o.arch == "both" {
-		archs = []cres.Architecture{cres.ArchCRES, cres.ArchBaseline}
-	} else {
-		arch, err := cres.ParseArchitecture(o.arch)
-		if err != nil {
-			return fmt.Errorf("unknown architecture %q (want cres, baseline or both)", o.arch)
-		}
-		archs = []cres.Architecture{arch}
+		archs = []string{scenario.ArchCRES, scenario.ArchBaseline}
 	}
 
 	attacks, err := selectAttacks(o)
@@ -323,7 +320,7 @@ func runRecovery(o options, spec scenario.TopologySpec, level cres.FaultLevel) e
 		Dwell:      o.dwell,
 		Levels:     []cres.FaultLevel{level},
 		Payload:    o.worm,
-	}, cres.WithRunPool(harness.NewPool(o.parallel)))
+	}, harness.NewPool(o.parallel))
 	if err != nil {
 		return err
 	}
@@ -445,11 +442,11 @@ func runFleet(o options) error {
 	return nil
 }
 
-func runOne(sc attack.Scenario, arch cres.Architecture, seed int64) error {
+func runOne(sc attack.Scenario, arch string, seed int64) error {
 	fmt.Printf("=== scenario %s on %s architecture ===\n", sc.Name(), arch)
 	fmt.Printf("    %s\n\n", sc.Description())
 
-	tb, err := cres.NewAttackTestbed(arch, seed)
+	tb, err := cres.NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Arch: arch, Seed: seed})
 	if err != nil {
 		return err
 	}

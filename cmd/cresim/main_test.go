@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"cres"
+)
 
 func TestList(t *testing.T) {
 	if err := run(options{list: true}); err != nil {
@@ -71,8 +77,12 @@ func TestUnknownPlan(t *testing.T) {
 }
 
 func TestUnknownArchitecture(t *testing.T) {
-	if err := run(options{scenario: "secure-probe", arch: "riscv", seed: 7}); err == nil {
+	err := run(options{scenario: "secure-probe", arch: "riscv", seed: 7})
+	if err == nil {
 		t.Fatal("unknown architecture accepted")
+	}
+	if !strings.Contains(err.Error(), "cres, baseline, both") {
+		t.Fatalf("error %q does not name the valid values", err)
 	}
 }
 
@@ -85,5 +95,56 @@ func TestNothingSelected(t *testing.T) {
 func TestCampaignMode(t *testing.T) {
 	if err := run(options{campaign: true, seed: 7, shards: 1, parallel: 2, plan: "implant-persist"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// topologyOptions is the topology mode as main's flag defaults set it;
+// run takes no defaults of its own.
+func topologyOptions() options {
+	return options{
+		topology: "ring:6", seed: 7, parallel: 2,
+		dwell: 2 * time.Millisecond, mode: cres.SwarmCooperative, worm: "secure-probe", faults: "none",
+	}
+}
+
+func TestTopologyMode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*options)
+	}{
+		{"ring:6", func(*options) {}},
+		{"star:5 -faults high", func(o *options) { o.topology, o.faults = "star:5", "high" }},
+		{"ring:6 -faults low -recover", func(o *options) { o.faults, o.recoverLoop = "low", true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := topologyOptions()
+			tc.edit(&o)
+			if err := run(o); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func TestTopologyModeRejectsBadValues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*options)
+	}{
+		{"-topology pentagon", func(o *options) { o.topology = "pentagon" }},
+		{"-topology ring:x", func(o *options) { o.topology = "ring:x" }},
+		{"-topology ring:6:y", func(o *options) { o.topology = "ring:6:y" }},
+		{"-topology ring:6:2:1", func(o *options) { o.topology = "ring:6:2:1" }},
+		{"-mode sideways", func(o *options) { o.mode = "sideways" }},
+		{"-worm nope", func(o *options) { o.worm = "nope" }},
+		{"-faults extreme", func(o *options) { o.faults = "extreme" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := topologyOptions()
+			tc.edit(&o)
+			if err := run(o); err == nil {
+				t.Fatalf("%s accepted", tc.name)
+			}
+		})
 	}
 }

@@ -185,7 +185,3 @@ func (d *Device) ForgetPeer(origin string) {
 		d.coopForget(origin)
 	}
 }
-
-// GossipPeers returns the peers this device gossips with (sorted), or
-// nil when cooperation is not enabled.
-func (d *Device) GossipPeers() []string { return d.gossipPeers }

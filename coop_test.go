@@ -7,6 +7,7 @@ import (
 
 	"cres/internal/attack"
 	"cres/internal/m2m"
+	"cres/internal/scenario"
 	"cres/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func coopPair(t *testing.T) (*sim.Engine, *m2m.Network, *Device, *Device) {
 	eng := sim.New(3)
 	net := m2m.NewNetwork(eng, m2m.Config{})
 	mk := func(name string) *Device {
-		dev, err := NewDevice(name, WithEngine(eng), WithNetwork(net))
+		dev, err := NewDevice(scenario.DeviceSpec{Name: name}, eng, net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestGossipForwardsBeyondNeighbours(t *testing.T) {
 	net := m2m.NewNetwork(eng, m2m.Config{})
 	var devs []*Device
 	for _, name := range []string{"node-00", "node-01", "node-02"} {
-		dev, err := NewDevice(name, WithEngine(eng), WithNetwork(net))
+		dev, err := NewDevice(scenario.DeviceSpec{Name: name}, eng, net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,14 +133,14 @@ func TestGossipForwardsBeyondNeighbours(t *testing.T) {
 }
 
 func TestEnableCooperationRequirements(t *testing.T) {
-	base, err := NewDevice("b", WithArchitecture(ArchBaseline))
+	base, err := NewDevice(scenario.DeviceSpec{Name: "b", Arch: scenario.ArchBaseline, Seed: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := base.EnableCooperation("x"); err == nil {
 		t.Error("baseline device enabled cooperation")
 	}
-	lone, err := NewDevice("l")
+	lone, err := NewDevice(scenario.DeviceSpec{Name: "l", Seed: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

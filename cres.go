@@ -1,7 +1,6 @@
 package cres
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -23,160 +22,12 @@ import (
 	"cres/internal/tpm"
 )
 
-// Architecture selects the security architecture of a Device.
-type Architecture uint8
-
-// Architectures.
-const (
-	// ArchCRES is the paper's proposal: isolated SSM core, active
-	// runtime resource monitors, active response manager.
-	ArchCRES Architecture = iota + 1
-	// ArchBaseline is the existing passive trust-only posture: secure
-	// boot + TEE + watchdog, reboot as the only response.
-	ArchBaseline
-)
-
-// String implements fmt.Stringer.
-func (a Architecture) String() string {
-	switch a {
-	case ArchCRES:
-		return "cres"
-	case ArchBaseline:
-		return "baseline"
-	default:
-		return fmt.Sprintf("arch(%d)", uint8(a))
-	}
-}
-
-// ParseArchitecture maps an architecture name ("cres" or "baseline")
-// to its Architecture — the inverse of String.
-func ParseArchitecture(s string) (Architecture, error) {
-	switch s {
-	case scenario.ArchCRES:
-		return ArchCRES, nil
-	case scenario.ArchBaseline:
-		return ArchBaseline, nil
-	default:
-		return 0, fmt.Errorf("cres: unknown architecture %q", s)
-	}
-}
-
-// DetectionMode selects which detection methods the monitors run — the
-// E3b ablation comparing signature-based, anomaly-based and combined
-// detection (the two DETECT method families of Table I).
-type DetectionMode uint8
-
-// Detection modes.
-const (
-	// DetectCombined runs both signature and statistical detection
-	// (the default, and the paper's position).
-	DetectCombined DetectionMode = iota + 1
-	// DetectSignatureOnly disables the statistical detectors.
-	DetectSignatureOnly
-	// DetectAnomalyOnly disables the signature detectors.
-	DetectAnomalyOnly
-)
-
-// String implements fmt.Stringer.
-func (m DetectionMode) String() string {
-	switch m {
-	case DetectCombined:
-		return "combined"
-	case DetectSignatureOnly:
-		return "signature-only"
-	case DetectAnomalyOnly:
-		return "anomaly-only"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// config pairs the declarative device shape with the runtime wiring a
-// spec cannot carry: a shared engine, an attached network, a fleet
-// vendor key. Options mutate one or the other; assembly is driven by
-// the compiled spec.
-type config struct {
-	spec    scenario.DeviceSpec
-	engine  *sim.Engine
-	network *m2m.Network
-	vendor  *cryptoutil.KeyPair
-}
-
-// Option configures NewDevice.
-type Option func(*config)
-
-// WithSeed sets the simulation seed (default 1). Ignored when an engine
-// is shared via WithEngine.
-func WithSeed(seed int64) Option { return func(c *config) { c.spec.Seed = seed } }
-
-// WithEngine shares an existing simulation engine (required to co-
-// simulate several devices or a device plus a fleet verifier).
-func WithEngine(e *sim.Engine) Option { return func(c *config) { c.engine = e } }
-
-// WithArchitecture selects CRES (default) or Baseline.
-func WithArchitecture(a Architecture) Option { return func(c *config) { c.spec.Arch = a.String() } }
-
-// WithNetwork attaches the device to an M2M network; its endpoint name
-// is the device name.
-func WithNetwork(n *m2m.Network) Option { return func(c *config) { c.network = n } }
-
-// WithServices declares the device's services for graceful degradation.
-func WithServices(s []response.Service) Option { return func(c *config) { c.spec.Services = s } }
-
-// WithCFG sets the application's control-flow graph for the CFI monitor.
-func WithCFG(g monitor.CFG) Option { return func(c *config) { c.spec.CFG = g } }
-
-// WithFirmware sets the initial firmware release installed in slot A.
-func WithFirmware(version uint64, payload []byte) Option {
-	return func(c *config) { c.spec.FirmwareVersion, c.spec.FirmwarePayload = version, payload }
-}
-
-// WithVendor supplies the firmware-signing vendor key (shared across a
-// fleet). Default: a key derived from the device name.
-func WithVendor(k *cryptoutil.KeyPair) Option { return func(c *config) { c.vendor = k } }
-
-// WithBootOptions configures the boot chain (e.g. the deliberately
-// weakened variants for the attack experiments).
-func WithBootOptions(o boot.Options) Option { return func(c *config) { c.spec.Boot = o } }
-
-// WithTEEConfig configures the TEE (e.g. weak trustlet rollback).
-func WithTEEConfig(t tee.Config) Option { return func(c *config) { c.spec.TEE = t } }
-
-// WithMonitorWindow sets the monitors' sampling window (default 1ms).
-func WithMonitorWindow(d time.Duration) Option { return func(c *config) { c.spec.MonitorWindow = d } }
-
-// WithObservationPeriod sets the SSM evidence-sampling period (default
-// 1ms).
-func WithObservationPeriod(d time.Duration) Option {
-	return func(c *config) { c.spec.ObservationPeriod = d }
-}
-
-// WithRebootTime sets the baseline's reboot outage duration.
-func WithRebootTime(d time.Duration) Option { return func(c *config) { c.spec.RebootTime = d } }
-
-// WithDetectionMode selects the monitors' detection method family
-// (default: combined signature + anomaly).
-func WithDetectionMode(m DetectionMode) Option {
-	return func(c *config) { c.spec.Detection = m.String() }
-}
-
-// WithMonitors restricts a CRES device to the named monitors (see
-// scenario.MonitorNames). Default: all of them.
-func WithMonitors(names ...string) Option { return func(c *config) { c.spec.Monitors = names } }
-
-// DefaultServices returns the reference service set of a critical-
-// infrastructure field device. It forwards to the scenario layer, which
-// owns the reference device shape.
-func DefaultServices() []response.Service { return scenario.DefaultServices() }
-
-// DefaultCFG returns the reference application control-flow graph used
-// by the examples and experiments.
-func DefaultCFG() monitor.CFG { return scenario.DefaultCFG() }
-
 // Device is an assembled platform.
 type Device struct {
 	Name string
-	Arch Architecture
+	// Arch is the compiled architecture: scenario.ArchCRES or
+	// scenario.ArchBaseline.
+	Arch string
 
 	Engine *sim.Engine
 	SoC    *hw.SoC
@@ -220,41 +71,24 @@ type Device struct {
 	gossipBackoff func(attempt int) time.Duration
 }
 
-// NewDevice assembles a device from functional options over the
-// reference shape: CRES architecture, combined detection, every
-// monitor, seed 1.
-func NewDevice(name string, opts ...Option) (*Device, error) {
-	if name == "" {
-		return nil, errors.New("cres: device needs a name")
-	}
-	return NewDeviceFromSpec(scenario.DeviceSpec{Name: name, Seed: 1}, opts...)
-}
-
-// NewDeviceFromSpec assembles a device from a declarative spec — the
-// compiled-scenario path the campaign and the experiment drivers use.
-// Options may still supply runtime wiring (shared engine, network,
-// vendor key) or override spec fields.
-func NewDeviceFromSpec(spec scenario.DeviceSpec, opts ...Option) (*Device, error) {
-	c := config{spec: spec}
-	for _, o := range opts {
-		o(&c)
-	}
-	compiled, err := c.spec.Compile()
+// NewDevice assembles the platform that spec describes, after
+// spec.Compile validates it and fills its defaults. A nil engine gives
+// the device a private engine seeded from spec.Seed; a shared engine
+// (several devices, or a device plus a fleet verifier, on one virtual
+// timeline) ignores spec.Seed. On a non-nil network the device gets an
+// endpoint named after it; a nil network leaves it without one.
+//
+// Assembly builds the shared substrate first (SoC, TPM, boot chain,
+// TEE, firmware, services, policy, optional network endpoint), then the
+// architecture-specific layers.
+func NewDevice(spec scenario.DeviceSpec, engine *sim.Engine, net *m2m.Network) (*Device, error) {
+	compiled, err := spec.Compile()
 	if err != nil {
 		return nil, fmt.Errorf("cres: %w", err)
 	}
-	return assemble(compiled, c)
-}
-
-// assemble builds the platform a compiled spec describes: the shared
-// substrate first (SoC, TPM, boot chain, TEE, firmware, services,
-// policy, optional network endpoint), then the architecture-specific
-// layers.
-func assemble(compiled *scenario.CompiledDevice, c config) (*Device, error) {
 	s := compiled.Spec
 	name := s.Name
 
-	engine := c.engine
 	if engine == nil {
 		engine = sim.New(s.Seed)
 	}
@@ -266,21 +100,14 @@ func assemble(compiled *scenario.CompiledDevice, c config) (*Device, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cres: %w", err)
 	}
-	vendor := c.vendor
-	if vendor == nil {
-		vendor, err = cryptoutil.KeyPairFromSeed(cryptoutil.DeriveKey([]byte("vendor"), name, "", 32))
-		if err != nil {
-			return nil, fmt.Errorf("cres: %w", err)
-		}
+	vendor, err := cryptoutil.KeyPairFromSeed(cryptoutil.DeriveKey([]byte("vendor"), name, "", 32))
+	if err != nil {
+		return nil, fmt.Errorf("cres: %w", err)
 	}
 
-	arch := ArchCRES
-	if !compiled.IsCRES() {
-		arch = ArchBaseline
-	}
 	d := &Device{
 		Name:      name,
-		Arch:      arch,
+		Arch:      s.Arch,
 		Engine:    engine,
 		SoC:       soc,
 		TPM:       tp,
@@ -316,16 +143,16 @@ func assemble(compiled *scenario.CompiledDevice, c config) (*Device, error) {
 	soc.Bus.AddGate(d.Policy.Gate(soc.Mem, nil))
 
 	// Network endpoint.
-	if c.network != nil {
+	if net != nil {
 		epKey, err := cryptoutil.KeyPairFromSeed(cryptoutil.DeriveKey([]byte("m2m"), name, "", 32))
 		if err != nil {
 			return nil, fmt.Errorf("cres: %w", err)
 		}
-		d.Endpoint, err = c.network.AddNode(name, epKey)
+		d.Endpoint, err = net.AddNode(name, epKey)
 		if err != nil {
 			return nil, fmt.Errorf("cres: %w", err)
 		}
-		d.Network = c.network
+		d.Network = net
 	}
 
 	if compiled.IsCRES() {

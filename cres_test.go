@@ -15,9 +15,9 @@ import (
 	"cres/internal/sim"
 )
 
-func newCRESDevice(t *testing.T, opts ...Option) *Device {
+func newCRESDevice(t *testing.T) *Device {
 	t.Helper()
-	d, err := NewDevice("dut", append([]Option{WithSeed(17)}, opts...)...)
+	d, err := NewDevice(scenario.DeviceSpec{Name: "dut", Seed: 17}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDeviceBootHealthy(t *testing.T) {
 }
 
 func TestDeviceNameRequired(t *testing.T) {
-	if _, err := NewDevice(""); err == nil {
+	if _, err := NewDevice(scenario.DeviceSpec{}, nil, nil); err == nil {
 		t.Fatal("empty name accepted")
 	}
 }
@@ -207,7 +207,7 @@ func TestEnvGlitchLocksActuator(t *testing.T) {
 }
 
 func TestBaselineDeviceHasNoDetection(t *testing.T) {
-	d, err := NewDevice("legacy", WithArchitecture(ArchBaseline), WithSeed(17))
+	d, err := NewDevice(scenario.DeviceSpec{Name: "legacy", Arch: scenario.ArchBaseline, Seed: 17}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,9 @@ func TestBaselineDeviceHasNoDetection(t *testing.T) {
 }
 
 func TestBaselineRebootDropsAllServices(t *testing.T) {
-	d, err := NewDevice("legacy", WithArchitecture(ArchBaseline), WithRebootTime(100*time.Millisecond))
+	d, err := NewDevice(scenario.DeviceSpec{
+		Name: "legacy", Arch: scenario.ArchBaseline, Seed: 1, RebootTime: 100 * time.Millisecond,
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +282,11 @@ func TestForensicReportTellsTheStory(t *testing.T) {
 func TestTwoDevicesOnSharedNetwork(t *testing.T) {
 	engine := sim.New(23)
 	net := m2m.NewNetwork(engine, m2m.Config{})
-	a, err := NewDevice("dev-a", WithEngine(engine), WithNetwork(net))
+	a, err := NewDevice(scenario.DeviceSpec{Name: "dev-a"}, engine, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewDevice("dev-b", WithEngine(engine), WithNetwork(net))
+	b, err := NewDevice(scenario.DeviceSpec{Name: "dev-b"}, engine, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,44 +305,28 @@ func TestTwoDevicesOnSharedNetwork(t *testing.T) {
 	}
 }
 
-func TestArchitectureString(t *testing.T) {
-	if ArchCRES.String() != "cres" || ArchBaseline.String() != "baseline" {
-		t.Fatal("arch names")
-	}
-	for _, name := range []string{"cres", "baseline"} {
-		a, err := ParseArchitecture(name)
-		if err != nil || a.String() != name {
-			t.Fatalf("ParseArchitecture(%q) = %v, %v", name, a, err)
-		}
-	}
-	if _, err := ParseArchitecture("riscv"); err == nil {
-		t.Fatal("bad architecture parsed")
-	}
-}
-
-// TestNewDeviceFromSpec pins the declarative assembly path: a spec
-// builds the device it describes, and an invalid spec fails at compile
-// time, not mid-assembly.
-func TestNewDeviceFromSpec(t *testing.T) {
-	dev, err := NewDeviceFromSpec(scenario.DeviceSpec{Name: "spec-dev", Arch: scenario.ArchBaseline, Seed: 5})
+// TestNewDeviceSpec pins the declarative assembly path: a spec builds
+// the device it describes, and an invalid spec fails at compile time,
+// not mid-assembly.
+func TestNewDeviceSpec(t *testing.T) {
+	dev, err := NewDevice(scenario.DeviceSpec{Name: "spec-dev", Arch: scenario.ArchBaseline, Seed: 5}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dev.Arch != ArchBaseline || dev.SSM != nil || dev.Baseline == nil {
+	if dev.Arch != scenario.ArchBaseline || dev.SSM != nil || dev.Baseline == nil {
 		t.Fatal("spec-built baseline device mis-assembled")
 	}
-	if _, err := NewDeviceFromSpec(scenario.DeviceSpec{Name: "d", Arch: "riscv"}); err == nil {
+	if _, err := NewDevice(scenario.DeviceSpec{Name: "d", Arch: "riscv"}, nil, nil); err == nil {
 		t.Fatal("invalid spec accepted")
-	}
-	if _, err := NewDeviceFromSpec(scenario.DeviceSpec{}); err == nil {
-		t.Fatal("nameless spec accepted")
 	}
 }
 
 // TestWithMonitorsSubset checks the monitor set is honored: a device
 // restricted to bus+env gets no CFI, timing or network monitor.
 func TestWithMonitorsSubset(t *testing.T) {
-	dev, err := NewDevice("subset", WithMonitors(scenario.MonitorBus, scenario.MonitorEnv))
+	dev, err := NewDevice(scenario.DeviceSpec{
+		Name: "subset", Seed: 1, Monitors: []string{scenario.MonitorBus, scenario.MonitorEnv},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +336,7 @@ func TestWithMonitorsSubset(t *testing.T) {
 	if dev.CFIMon != nil || dev.TimingMon != nil || dev.NetMon != nil {
 		t.Fatal("unrequested monitors built")
 	}
-	if _, err := NewDevice("bad", WithMonitors("seismic")); err == nil {
+	if _, err := NewDevice(scenario.DeviceSpec{Name: "bad", Monitors: []string{"seismic"}}, nil, nil); err == nil {
 		t.Fatal("unknown monitor name accepted")
 	}
 }

@@ -12,13 +12,19 @@
 // architecture assembles the same platform WITHOUT those three, matching
 // the passive trust-only posture the paper critiques.
 //
-// Typical use:
+// A scenario.DeviceSpec describes a device; NewDevice compiles and
+// assembles it. Typical use:
 //
-//	dev, err := cres.NewDevice("substation-7", cres.WithSeed(42))
+//	dev, err := cres.NewDevice(scenario.DeviceSpec{Name: "substation-7", Seed: 42}, nil, nil)
 //	...
 //	rep, err := dev.Boot()
 //	dev.RunFor(50 * time.Millisecond)
 //	err = cres.Launch(dev, attack.CodeInjection{})
 //	dev.RunFor(50 * time.Millisecond)
 //	fmt.Println(dev.ForensicReport(0, dev.Now()).Render())
+//
+// Each RunE* experiment fans its independent device runs across the
+// *harness.Pool it takes as its last parameter; a nil pool runs them
+// serially. Results merge in shard order, so the output is
+// byte-identical at any worker count.
 package cres

@@ -8,11 +8,12 @@ import (
 	"cres/internal/attack"
 	"cres/internal/hw"
 	"cres/internal/landscape"
+	"cres/internal/scenario"
 )
 
 // ExampleNewDevice shows the minimal lifecycle: build, boot, verify.
 func ExampleNewDevice() {
-	dev, err := cres.NewDevice("field-unit-1", cres.WithSeed(1))
+	dev, err := cres.NewDevice(scenario.DeviceSpec{Name: "field-unit-1", Seed: 1}, nil, nil)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -32,7 +33,7 @@ func ExampleNewDevice() {
 // ExampleLaunch shows detection and automatic response to an injected
 // attack.
 func ExampleLaunch() {
-	dev, _ := cres.NewDevice("field-unit-2", cres.WithSeed(1))
+	dev, _ := cres.NewDevice(scenario.DeviceSpec{Name: "field-unit-2", Seed: 1}, nil, nil)
 	dev.Boot()
 	dev.RunFor(5 * time.Millisecond)
 
@@ -63,7 +64,7 @@ func ExampleRunE1TableI() {
 
 // ExampleDevice_ForensicReport reconstructs a breach timeline.
 func ExampleDevice_ForensicReport() {
-	dev, _ := cres.NewDevice("field-unit-3", cres.WithSeed(1))
+	dev, _ := cres.NewDevice(scenario.DeviceSpec{Name: "field-unit-3", Seed: 1}, nil, nil)
 	dev.Boot()
 	dev.RunFor(5 * time.Millisecond)
 	start := dev.Now()
@@ -80,8 +81,7 @@ func ExampleDevice_ForensicReport() {
 
 // ExampleDevice_baseline contrasts the passive architecture.
 func ExampleDevice_baseline() {
-	dev, _ := cres.NewDevice("legacy-unit",
-		cres.WithSeed(1), cres.WithArchitecture(cres.ArchBaseline))
+	dev, _ := cres.NewDevice(scenario.DeviceSpec{Name: "legacy-unit", Arch: scenario.ArchBaseline, Seed: 1}, nil, nil)
 	dev.Boot()
 	cres.Launch(dev, attack.SecureProbe{})
 	dev.RunFor(10 * time.Millisecond)
@@ -121,7 +121,7 @@ func Example_attackSuite() {
 
 // Example_memoryMap shows the reference SoC's isolated regions.
 func Example_memoryMap() {
-	dev, _ := cres.NewDevice("map-demo")
+	dev, _ := cres.NewDevice(scenario.DeviceSpec{Name: "map-demo", Seed: 1}, nil, nil)
 	for _, r := range dev.SoC.Mem.Regions() {
 		if r.World == hw.WorldIsolated {
 			fmt.Printf("%s: %s world\n", r.Name, r.World)

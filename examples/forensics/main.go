@@ -16,6 +16,7 @@ import (
 
 	"cres"
 	"cres/internal/attack"
+	"cres/internal/scenario"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func run() error {
 }
 
 func runCRES() error {
-	tb, err := cres.NewAttackTestbed(cres.ArchCRES, 7)
+	tb, err := cres.NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Seed: 7})
 	if err != nil {
 		return err
 	}
@@ -63,7 +64,7 @@ func runCRES() error {
 }
 
 func runBaseline() error {
-	tb, err := cres.NewAttackTestbed(cres.ArchBaseline, 7)
+	tb, err := cres.NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Arch: scenario.ArchBaseline, Seed: 7})
 	if err != nil {
 		return err
 	}

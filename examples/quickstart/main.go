@@ -12,6 +12,7 @@ import (
 	"cres"
 	"cres/internal/attack"
 	"cres/internal/hw"
+	"cres/internal/scenario"
 	"cres/internal/sim"
 )
 
@@ -22,10 +23,13 @@ func main() {
 }
 
 func run() error {
-	// 1. Assemble a device with the CRES architecture (the default):
-	// isolated security manager core, runtime resource monitors, active
-	// response manager.
-	dev, err := cres.NewDevice("quickstart-device", cres.WithSeed(42))
+	// 1. Assemble a device from its spec. The zero spec fields select
+	// the reference shape: the CRES architecture (isolated security
+	// manager core, runtime resource monitors, active response
+	// manager), combined detection and every monitor. Nil engine and
+	// network give the device a private engine seeded from Seed and no
+	// network endpoint.
+	dev, err := cres.NewDevice(scenario.DeviceSpec{Name: "quickstart-device", Seed: 42}, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ import (
 	"cres"
 	"cres/internal/attack"
 	"cres/internal/hw"
-	"cres/internal/response"
+	"cres/internal/scenario"
 	"cres/internal/sim"
 )
 
@@ -30,17 +30,8 @@ func main() {
 	}
 }
 
-func substationServices() []response.Service {
-	return []response.Service{
-		{Name: "protection-relay", Critical: true, Resources: []string{"app-core"}, Fallbacks: []string{"backup-controller"}},
-		{Name: "telemetry", Resources: []string{"app-core", "m2m-link"}},
-		{Name: "remote-management", Resources: []string{"m2m-link"}},
-		{Name: "local-hmi", Resources: []string{"app-core"}},
-	}
-}
-
 func run() error {
-	for _, arch := range []cres.Architecture{cres.ArchCRES, cres.ArchBaseline} {
+	for _, arch := range []string{scenario.ArchCRES, scenario.ArchBaseline} {
 		fmt.Printf("=== substation controller, %s architecture ===\n", arch)
 		if err := runArch(arch); err != nil {
 			return err
@@ -50,8 +41,8 @@ func run() error {
 	return nil
 }
 
-func runArch(arch cres.Architecture) error {
-	tb, err := cres.NewAttackTestbed(arch, 99)
+func runArch(arch string) error {
+	tb, err := cres.NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Arch: arch, Seed: 99})
 	if err != nil {
 		return err
 	}
@@ -96,7 +87,7 @@ func runArch(arch cres.Architecture) error {
 	if err := (attack.CodeInjection{}).Launch(tb.AttackTarget()); err != nil {
 		return err
 	}
-	if arch == cres.ArchBaseline {
+	if arch == scenario.ArchBaseline {
 		// The baseline's only move, once the operator notices: reboot.
 		dev.Engine.MustSchedule(20*time.Millisecond, func() {
 			dev.Baseline.Reboot("operator power cycle", nil)

@@ -30,17 +30,10 @@ type E3bResult struct {
 	Rates map[string]float64
 }
 
-// newTestbedWithMode builds a CRES testbed with the given detection
-// mode — a shorthand over the spec path for tests.
-func newTestbedWithMode(seed int64, mode DetectionMode) (*testbed, error) {
-	return newTestbedFromSpec(scenario.DeviceSpec{Name: "dut", Detection: mode.String(), Seed: seed})
-}
-
 // RunE3bDetectionAblation runs the registered attack suite against one
 // compiled device spec per detection mode. Each (mode, scenario) cell
 // is an independent shard.
-func RunE3bDetectionAblation(seed int64, opts ...RunOption) (*E3bResult, error) {
-	rc := newRunCfg(opts)
+func RunE3bDetectionAblation(seed int64, pool *harness.Pool) (*E3bResult, error) {
 	devices := []scenario.DeviceSpec{
 		{Name: "dut", Detection: scenario.DetectSignatureOnly},
 		{Name: "dut", Detection: scenario.DetectAnomalyOnly},
@@ -48,15 +41,15 @@ func RunE3bDetectionAblation(seed int64, opts ...RunOption) (*E3bResult, error) 
 	}
 	suite := attack.All()
 
-	hits, err := harness.Map(rc.pool, len(devices)*len(suite), seed, func(sh harness.Shard) (bool, error) {
+	hits, err := harness.Map(pool, len(devices)*len(suite), seed, func(sh harness.Shard) (bool, error) {
 		spec := devices[sh.Index/len(suite)]
 		sc := suite[sh.Index%len(suite)]
 		spec.Seed = sh.Seed
-		tb, err := newTestbedFromSpec(spec)
+		tb, err := NewAttackTestbed(spec)
 		if err != nil {
 			return false, err
 		}
-		if err := tb.warm(15 * time.Millisecond); err != nil {
+		if err := tb.Warm(15 * time.Millisecond); err != nil {
 			return false, err
 		}
 		if err := sc.Launch(tb.tgt); err != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cres/internal/core"
+	"cres/internal/harness"
 	"cres/internal/report"
 	"cres/internal/scenario"
 	"cres/internal/sim"
@@ -99,8 +100,7 @@ type E12Result struct {
 // RunE12Campaign compiles the campaign spec and runs its matrix. Cells
 // are fanned across the harness pool; the matrix is merged in cell
 // order, so the result is byte-identical at any parallelism.
-func RunE12Campaign(cfg CampaignConfig, opts ...RunOption) (*E12Result, error) {
-	rc := newRunCfg(opts)
+func RunE12Campaign(cfg CampaignConfig, pool *harness.Pool) (*E12Result, error) {
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 3
 	}
@@ -116,7 +116,7 @@ func RunE12Campaign(cfg CampaignConfig, opts ...RunOption) (*E12Result, error) {
 		return nil, err
 	}
 
-	cells, err := scenario.RunCells(rc.pool, cc, func(cell scenario.Cell) (E12Cell, error) {
+	cells, err := scenario.RunCells(pool, cc, func(cell scenario.Cell) (E12Cell, error) {
 		out, err := runCampaignCell(cell)
 		if err != nil {
 			return E12Cell{}, fmt.Errorf("campaign %s/%s seed %d: %w", cell.Attack.Name, cell.Device.Spec.Arch, cell.SeedIndex, err)
@@ -217,11 +217,11 @@ func runCampaignCell(cell scenario.Cell) (E12Cell, error) {
 	}
 	spec := cell.Device.Spec
 	spec.Seed = cell.Seed
-	tb, err := newTestbedFromSpec(spec)
+	tb, err := NewAttackTestbed(spec)
 	if err != nil {
 		return out, err
 	}
-	if err := tb.warm(cell.Warm); err != nil {
+	if err := tb.Warm(cell.Warm); err != nil {
 		return out, err
 	}
 

@@ -5,11 +5,7 @@ import (
 	"time"
 
 	"cres/internal/attack"
-	"cres/internal/boot"
-	"cres/internal/cryptoutil"
 	"cres/internal/harness"
-	"cres/internal/hw"
-	"cres/internal/m2m"
 	"cres/internal/report"
 	"cres/internal/scenario"
 	"cres/internal/sim"
@@ -20,88 +16,6 @@ import (
 // the paper's Section V claims against the passive baseline. Each
 // independent device run is one harness shard with its own engine and
 // derived seed, so the experiments parallelise without changing output.
-
-// testbed builds a device plus the ancillary pieces the attack suite
-// needs (network peer, TEE trustlet and secret), on its own engine.
-type testbed struct {
-	dev  *Device
-	tgt  *attack.Target
-	peer *m2m.Endpoint
-}
-
-// newTestbedFromSpec assembles the device a compiled-scenario cell
-// describes, on its own engine seeded from the spec, with the M2M
-// network the attack suite needs attached.
-func newTestbedFromSpec(spec scenario.DeviceSpec) (*testbed, error) {
-	engine := sim.New(spec.Seed)
-	net := m2m.NewNetwork(engine, m2m.Config{})
-	dev, err := NewDeviceFromSpec(spec, WithEngine(engine), WithNetwork(net))
-	if err != nil {
-		return nil, err
-	}
-	return finishTestbed(dev, net)
-}
-
-// newTestbed assembles a device of the given architecture ready for the
-// full attack suite.
-func newTestbed(arch Architecture, seed int64) (*testbed, error) {
-	return newTestbedFromSpec(scenario.DeviceSpec{Name: "dut", Arch: arch.String(), Seed: seed})
-}
-
-// finishTestbed completes a testbed around an already-constructed
-// device: operator peer, TEE secret and trustlet, boot.
-func finishTestbed(dev *Device, net *m2m.Network) (*testbed, error) {
-	// Operator peer for M2M traffic.
-	opKey, err := cryptoutil.KeyPairFromSeed(cryptoutil.DeriveKey([]byte("operator"), "op", "", 32))
-	if err != nil {
-		return nil, err
-	}
-	peer, err := net.AddNode("operator", opKey)
-	if err != nil {
-		return nil, err
-	}
-	peer.Trust("dut", dev.Endpoint.PublicKey())
-	dev.Endpoint.Trust("operator", peer.PublicKey())
-
-	// TEE secret and victim trustlet for the exfiltration scenarios.
-	if err := dev.TEE.StoreSecret("m2m-key", []byte("fleet session key")); err != nil {
-		return nil, err
-	}
-	if err := dev.TEE.LoadTrustlet(boot.BuildSigned("keymaster", 1, []byte("ta"), dev.Vendor), dev.Vendor.Public()); err != nil {
-		return nil, err
-	}
-
-	if _, err := dev.Boot(); err != nil {
-		return nil, err
-	}
-	tgt := dev.Target()
-	tgt.Peer = peer
-	return &testbed{dev: dev, tgt: tgt, peer: peer}, nil
-}
-
-// warm runs healthy workload so anomaly baselines exist.
-func (tb *testbed) warm(dur time.Duration) error {
-	i := 0
-	var buf [16]byte
-	tk, err := sim.NewTicker(tb.dev.Engine, 100*time.Microsecond, func(sim.VirtualTime) {
-		if tb.dev.SoC.AppCore.Halted() {
-			return
-		}
-		seq := []hw.BlockID{1, 2, 3, 4}
-		tb.dev.SoC.AppCore.ExecBlock(seq[i%4])
-		tb.dev.SoC.AppCore.ReadInto(hw.AddrSRAM+hw.Addr((i*64)%8192), buf[:])
-		if i%5 == 0 {
-			tb.peer.Send("dut", "telemetry", []byte("nominal"))
-		}
-		i++
-	})
-	if err != nil {
-		return err
-	}
-	tb.dev.RunFor(dur)
-	tk.Stop()
-	return nil
-}
 
 // E3Row is one scenario's outcome in the detection matrix.
 type E3Row struct {
@@ -125,8 +39,7 @@ type E3Result struct {
 // fresh device per compiled device spec — the reference CRES shape and
 // the passive baseline — and reports who detected what. Each
 // (scenario, device) cell is an independent shard.
-func RunE3DetectionMatrix(seed int64, opts ...RunOption) (*E3Result, error) {
-	rc := newRunCfg(opts)
+func RunE3DetectionMatrix(seed int64, pool *harness.Pool) (*E3Result, error) {
 	suite := attack.All()
 	devices := []scenario.DeviceSpec{
 		{Name: "dut", Arch: scenario.ArchCRES},
@@ -138,18 +51,18 @@ func RunE3DetectionMatrix(seed int64, opts ...RunOption) (*E3Result, error) {
 		row              E3Row
 		baselineDetected bool
 	}
-	cells, err := harness.Map(rc.pool, len(suite)*len(devices), seed, func(sh harness.Shard) (e3cell, error) {
+	cells, err := harness.Map(pool, len(suite)*len(devices), seed, func(sh harness.Shard) (e3cell, error) {
 		sc := suite[sh.Index/len(devices)]
 		spec := devices[sh.Index%len(devices)]
 		spec.Seed = sh.Seed
 		if spec.Arch == scenario.ArchCRES {
 			// CRES run.
 			row := E3Row{Scenario: sc.Name(), ExpectedSig: sc.ExpectedSignatures()[0]}
-			tb, err := newTestbedFromSpec(spec)
+			tb, err := NewAttackTestbed(spec)
 			if err != nil {
 				return e3cell{}, fmt.Errorf("e3 %s: %w", sc.Name(), err)
 			}
-			if err := tb.warm(15 * time.Millisecond); err != nil {
+			if err := tb.Warm(15 * time.Millisecond); err != nil {
 				return e3cell{}, err
 			}
 			launchAt := tb.dev.Now()
@@ -180,11 +93,11 @@ func RunE3DetectionMatrix(seed int64, opts ...RunOption) (*E3Result, error) {
 		// Baseline run: no monitors exist, so detection is structurally
 		// impossible; we still run the attack to confirm it proceeds
 		// unobserved (no log records beyond boot).
-		bb, err := newTestbedFromSpec(spec)
+		bb, err := NewAttackTestbed(spec)
 		if err != nil {
 			return e3cell{}, err
 		}
-		if err := bb.warm(15 * time.Millisecond); err != nil {
+		if err := bb.Warm(15 * time.Millisecond); err != nil {
 			return e3cell{}, err
 		}
 		before := bb.dev.PlainLog.Len()
@@ -253,18 +166,17 @@ type E4Result struct {
 // RunE4EvidenceContinuity attacks both architectures, then has the
 // attacker attempt to destroy the logs, and measures what forensics can
 // still establish. The two architecture runs are independent shards.
-func RunE4EvidenceContinuity(seed int64, opts ...RunOption) (*E4Result, error) {
-	rc := newRunCfg(opts)
-	rows, err := harness.Map(rc.pool, 2, seed, func(sh harness.Shard) (E4Row, error) {
+func RunE4EvidenceContinuity(seed int64, pool *harness.Pool) (*E4Result, error) {
+	rows, err := harness.Map(pool, 2, seed, func(sh harness.Shard) (E4Row, error) {
 		if sh.Index == 0 {
 			// CRES: the attacker's wipe attempt targets the isolated
 			// evidence store and fails (it becomes evidence itself);
 			// continuity holds.
-			tb, err := newTestbed(ArchCRES, sh.Seed)
+			tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Seed: sh.Seed})
 			if err != nil {
 				return E4Row{}, err
 			}
-			if err := tb.warm(10 * time.Millisecond); err != nil {
+			if err := tb.Warm(10 * time.Millisecond); err != nil {
 				return E4Row{}, err
 			}
 			attackStart := tb.dev.Now()
@@ -289,11 +201,11 @@ func RunE4EvidenceContinuity(seed int64, opts ...RunOption) (*E4Result, error) {
 		// Baseline: the plain log in normal-world memory is silently
 		// erasable; after the wipe, the window holds nothing and nothing
 		// says so.
-		bb, err := newTestbed(ArchBaseline, sh.Seed)
+		bb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Arch: scenario.ArchBaseline, Seed: sh.Seed})
 		if err != nil {
 			return E4Row{}, err
 		}
-		if err := bb.warm(10 * time.Millisecond); err != nil {
+		if err := bb.Warm(10 * time.Millisecond); err != nil {
 			return E4Row{}, err
 		}
 		battackStart := bb.dev.Now()
@@ -344,24 +256,23 @@ type E5Result struct {
 // device isolates the compromised core and keeps the critical service on
 // its fallback; the baseline device reboots (its only response),
 // dropping everything. The two architecture runs are independent shards.
-func RunE5GracefulDegradation(seed int64, window time.Duration, opts ...RunOption) (*E5Result, error) {
-	rc := newRunCfg(opts)
+func RunE5GracefulDegradation(seed int64, window time.Duration, pool *harness.Pool) (*E5Result, error) {
 	if window <= 0 {
 		window = 600 * time.Millisecond
 	}
 
-	archs := []Architecture{ArchCRES, ArchBaseline}
+	archs := []string{scenario.ArchCRES, scenario.ArchBaseline}
 	type e5out struct {
 		critAvail, totAvail float64
 		series              report.Series
 	}
-	outs, err := harness.Map(rc.pool, len(archs), seed, func(sh harness.Shard) (e5out, error) {
+	outs, err := harness.Map(pool, len(archs), seed, func(sh harness.Shard) (e5out, error) {
 		arch := archs[sh.Index]
-		tb, err := newTestbed(arch, sh.Seed)
+		tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Arch: arch, Seed: sh.Seed})
 		if err != nil {
 			return e5out{}, err
 		}
-		if err := tb.warm(15 * time.Millisecond); err != nil {
+		if err := tb.Warm(15 * time.Millisecond); err != nil {
 			return e5out{}, err
 		}
 		if err := (attack.CodeInjection{}).Launch(tb.tgt); err != nil {
@@ -369,7 +280,7 @@ func RunE5GracefulDegradation(seed int64, window time.Duration, opts ...RunOptio
 		}
 		// The baseline's stand-in for detection is an operator noticing
 		// misbehaviour after a delay and power-cycling the device.
-		if arch == ArchBaseline {
+		if arch == scenario.ArchBaseline {
 			tb.dev.Engine.MustSchedule(20*time.Millisecond, func() {
 				tb.dev.Baseline.Reboot("operator-initiated power cycle", nil)
 			})
@@ -378,7 +289,7 @@ func RunE5GracefulDegradation(seed int64, window time.Duration, opts ...RunOptio
 		// Sample availability each millisecond.
 		var critUp, totUp, samples int
 		var totServices int
-		series := report.Series{Name: "services-up-" + arch.String(), XLabel: "ms", YLabel: "services up"}
+		series := report.Series{Name: "services-up-" + arch, XLabel: "ms", YLabel: "services up"}
 		tk, err := sim.NewTicker(tb.dev.Engine, time.Millisecond, func(at sim.VirtualTime) {
 			_, up, total := tb.dev.Degrader.UpCount()
 			samples++
@@ -410,14 +321,14 @@ func RunE5GracefulDegradation(seed int64, window time.Duration, opts ...RunOptio
 		TotalAvailability:    make(map[string]float64),
 	}
 	for i, arch := range archs {
-		res.CriticalAvailability[arch.String()] = outs[i].critAvail
-		res.TotalAvailability[arch.String()] = outs[i].totAvail
+		res.CriticalAvailability[arch] = outs[i].critAvail
+		res.TotalAvailability[arch] = outs[i].totAvail
 		res.Series = append(res.Series, outs[i].series)
 	}
 
 	t := report.NewTable("E5 — Availability under attack: graceful degradation (CRES) vs reboot (baseline)",
 		"Architecture", "Critical-service availability", "Mean service availability")
-	for _, arch := range []string{"cres", "baseline"} {
+	for _, arch := range archs {
 		t.AddRow(arch, report.Pct(res.CriticalAvailability[arch]), report.Pct(res.TotalAvailability[arch]))
 	}
 	res.Table = t

@@ -161,8 +161,7 @@ func e14DefaultTopologies(n int, quick bool) []scenario.TopologySpec {
 // intensity × topology × mode. Cells fan across the harness pool in
 // enumeration order — topology-major, then level, then mode — and
 // merge by index, so the table is byte-identical at any parallelism.
-func RunE14FaultRecovery(cfg E14Config, opts ...RunOption) (*E14Result, error) {
-	rc := newRunCfg(opts)
+func RunE14FaultRecovery(cfg E14Config, pool *harness.Pool) (*E14Result, error) {
 	if cfg.FleetSize == 0 {
 		cfg.FleetSize = 10
 	}
@@ -233,7 +232,7 @@ func RunE14FaultRecovery(cfg E14Config, opts ...RunOption) (*E14Result, error) {
 		}
 	}
 
-	cells, err := harness.Map(rc.pool, len(specs), cfg.RootSeed, func(sh harness.Shard) (E14Cell, error) {
+	cells, err := harness.Map(pool, len(specs), cfg.RootSeed, func(sh harness.Shard) (E14Cell, error) {
 		sp := specs[sh.Index]
 		cell, err := runFaultCell(sp.topo, cfg.Dwell, sp.mode, payload, sh.Seed, sp.plan, cfg.Window)
 		if err != nil {

@@ -115,12 +115,9 @@ func (r *E8Result) Metrics() []harness.Metric {
 // RunE8FleetAttestation sweeps fleet sizes on the streaming fleet
 // engine, measuring catch rates, appraisal-latency distribution and
 // verifier completion time. Each size runs through the engine's shared
-// fleet.(*Engine).RunParallel entry point — parallelism is configured
-// with the same ...RunOption shape as every other experiment, and
-// shard summaries merge in shard order to the same row at any pool
-// width.
-func RunE8FleetAttestation(sizes []int, seed int64, opts ...RunOption) (*E8Result, error) {
-	rc := newRunCfg(opts)
+// fleet.(*Engine).RunParallel entry point on pool, and shard summaries
+// merge in shard order to the same row at any pool width.
+func RunE8FleetAttestation(sizes []int, seed int64, pool *harness.Pool) (*E8Result, error) {
 	if len(sizes) == 0 {
 		sizes = FleetSizes(false)
 	}
@@ -144,7 +141,7 @@ func RunE8FleetAttestation(sizes []int, seed int64, opts ...RunOption) (*E8Resul
 	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
 	for i, n := range sizes {
-		sum, err := engines[i].RunParallel(rc.pool)
+		sum, err := engines[i].RunParallel(pool)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,8 @@ package cres
 
 import (
 	"testing"
+
+	"cres/internal/harness"
 )
 
 // These tests pin the harness integration contract: fanning an
@@ -9,11 +11,11 @@ import (
 // sharded fleets must merge to the same totals as unsharded ones.
 
 func TestE3DeterministicAcrossParallelism(t *testing.T) {
-	serial, err := RunE3DetectionMatrix(7, WithParallel(1))
+	serial, err := RunE3DetectionMatrix(7, harness.NewPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunE3DetectionMatrix(7, WithParallel(8))
+	parallel, err := RunE3DetectionMatrix(7, harness.NewPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +26,11 @@ func TestE3DeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestE10DeterministicAcrossParallelism(t *testing.T) {
-	serial, err := RunE10CovertChannel(7, WithParallel(1))
+	serial, err := RunE10CovertChannel(7, harness.NewPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunE10CovertChannel(7, WithParallel(6))
+	parallel, err := RunE10CovertChannel(7, harness.NewPool(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestE10DeterministicAcrossParallelism(t *testing.T) {
 // sweep originally shipped with; identity is now the index itself, so
 // no parse exists to truncate).
 func TestE8ShardedFleet(t *testing.T) {
-	res, err := RunE8FleetAttestation([]int{5000}, 7, WithParallel(2))
+	res, err := RunE8FleetAttestation([]int{5000}, 7, harness.NewPool(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,8 +142,7 @@ func (r *E15Result) Metrics() []harness.Metric {
 // tier 1 — the tier whose lie would erase the most evidence per node;
 // for depth-1 shapes that node is the root, so those rows exercise the
 // operator's own check.
-func RunE15Hierarchy(cfg E15Config, opts ...RunOption) (*E15Result, error) {
-	rc := newRunCfg(opts)
+func RunE15Hierarchy(cfg E15Config, pool *harness.Pool) (*E15Result, error) {
 	res := &E15Result{}
 	for _, shape := range E15Shapes(cfg.Quick) {
 		ct, err := E15TreeSpec(shape).Compile()
@@ -154,7 +153,7 @@ func RunE15Hierarchy(cfg E15Config, opts ...RunOption) (*E15Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		honest, err := tr.Run(rc.pool)
+		honest, err := tr.Run(pool)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +161,7 @@ func RunE15Hierarchy(cfg E15Config, opts ...RunOption) (*E15Result, error) {
 			return nil, fmt.Errorf("cres: E15 %dx%d: honest hierarchy produced %d detections", shape.Depth, shape.Fanout, n)
 		}
 		liar := fleet.NodeID{Tier: 1, Index: tr.Tiers()[1] - 1}
-		forged, err := tr.RunForged(rc.pool, fleet.Forge{Node: liar, Mode: fleet.ForgeSummary})
+		forged, err := tr.RunForged(pool, fleet.Forge{Node: liar, Mode: fleet.ForgeSummary})
 		if err != nil {
 			return nil, err
 		}

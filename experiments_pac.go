@@ -51,14 +51,13 @@ func (s *plainStack) pop() uint64 {
 // RunE11PointerAuth runs `trials` call/corrupt/return rounds against a
 // plain return stack and a PAC-protected one. The two configurations
 // run on independent shards with their own derived RNG streams.
-func RunE11PointerAuth(seed int64, trials int, opts ...RunOption) (*E11Result, error) {
-	rc := newRunCfg(opts)
+func RunE11PointerAuth(seed int64, trials int, pool *harness.Pool) (*E11Result, error) {
 	if trials <= 0 {
 		trials = 500
 	}
 	const gadget = 0x6666_0000
 
-	rows, err := harness.Map(rc.pool, 2, seed, func(sh harness.Shard) (E11Row, error) {
+	rows, err := harness.Map(pool, 2, seed, func(sh harness.Shard) (E11Row, error) {
 		rng := sim.New(sh.Seed).RNG()
 		if sh.Index == 0 {
 			// Plain stack: every corruption becomes a silent gadget

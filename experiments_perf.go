@@ -110,7 +110,7 @@ const e9MeasurementReps = 3
 // 200k); each configuration reports the fastest of e9MeasurementReps
 // passes.
 //
-// E9 deliberately takes no RunOption: it measures host-CPU ns/tx, and
+// E9 deliberately takes no pool: it measures host-CPU ns/tx, and
 // running its configurations concurrently (or alongside other
 // experiments) would contaminate the numbers the perf-regression gate
 // compares. The suite driver runs it serially.
@@ -242,12 +242,11 @@ type E10Result struct {
 // with and without cache partitioning, measuring decode accuracy,
 // bandwidth and detection. Each (partitioning, period) cell is an
 // independent shard.
-func RunE10CovertChannel(seed int64, opts ...RunOption) (*E10Result, error) {
-	rc := newRunCfg(opts)
+func RunE10CovertChannel(seed int64, pool *harness.Pool) (*E10Result, error) {
 	res := &E10Result{Series: report.Series{Name: "covert-bandwidth", XLabel: "bit period µs", YLabel: "bits/s"}}
 	periods := []int{20, 50, 100, 200}
 
-	rows, err := harness.Map(rc.pool, 2*len(periods), seed, func(sh harness.Shard) (*E10Row, error) {
+	rows, err := harness.Map(pool, 2*len(periods), seed, func(sh harness.Shard) (*E10Row, error) {
 		partitioned := sh.Index >= len(periods)
 		periodUS := periods[sh.Index%len(periods)]
 		return runCovertChannelOnce(sh.Seed, periodUS, partitioned)

@@ -8,6 +8,7 @@ import (
 	"cres/internal/boot"
 	"cres/internal/harness"
 	"cres/internal/report"
+	"cres/internal/scenario"
 )
 
 // This file implements experiments E6 (recovery strategies) and E7
@@ -44,10 +45,9 @@ type E6Result struct {
 //     describe, slow in outage, and the vulnerability persists.
 //
 // Each strategy runs on its own shard.
-func RunE6Recovery(seed int64, opts ...RunOption) (*E6Result, error) {
-	rc := newRunCfg(opts)
+func RunE6Recovery(seed int64, pool *harness.Pool) (*E6Result, error) {
 	strategies := []func(harness.Shard) (E6Row, error){e6IsolateRestore, e6RollForward, e6BaselineReboot}
-	rows, err := harness.Map(rc.pool, len(strategies), seed, func(sh harness.Shard) (E6Row, error) {
+	rows, err := harness.Map(pool, len(strategies), seed, func(sh harness.Shard) (E6Row, error) {
 		return strategies[sh.Index](sh)
 	})
 	if err != nil {
@@ -66,11 +66,11 @@ func RunE6Recovery(seed int64, opts ...RunOption) (*E6Result, error) {
 
 // e6IsolateRestore is strategy 1: CRES isolate + targeted restore.
 func e6IsolateRestore(sh harness.Shard) (E6Row, error) {
-	tb, err := newTestbed(ArchCRES, sh.Seed)
+	tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Seed: sh.Seed})
 	if err != nil {
 		return E6Row{}, err
 	}
-	if err := tb.warm(15 * time.Millisecond); err != nil {
+	if err := tb.Warm(15 * time.Millisecond); err != nil {
 		return E6Row{}, err
 	}
 	compromise := tb.dev.Now()
@@ -93,11 +93,11 @@ func e6IsolateRestore(sh harness.Shard) (E6Row, error) {
 
 // e6RollForward is strategy 2: CRES roll-forward firmware update.
 func e6RollForward(sh harness.Shard) (E6Row, error) {
-	tb, err := newTestbed(ArchCRES, sh.Seed)
+	tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Seed: sh.Seed})
 	if err != nil {
 		return E6Row{}, err
 	}
-	if err := tb.warm(15 * time.Millisecond); err != nil {
+	if err := tb.Warm(15 * time.Millisecond); err != nil {
 		return E6Row{}, err
 	}
 	compromise := tb.dev.Now()
@@ -134,11 +134,11 @@ func e6RollForward(sh harness.Shard) (E6Row, error) {
 // e6BaselineReboot is strategy 3: baseline reboot into the same
 // firmware.
 func e6BaselineReboot(sh harness.Shard) (E6Row, error) {
-	tb, err := newTestbed(ArchBaseline, sh.Seed)
+	tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Arch: scenario.ArchBaseline, Seed: sh.Seed})
 	if err != nil {
 		return E6Row{}, err
 	}
-	if err := tb.warm(15 * time.Millisecond); err != nil {
+	if err := tb.Warm(15 * time.Millisecond); err != nil {
 		return E6Row{}, err
 	}
 	compromise := tb.dev.Now()
@@ -181,8 +181,7 @@ type E7Result struct {
 // boot-chain configurations: hardened, no anti-rollback, no signature
 // check, and both weaknesses (the historically attacked configuration).
 // Each configuration runs on its own shard.
-func RunE7Rollback(seed int64, opts ...RunOption) (*E7Result, error) {
-	rc := newRunCfg(opts)
+func RunE7Rollback(seed int64, pool *harness.Pool) (*E7Result, error) {
 	configs := []struct {
 		name string
 		opts boot.Options
@@ -193,9 +192,12 @@ func RunE7Rollback(seed int64, opts ...RunOption) (*E7Result, error) {
 		{"weak: neither", boot.Options{WeakNoRollbackProtection: true, WeakSkipSignature: true}},
 	}
 
-	rows, err := harness.Map(rc.pool, len(configs), seed, func(sh harness.Shard) (E7Row, error) {
+	rows, err := harness.Map(pool, len(configs), seed, func(sh harness.Shard) (E7Row, error) {
 		cfg := configs[sh.Index]
-		dev, err := NewDevice("dut", WithSeed(sh.Seed), WithBootOptions(cfg.opts), WithFirmware(5, []byte("current v5")))
+		dev, err := NewDevice(scenario.DeviceSpec{
+			Name: "dut", Seed: sh.Seed, Boot: cfg.opts,
+			FirmwareVersion: 5, FirmwarePayload: []byte("current v5"),
+		}, nil, nil)
 		if err != nil {
 			return E7Row{}, err
 		}

@@ -56,17 +56,17 @@ func init() {
 		}))
 	harness.Register("E3", timedRunner(
 		func(ctx *harness.Context) (*E3Result, error) {
-			return RunE3DetectionMatrix(ctx.Seed, WithRunPool(ctx.Pool))
+			return RunE3DetectionMatrix(ctx.Seed, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E3Result) []string { return []string{r.Table.Render()} }))
 	harness.Register("E3b", timedRunner(
 		func(ctx *harness.Context) (*E3bResult, error) {
-			return RunE3bDetectionAblation(ctx.Seed, WithRunPool(ctx.Pool))
+			return RunE3bDetectionAblation(ctx.Seed, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E3bResult) []string { return []string{r.Table.Render()} }))
 	harness.Register("E4", timedRunner(
 		func(ctx *harness.Context) (*E4Result, error) {
-			return RunE4EvidenceContinuity(ctx.Seed, WithRunPool(ctx.Pool))
+			return RunE4EvidenceContinuity(ctx.Seed, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E4Result) []string { return []string{r.Table.Render()} }))
 	harness.Register("E5", timedRunner(
@@ -75,22 +75,22 @@ func init() {
 			if ctx.Quick {
 				window = 300 * time.Millisecond
 			}
-			return RunE5GracefulDegradation(ctx.Seed, window, WithRunPool(ctx.Pool))
+			return RunE5GracefulDegradation(ctx.Seed, window, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E5Result) []string { return []string{r.Table.Render()} }))
 	harness.Register("E6", timedRunner(
 		func(ctx *harness.Context) (*E6Result, error) {
-			return RunE6Recovery(ctx.Seed, WithRunPool(ctx.Pool))
+			return RunE6Recovery(ctx.Seed, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E6Result) []string { return []string{r.Table.Render()} }))
 	harness.Register("E7", timedRunner(
 		func(ctx *harness.Context) (*E7Result, error) {
-			return RunE7Rollback(ctx.Seed, WithRunPool(ctx.Pool))
+			return RunE7Rollback(ctx.Seed, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E7Result) []string { return []string{r.Table.Render()} }))
 	harness.Register("E8", timedRunner(
 		func(ctx *harness.Context) (*E8Result, error) {
-			return RunE8FleetAttestation(FleetSizes(ctx.Quick), ctx.Seed, WithRunPool(ctx.Pool))
+			return RunE8FleetAttestation(FleetSizes(ctx.Quick), ctx.Seed, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E8Result) []string {
 			return []string{r.Table.Render(), r.Series.Render()}
@@ -113,29 +113,29 @@ func init() {
 		}))
 	harness.Register("E10", timedRunner(
 		func(ctx *harness.Context) (*E10Result, error) {
-			return RunE10CovertChannel(ctx.Seed, WithRunPool(ctx.Pool))
+			return RunE10CovertChannel(ctx.Seed, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E10Result) []string {
 			return []string{r.Table.Render(), r.Series.Render()}
 		}))
 	harness.Register("E11", timedRunner(
 		func(ctx *harness.Context) (*E11Result, error) {
-			return RunE11PointerAuth(ctx.Seed, 500, WithRunPool(ctx.Pool))
+			return RunE11PointerAuth(ctx.Seed, 500, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E11Result) []string { return []string{r.Table.Render()} }))
 	harness.Register("E13", timedRunner(
 		func(ctx *harness.Context) (*E13Result, error) {
-			return RunE13WormResilience(E13Config{RootSeed: ctx.Seed, Quick: ctx.Quick}, WithRunPool(ctx.Pool))
+			return RunE13WormResilience(E13Config{RootSeed: ctx.Seed, Quick: ctx.Quick}, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E13Result) []string { return []string{r.Table.Render()} }))
 	harness.Register("E14", timedRunner(
 		func(ctx *harness.Context) (*E14Result, error) {
-			return RunE14FaultRecovery(E14Config{RootSeed: ctx.Seed, Quick: ctx.Quick}, WithRunPool(ctx.Pool))
+			return RunE14FaultRecovery(E14Config{RootSeed: ctx.Seed, Quick: ctx.Quick}, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E14Result) []string { return []string{r.Table.Render()} }))
 	harness.Register("E15", timedRunner(
 		func(ctx *harness.Context) (*E15Result, error) {
-			return RunE15Hierarchy(E15Config{RootSeed: ctx.Seed, Quick: ctx.Quick}, WithRunPool(ctx.Pool))
+			return RunE15Hierarchy(E15Config{RootSeed: ctx.Seed, Quick: ctx.Quick}, ctx.Pool)
 		},
 		func(_ *harness.Context, r *E15Result) []string { return []string{r.Table.Render()} }))
 	harness.Register("BV", timedRunner(

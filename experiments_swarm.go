@@ -135,8 +135,7 @@ func defaultTopologies(n int, quick bool) []scenario.TopologySpec {
 // response modes. Cells fan across the harness pool in enumeration
 // order — topology-major, then dwell, then mode — and merge by index,
 // so the table is byte-identical at any parallelism.
-func RunE13WormResilience(cfg E13Config, opts ...RunOption) (*E13Result, error) {
-	rc := newRunCfg(opts)
+func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error) {
 	if cfg.FleetSize == 0 {
 		cfg.FleetSize = 10
 	}
@@ -196,7 +195,7 @@ func RunE13WormResilience(cfg E13Config, opts ...RunOption) (*E13Result, error) 
 		return nil, fmt.Errorf("e13: %w", err)
 	}
 
-	cells, err := harness.Map(rc.pool, len(specs), cfg.RootSeed, func(sh harness.Shard) (E13Cell, error) {
+	cells, err := harness.Map(pool, len(specs), cfg.RootSeed, func(sh harness.Shard) (E13Cell, error) {
 		sp := specs[sh.Index]
 		cell, _, _, err := runSwarmCell(sp.topo, sp.dwell, sp.mode, payload, sh.Seed, plan, nil)
 		if err != nil {
@@ -298,19 +297,13 @@ func (s *swarmTimeline) Blocked(from, to int) {
 	})
 }
 
-// RunSwarm runs ONE fleet cell interactively — the cresim -topology
-// mode — and returns the metrics plus the full event timeline:
-// infections, blocked hops, and the quarantine cuts the cooperative
-// response made, in virtual-time order. The cell itself runs through
-// the same runSwarmCell the E13 sweep uses, so the interactive numbers
-// can never drift from the table's.
-func RunSwarm(topo scenario.TopologySpec, dwell time.Duration, mode, payloadName string, seed int64) (*SwarmOutcome, error) {
-	return RunSwarmUnderFaults(topo, dwell, mode, payloadName, seed, scenario.FaultSpec{})
-}
-
-// RunSwarmUnderFaults is RunSwarm with a fault campaign layered onto
-// the fabric — the cresim -faults mode. The zero spec degenerates to
-// RunSwarm exactly.
+// RunSwarmUnderFaults runs ONE fleet cell interactively — the cresim
+// -topology mode — with a fault campaign layered onto the fabric (the
+// zero spec leaves it perfect), and returns the metrics plus the full
+// event timeline: infections, blocked hops, and the quarantine cuts
+// the cooperative response made, in virtual-time order. The cell
+// itself runs through the same runSwarmCell the E13 sweep uses, so the
+// interactive numbers can never drift from the table's.
 func RunSwarmUnderFaults(topo scenario.TopologySpec, dwell time.Duration, mode, payloadName string, seed int64, faults scenario.FaultSpec) (*SwarmOutcome, error) {
 	valid := false
 	for _, m := range SwarmModes() {
@@ -403,9 +396,7 @@ func newSwarmRig(topo *scenario.CompiledTopology, mode string, seed int64) (*swa
 	}
 	n := topo.Size()
 	for i := 0; i < n; i++ {
-		dev, err := NewDeviceFromSpec(
-			scenario.DeviceSpec{Name: swarmNodeName(i), Arch: arch},
-			WithEngine(eng), WithNetwork(rig.net))
+		dev, err := NewDevice(scenario.DeviceSpec{Name: swarmNodeName(i), Arch: arch}, eng, rig.net)
 		if err != nil {
 			return nil, err
 		}
@@ -455,9 +446,9 @@ func (r *swarmRig) LinkUp(i, j int) bool {
 // runSwarmCell runs one (wiring, dwell, mode) fleet: launch the worm
 // on patient zero, simulate until every possible propagation has long
 // expired, then read the outbreak. The E13 sweep, the E14 fault sweep
-// and the interactive RunSwarm path all come through here; mkObs (may
-// be nil) builds a worm observer once the rig exists, so callers can
-// record the event timeline the sweep aggregates away.
+// and the interactive RunSwarmUnderFaults path all come through here;
+// mkObs (may be nil) builds a worm observer once the rig exists, so
+// callers can record the event timeline the sweep aggregates away.
 //
 // plan (may be nil) is the cell's fault campaign. A nil or disabled
 // plan wires NOTHING — no injector, no churn, no gossip redundancy —

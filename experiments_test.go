@@ -41,7 +41,7 @@ func TestE2Figure1(t *testing.T) {
 }
 
 func TestE3CRESDetectsEverythingBaselineNothing(t *testing.T) {
-	res, err := RunE3DetectionMatrix(7)
+	res, err := RunE3DetectionMatrix(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestE3CRESDetectsEverythingBaselineNothing(t *testing.T) {
 }
 
 func TestE4EvidenceContinuity(t *testing.T) {
-	res, err := RunE4EvidenceContinuity(7)
+	res, err := RunE4EvidenceContinuity(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestE4EvidenceContinuity(t *testing.T) {
 }
 
 func TestE5CriticalServiceSurvivesOnCRESOnly(t *testing.T) {
-	res, err := RunE5GracefulDegradation(7, 300*time.Millisecond)
+	res, err := RunE5GracefulDegradation(7, 300*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestE5CriticalServiceSurvivesOnCRESOnly(t *testing.T) {
 }
 
 func TestE6RecoveryOrdering(t *testing.T) {
-	res, err := RunE6Recovery(7)
+	res, err := RunE6Recovery(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestE6RecoveryOrdering(t *testing.T) {
 }
 
 func TestE7OnlyHardenedChainSurvives(t *testing.T) {
-	res, err := RunE7Rollback(7)
+	res, err := RunE7Rollback(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestE7OnlyHardenedChainSurvives(t *testing.T) {
 }
 
 func TestE8FleetCatchesAllTampered(t *testing.T) {
-	res, err := RunE8FleetAttestation([]int{4, 64, 512}, 7)
+	res, err := RunE8FleetAttestation([]int{4, 64, 512}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestE9OverheadOrdering(t *testing.T) {
 }
 
 func TestE10ChannelWorksAndIsDetectedUnpartitioned(t *testing.T) {
-	res, err := RunE10CovertChannel(7)
+	res, err := RunE10CovertChannel(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestE10ChannelWorksAndIsDetectedUnpartitioned(t *testing.T) {
 }
 
 func TestE3bCombinedDominates(t *testing.T) {
-	res, err := RunE3bDetectionAblation(7)
+	res, err := RunE3bDetectionAblation(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestE3bCombinedDominates(t *testing.T) {
 }
 
 func TestE11PACCatchesROP(t *testing.T) {
-	res, err := RunE11PointerAuth(7, 500)
+	res, err := RunE11PointerAuth(7, 500, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cres/internal/harness"
 	"cres/internal/scenario"
 )
 
@@ -21,11 +22,11 @@ func e14TestConfig() E14Config { return E14Config{RootSeed: 7} }
 //
 //	go test -run TestE14Golden -update-golden .
 func TestE14Golden(t *testing.T) {
-	serial, err := RunE14FaultRecovery(e14TestConfig(), WithParallel(1))
+	serial, err := RunE14FaultRecovery(e14TestConfig(), harness.NewPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunE14FaultRecovery(e14TestConfig(), WithParallel(8))
+	parallel, err := RunE14FaultRecovery(e14TestConfig(), harness.NewPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestE14Golden(t *testing.T) {
 // drops a fifth of all traffic, 40% of the fleet crashes mid-campaign
 // and the verifier goes dark three times.
 func TestE14RecoveryDominates(t *testing.T) {
-	res, err := RunE14FaultRecovery(e14TestConfig(), WithParallel(8))
+	res, err := RunE14FaultRecovery(e14TestConfig(), harness.NewPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestE14RecoveryDominates(t *testing.T) {
 // matrix — otherwise the sweep is measuring a perfect network and the
 // "under fault injection" claim is vacuous.
 func TestE14FaultsActuallyHurt(t *testing.T) {
-	res, err := RunE14FaultRecovery(e14TestConfig(), WithParallel(8))
+	res, err := RunE14FaultRecovery(e14TestConfig(), harness.NewPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestE13FaultFreeByteIdentical(t *testing.T) {
 	}
 	cfg := e13TestConfig()
 	cfg.Faults = scenario.FaultSpec{}
-	res, err := RunE13WormResilience(cfg, WithParallel(4))
+	res, err := RunE13WormResilience(cfg, harness.NewPool(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cres/internal/harness"
 )
 
 // TestFleetSummaryGolden pins the E8 streaming-fleet table two ways:
@@ -22,11 +24,11 @@ import (
 // multi-shard with a partial tail (5000).
 func TestFleetSummaryGolden(t *testing.T) {
 	sizes := []int{4, 512, 5000}
-	serial, err := RunE8FleetAttestation(sizes, 7, WithParallel(1))
+	serial, err := RunE8FleetAttestation(sizes, 7, harness.NewPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunE8FleetAttestation(sizes, 7, WithParallel(8))
+	parallel, err := RunE8FleetAttestation(sizes, 7, harness.NewPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestFleetTamperRuleMatchesSummaryCounts(t *testing.T) {
 		t.Skip("10k-device fleet run")
 	}
 	const devices = 10_240
-	res, err := RunE8FleetAttestation([]int{devices}, 7)
+	res, err := RunE8FleetAttestation([]int{devices}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cres/internal/fleet"
+	"cres/internal/harness"
 )
 
 // TestHierarchyGolden pins the E15 hierarchical re-attestation table
@@ -22,11 +23,11 @@ import (
 // Every cell is a virtual-time or counting quantity — no host
 // clocks — so the table is stable across hosts and Go releases.
 func TestHierarchyGolden(t *testing.T) {
-	serial, err := RunE15Hierarchy(E15Config{RootSeed: 7}, WithParallel(1))
+	serial, err := RunE15Hierarchy(E15Config{RootSeed: 7}, harness.NewPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunE15Hierarchy(E15Config{RootSeed: 7}, WithParallel(8))
+	parallel, err := RunE15Hierarchy(E15Config{RootSeed: 7}, harness.NewPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}

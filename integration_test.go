@@ -10,6 +10,7 @@ import (
 	"cres/internal/core"
 	"cres/internal/evidence"
 	"cres/internal/monitor"
+	"cres/internal/scenario"
 )
 
 // Integration tests covering multi-phase attack/recovery cycles and the
@@ -48,11 +49,11 @@ func TestRecompromiseAfterRecoveryIsCaughtAgain(t *testing.T) {
 }
 
 func TestSimultaneousAttacksAllDetected(t *testing.T) {
-	tb, err := newTestbed(ArchCRES, 31)
+	tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.warm(15 * time.Millisecond); err != nil {
+	if err := tb.Warm(15 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// Launch three attacks of different classes at once.
@@ -83,11 +84,11 @@ func TestSimultaneousAttacksAllDetected(t *testing.T) {
 }
 
 func TestSignatureOnlyDeviceMissesCovertChannel(t *testing.T) {
-	tb, err := newTestbedWithMode(7, DetectSignatureOnly)
+	tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Detection: scenario.DetectSignatureOnly, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.warm(15 * time.Millisecond); err != nil {
+	if err := tb.Warm(15 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if tb.dev.TimingMon != nil {
@@ -103,14 +104,14 @@ func TestSignatureOnlyDeviceMissesCovertChannel(t *testing.T) {
 }
 
 func TestAnomalyOnlyDeviceMissesCFI(t *testing.T) {
-	tb, err := newTestbedWithMode(7, DetectAnomalyOnly)
+	tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Detection: scenario.DetectAnomalyOnly, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tb.dev.CFIMon != nil {
 		t.Fatal("anomaly-only device has a CFI monitor")
 	}
-	if err := tb.warm(15 * time.Millisecond); err != nil {
+	if err := tb.Warm(15 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if err := (attack.ControlFlowHijack{}).Launch(tb.tgt); err != nil {
@@ -124,11 +125,11 @@ func TestAnomalyOnlyDeviceMissesCFI(t *testing.T) {
 
 func TestAnomalyOnlyRecoverWorksWithoutCFIMonitor(t *testing.T) {
 	// Recover() must not crash when CFIMon is nil (anomaly-only mode).
-	tb, err := newTestbedWithMode(7, DetectAnomalyOnly)
+	tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Detection: scenario.DetectAnomalyOnly, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.warm(15 * time.Millisecond); err != nil {
+	if err := tb.Warm(15 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if err := (attack.BusFlood{}).Launch(tb.tgt); err != nil {
@@ -143,11 +144,19 @@ func TestAnomalyOnlyRecoverWorksWithoutCFIMonitor(t *testing.T) {
 	}
 }
 
-func TestDetectionModeString(t *testing.T) {
-	if DetectCombined.String() != "combined" ||
-		DetectSignatureOnly.String() != "signature-only" ||
-		DetectAnomalyOnly.String() != "anomaly-only" {
-		t.Fatal("mode names")
+// TestTestbedWarmsAnyDeviceName pins that the testbed's operator
+// trusts and addresses the device by its own name: a device not named
+// "dut" still receives the warm-up telemetry.
+func TestTestbedWarmsAnyDeviceName(t *testing.T) {
+	tb, err := NewAttackTestbed(scenario.DeviceSpec{Name: "field-7", Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Warm(5 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Device().Endpoint.Received(); got == 0 {
+		t.Fatal("field-7 received none of the warm-up telemetry")
 	}
 }
 
@@ -222,7 +231,9 @@ func TestSealedCredentialUnrecoverableAfterTamperedBoot(t *testing.T) {
 	// firmware state survives identical reboots but becomes
 	// unrecoverable once a weak chain boots attacker firmware — the
 	// mechanism that keeps fleet secrets out of a downgraded device.
-	d, err := NewDevice("dut", WithSeed(5), WithBootOptions(boot.Options{WeakSkipSignature: true, WeakNoRollbackProtection: true}))
+	d, err := NewDevice(scenario.DeviceSpec{
+		Name: "dut", Seed: 5, Boot: boot.Options{WeakSkipSignature: true, WeakNoRollbackProtection: true},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,6 @@ type Attester struct {
 	ep  *m2m.Endpoint
 
 	sessions        map[string]*Session // per-verifier re-attestation sessions
-	answered        uint64
 	sessionAnswered uint64
 }
 
@@ -72,9 +71,6 @@ func NewAttester(t *tpm.TPM, ep *m2m.Endpoint) *Attester {
 	ep.Handle(MsgChallenge, a.onChallenge)
 	return a
 }
-
-// Answered returns the number of challenges answered.
-func (a *Attester) Answered() uint64 { return a.answered }
 
 // SessionAnswers returns how many challenges were answered sign-free
 // under an established re-attestation session.
@@ -104,7 +100,6 @@ func (a *Attester) onChallenge(msg m2m.Message) {
 		if err := a.ep.Send(msg.From, MsgQuote, payload); err != nil {
 			return
 		}
-		a.answered++
 		a.sessionAnswered++
 		return
 	}
@@ -119,7 +114,6 @@ func (a *Attester) onChallenge(msg m2m.Message) {
 	if err := a.ep.Send(msg.From, MsgQuote, payload); err != nil {
 		return
 	}
-	a.answered++
 	// Optimistically establish the session this quote's signature seeds.
 	// The verifier only mirrors it after the appraisal comes back
 	// trusted, and only a challenge carrying the matching ID activates

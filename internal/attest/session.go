@@ -54,9 +54,6 @@ const sessionLabel = "attest-session-v1"
 type Session struct {
 	id  cryptoutil.Digest
 	key []byte
-	// uses counts MAC-authenticated exchanges completed under this
-	// session (answers on the device, verified quotes on the verifier).
-	uses uint64
 }
 
 // newSession derives the session both endpoints agree on from a full
@@ -72,10 +69,6 @@ func newSession(quoteSig []byte) *Session {
 
 // ID returns the session's public identifier.
 func (s *Session) ID() cryptoutil.Digest { return s.id }
-
-// Uses returns how many MAC-authenticated exchanges the session has
-// completed on this endpoint.
-func (s *Session) Uses() uint64 { return s.uses }
 
 // sessionQuote builds the device-side MAC-authenticated re-attestation
 // answer: the current PCR state over selection, in the same Quote shape
@@ -97,7 +90,6 @@ func sessionQuote(s *Session, t *tpm.TPM, nonce []byte, selection []int) (*tpm.Q
 		Selection: append([]int(nil), selection...),
 		Values:    values,
 	}
-	s.uses++
 	return q, cryptoutil.MAC(s.key, body), nil
 }
 
@@ -116,6 +108,5 @@ func (p *Policy) appraiseSession(s *Session, q *tpm.Quote, log []tpm.LogEntry, n
 	if !cryptoutil.VerifyMAC(s.key, body, tag) {
 		return fmt.Errorf("%w: %w", ErrPolicy, tpm.ErrQuoteInvalid)
 	}
-	s.uses++
 	return p.appraiseChecks(q, log)
 }

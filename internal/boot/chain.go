@@ -206,6 +206,3 @@ func (c *Chain) verifyImage(im *Image) error {
 
 // VendorKey returns the ROM-burned vendor public key.
 func (c *Chain) VendorKey() cryptoutil.PublicKey { return c.vendorKey }
-
-// Options returns the chain's configuration.
-func (c *Chain) Options() Options { return c.opts }

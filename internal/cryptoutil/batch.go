@@ -102,9 +102,6 @@ func (b *BatchVerifier) Reset(coeff io.Reader) {
 	b.msgBuf = b.msgBuf[:0]
 }
 
-// Len returns the number of accumulated signatures.
-func (b *BatchVerifier) Len() int { return len(b.entries) }
-
 // Add accumulates one (pubkey, message, signature) triple. The message
 // bytes are copied, so callers may reuse the slice immediately (the
 // fleet's pooled quote body depends on this).

@@ -120,9 +120,6 @@ func (p PublicKey) Verify(msg, sig []byte) bool {
 	return ed25519.Verify(ed25519.PublicKey(p), msg, sig)
 }
 
-// Fingerprint returns the SHA-256 digest of the public key.
-func (p PublicKey) Fingerprint() Digest { return Sum(p) }
-
 // Equal reports whether two public keys are identical.
 func (p PublicKey) Equal(o PublicKey) bool { return bytes.Equal(p, o) }
 

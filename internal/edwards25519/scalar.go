@@ -78,11 +78,6 @@ func (s *Scalar) Bytes() [32]byte {
 	return out
 }
 
-// IsZero reports whether s is zero.
-func (s *Scalar) IsZero() bool {
-	return s.limbs[0]|s.limbs[1]|s.limbs[2]|s.limbs[3] == 0
-}
-
 // Add sets s = a + b mod l.
 func (s *Scalar) Add(a, b *Scalar) *Scalar {
 	var v [4]uint64

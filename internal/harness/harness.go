@@ -48,10 +48,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Serial returns a pool that runs every shard inline on the calling
-// goroutine — the degenerate case used by the compatibility wrappers.
-func Serial() *Pool { return NewPool(1) }
-
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 

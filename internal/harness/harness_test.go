@@ -85,7 +85,7 @@ func TestMapMergesInShardOrderUnderJitter(t *testing.T) {
 
 func TestMapSerialMatchesParallel(t *testing.T) {
 	job := func(s Shard) (int64, error) { return s.Seed ^ int64(s.Index), nil }
-	serial, err := Map(Serial(), 32, 7, job)
+	serial, err := Map(NewPool(1), 32, 7, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,5 @@ func TestNewPoolDefaults(t *testing.T) {
 	}
 	if got := NewPool(5).Workers(); got != 5 {
 		t.Fatalf("NewPool(5).Workers() = %d", got)
-	}
-	if got := Serial().Workers(); got != 1 {
-		t.Fatalf("Serial().Workers() = %d", got)
 	}
 }

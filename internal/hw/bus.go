@@ -330,12 +330,3 @@ func (i *Initiator) Fetch(addr Addr, size uint64) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// FetchInto issues an instruction-fetch of len(buf) bytes into the
-// caller-supplied buffer. It allocates nothing on the success path.
-func (i *Initiator) FetchInto(addr Addr, buf []byte) error {
-	if f := i.bus.issue(i, TxExec, addr, uint64(len(buf)), nil, buf); f != nil {
-		return f
-	}
-	return nil
-}

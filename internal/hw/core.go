@@ -42,9 +42,6 @@ func (c *Core) Name() string { return c.name }
 // World returns the core's provisioned security world.
 func (c *Core) World() World { return c.init.World() }
 
-// Initiator exposes the core's bus handle.
-func (c *Core) Initiator() *Initiator { return c.init }
-
 // SubscribeExec registers an exec observer.
 func (c *Core) SubscribeExec(o ExecObserver) { c.execObs = append(c.execObs, o) }
 
@@ -95,15 +92,6 @@ func (c *Core) Fetch(addr Addr, size uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrCoreHalted, c.name)
 	}
 	return c.init.Fetch(addr, size)
-}
-
-// FetchInto issues an instruction fetch of len(buf) bytes into the
-// caller-supplied buffer, allocating nothing on the success path.
-func (c *Core) FetchInto(addr Addr, buf []byte) error {
-	if c.halted {
-		return fmt.Errorf("%w: %s", ErrCoreHalted, c.name)
-	}
-	return c.init.FetchInto(addr, buf)
 }
 
 // Halt stops the core (response countermeasure).

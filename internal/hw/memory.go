@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"cres/internal/sim"
 )
 
 // Addr is a physical address on the SoC bus.
@@ -277,9 +275,3 @@ func (m *Memory) Poke(addr Addr, data []byte) error {
 	copy(r.data[addr-r.Base:], data)
 	return nil
 }
-
-// Engine-facing type aliases, re-exported for convenience of hw users.
-type (
-	// VirtualTime aliases sim.VirtualTime.
-	VirtualTime = sim.VirtualTime
-)

@@ -40,7 +40,6 @@ func (m *Message) body() []byte {
 
 // Errors returned by the package.
 var (
-	ErrUnknownPeer  = errors.New("m2m: unknown peer")
 	ErrUnknownNode  = errors.New("m2m: unknown node")
 	ErrDuplicateKey = errors.New("m2m: node already exists")
 )

@@ -10,9 +10,8 @@ import (
 
 // Signature classes emitted by the timing monitor.
 const (
-	SigTimingMissAnomaly  = "timing.miss-rate.anomaly"
-	SigTimingCrossWorld   = "timing.cross-world-eviction"
-	SigTimingProbePattern = "timing.probe-pattern"
+	SigTimingMissAnomaly = "timing.miss-rate.anomaly"
+	SigTimingCrossWorld  = "timing.cross-world-eviction"
 )
 
 // TimingConfig configures a TimingMonitor.

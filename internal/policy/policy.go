@@ -155,13 +155,6 @@ func (s *Set) Add(r Rule) error {
 	return nil
 }
 
-// Rules returns a copy of the rules in evaluation order.
-func (s *Set) Rules() []Rule {
-	out := make([]Rule, len(s.rules))
-	copy(out, s.rules)
-	return out
-}
-
 // Evaluate returns the decision for a triple: first matching rule wins,
 // else the default posture.
 func (s *Set) Evaluate(subject, object string, action Action) Decision {

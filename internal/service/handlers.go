@@ -598,7 +598,7 @@ func (s *Server) parseCampaign(r *http.Request, q url.Values) (cellRequest, erro
 	return cellRequest{cells: []cell{{experiment: "campaign", digest: digest, compute: func(key store.Key) ([]byte, error) {
 		res, err := cres.RunE12Campaign(cres.CampaignConfig{
 			RootSeed: key.Seed, Seeds: seeds, Plans: plans,
-		}, cres.WithRunPool(s.requestPool()))
+		}, s.requestPool())
 		if err != nil {
 			return nil, err
 		}

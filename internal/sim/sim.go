@@ -61,7 +61,6 @@ type Engine struct {
 	nextSeq  uint64
 	rng      *rand.Rand
 	trace    func(TraceEvent)
-	steps    uint64
 }
 
 // TraceEvent describes one dispatched event, for debug tracing.
@@ -81,9 +80,6 @@ func New(seed int64) *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() VirtualTime { return e.now }
-
-// Steps returns the number of events dispatched so far.
-func (e *Engine) Steps() uint64 { return e.steps }
 
 // RNG returns the engine's deterministic random source. All simulation
 // randomness must come from here to preserve reproducibility.
@@ -174,7 +170,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.heapPop()
 	e.now = ev.at
-	e.steps++
 	fn := ev.fn
 	if e.trace != nil {
 		e.trace(TraceEvent{At: ev.at, ID: makeID(ev.slot, ev.gen), Seq: ev.seq})

@@ -227,15 +227,6 @@ func (s *Store) History(k Key) []Record {
 	return out
 }
 
-// All returns every stored record in append order.
-func (s *Store) All() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Record, len(s.records))
-	copy(out, s.records)
-	return out
-}
-
 // Keys returns the distinct stored keys in first-appearance order.
 func (s *Store) Keys() []Key {
 	s.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cres/internal/harness"
 	"cres/internal/scenario"
 )
 
@@ -29,11 +30,11 @@ func TestCompiledCampaignGolden(t *testing.T) {
 		Scenarios: []string{"secure-probe", "firmware-tamper"},
 		Plans:     scenario.BuiltinPlans()[:1],
 	}
-	serial, err := RunE12Campaign(cfg, WithParallel(1))
+	serial, err := RunE12Campaign(cfg, harness.NewPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunE12Campaign(cfg, WithParallel(8))
+	parallel, err := RunE12Campaign(cfg, harness.NewPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cres/internal/harness"
 	"cres/internal/scenario"
 )
 
@@ -22,11 +23,11 @@ func e13TestConfig() E13Config { return E13Config{RootSeed: 7} }
 //
 //	go test -run TestE13Golden -update-golden .
 func TestE13Golden(t *testing.T) {
-	serial, err := RunE13WormResilience(e13TestConfig(), WithParallel(1))
+	serial, err := RunE13WormResilience(e13TestConfig(), harness.NewPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunE13WormResilience(e13TestConfig(), WithParallel(8))
+	parallel, err := RunE13WormResilience(e13TestConfig(), harness.NewPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestE13Golden(t *testing.T) {
 // save strictly more devices than fleets whose members defend alone —
 // in every single (wiring, dwell) row, not just on average.
 func TestE13CooperationDominatesIsolation(t *testing.T) {
-	res, err := RunE13WormResilience(e13TestConfig(), WithParallel(8))
+	res, err := RunE13WormResilience(e13TestConfig(), harness.NewPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestE13WormSpreadsWithoutCooperation(t *testing.T) {
 		Topologies: []scenario.TopologySpec{{Kind: scenario.TopologyRing, Size: 6}},
 		Dwells:     []time.Duration{time.Millisecond},
 		Modes:      []string{SwarmBaseline, SwarmIsolated},
-	}, WithParallel(2))
+	}, harness.NewPool(2))
 	if err != nil {
 		t.Fatal(err)
 	}
