@@ -17,9 +17,11 @@ import (
 //
 // The sweep runs on the streaming fleet engine (internal/fleet): each
 // verifier shard appraises its slice of the fleet in fixed-size batches
-// and folds every appraisal into a mergeable summary the moment it
-// concludes, so memory is bounded by the batch size — never the fleet —
-// and the full-mode sweep reaches 1,048,576 devices. Device identity is
+// and folds every appraisal into a mergeable summary once the
+// batch-verify flush that settles it concludes, so memory is bounded by
+// one flush of at most max(batch size, 4096) devices per running shard
+// — never the fleet — and the full-mode sweep reaches 1,048,576
+// devices. Device identity is
 // the global fleet index end to end: share assignment, tamper verdict,
 // nonce and anomaly-sample priority all derive from (seed, index), so
 // there is no name round-trip to truncate or misparse, and shard

@@ -1,9 +1,14 @@
 package cryptoutil
 
 import (
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
+
+	"cres/internal/edwards25519"
 )
 
 // batchCase is one signature for the equivalence tests, possibly
@@ -219,6 +224,64 @@ func TestBatchVerifierReuse(t *testing.T) {
 	}
 }
 
+// failingReader serves the first left bytes of r and then fails.
+type failingReader struct {
+	r    io.Reader
+	left int
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if f.left == 0 {
+		return 0, errors.New("coefficient source exhausted")
+	}
+	if len(p) > f.left {
+		p = p[:f.left]
+	}
+	n, err := f.r.Read(p)
+	f.left -= n
+	return n, err
+}
+
+// addToS adds delta to a signature's s half, mod l.
+func addToS(t *testing.T, sig []byte, delta string) {
+	t.Helper()
+	var s, d edwards25519.Scalar
+	db, err := hex.DecodeString(delta)
+	if err != nil || !s.SetCanonicalBytes(sig[32:]) || !d.SetCanonicalBytes(db) {
+		t.Fatal("bad scalar")
+	}
+	s.Add(&s, &d)
+	enc := s.Bytes()
+	copy(sig[32:], enc[:])
+}
+
+// TestBatchVerifierFailingCoefficients gives the verifier a coefficient
+// reader that fails after k bytes, then two forged signatures whose s
+// defects (+1 and -1) cancel whenever they share a coefficient. Every
+// entry whose draw fails must still get ed25519.Verify's verdict.
+func TestBatchVerifierFailingCoefficients(t *testing.T) {
+	const (
+		plusOne  = "0100000000000000000000000000000000000000000000000000000000000000"
+		minusOne = "ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010" // l - 1
+	)
+	rng := rand.New(rand.NewSource(48))
+	for _, k := range []int{0, 7, 16, 40, 64} {
+		cases := makeBatch(t, rng, 8, 1)
+		addToS(t, cases[5].sig, plusOne)
+		addToS(t, cases[6].sig, minusOne)
+		bv := NewBatchVerifier(&failingReader{r: NewDeterministicEntropy([]byte("failing")), left: k})
+		for _, c := range cases {
+			bv.Add(c.pub, c.msg, c.sig)
+		}
+		got := bv.Flush()
+		for i, c := range cases {
+			if want := c.pub.Verify(c.msg, c.sig); got[i] != want {
+				t.Fatalf("reader failing after %d bytes: entry %d: batch says %v, ed25519.Verify says %v", k, i, got[i], want)
+			}
+		}
+	}
+}
+
 // TestVartimeSignerMatchesKeyPair pins the fast signer against the
 // stdlib-backed KeyPair for identical bytes, one message at a time and
 // in batches of 1..4 through one re-initialised signer, whose hints
@@ -329,35 +392,43 @@ func BenchmarkBatchVerify(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchVerifyHinted is the fleet hot-path shape: one shared
-// key, hinted R, batch of 256.
+// BenchmarkBatchVerifyHinted is the fleet hot-path shape: hinted R and
+// one key per 256-signature epoch, flushed one epoch at a time and as
+// a whole 16-epoch shard.
 func BenchmarkBatchVerifyHinted(b *testing.B) {
 	rng := rand.New(rand.NewSource(47))
-	seed := make([]byte, 32)
-	rng.Read(seed)
-	var signer VartimeSigner
-	signer.Init(seed)
-	const size = 256
-	msgs := make([][]byte, size)
-	sigs := make([][64]byte, size)
-	hints := make([]RHint, size)
-	for i := range msgs {
-		msgs[i] = make([]byte, 132)
-		rng.Read(msgs[i])
-		sigs[i], hints[i] = signer.Sign(msgs[i])
-	}
-	bv := NewBatchVerifier(NewDeterministicEntropy([]byte("bench-hinted")))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < size; j++ {
-			bv.AddHinted(signer.Public(), msgs[j], sigs[j][:], &hints[j])
+	const epoch = 256
+	for _, size := range []int{epoch, 16 * epoch} {
+		signers := make([]VartimeSigner, size/epoch)
+		msgs := make([][]byte, size)
+		sigs := make([][64]byte, size)
+		hints := make([]RHint, size)
+		for i := range msgs {
+			sg := &signers[i/epoch]
+			if i%epoch == 0 {
+				seed := make([]byte, 32)
+				rng.Read(seed)
+				sg.Init(seed)
+			}
+			msgs[i] = make([]byte, 132)
+			rng.Read(msgs[i])
+			sigs[i], hints[i] = sg.Sign(msgs[i])
 		}
-		if got := bv.Flush(); !got[0] {
-			b.Fatal("valid batch failed")
-		}
+		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
+			bv := NewBatchVerifier(NewDeterministicEntropy([]byte("bench-hinted")))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range msgs {
+					bv.AddHinted(signers[j/epoch].Public(), msgs[j], sigs[j][:], &hints[j])
+				}
+				if got := bv.Flush(); !got[0] {
+					b.Fatal("valid batch failed")
+				}
+			}
+			b.StopTimer()
+			perSig := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(size)
+			b.ReportMetric(perSig, "ns/sig")
+		})
 	}
-	b.StopTimer()
-	perSig := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(size)
-	b.ReportMetric(perSig, "ns/sig")
 }

@@ -16,6 +16,17 @@
 // the stdlib verifier on failure so per-signature verdicts never
 // differ from the one-at-a-time path.
 //
+// That parity has one residual caveat, shared with batch verification
+// in general: the combination is cofactorless, so when several entries
+// carry small-order (torsion) components in their R or A, those
+// components can cancel in the sum, and a batch can accept a signature
+// ed25519.Verify rejects. The odd coefficients rule out a single
+// defect, not several. Chalkias, Garillot & Nikolaenko catalogue this
+// ambiguity in "Taming the many EdDSAs" (SSR 2020,
+// https://eprint.iacr.org/2020/1244). The fleet never produces such
+// signatures, because its devices sign honestly; ROADMAP item 5 tracks
+// closing the gap for adversarial input.
+//
 // Everything here is deterministic when given a deterministic entropy
 // source, which the simulator exploits for reproducible experiments.
 //

@@ -15,8 +15,8 @@ func initBasepointTable() {
 	base.setAffine(&genB)
 	for i := 0; i < rows; i++ {
 		row := pts[i*cols : (i+1)*cols]
-		var bc PointCached
-		bc.FromPoint(&base)
+		var bc pointCached
+		bc.fromPoint(&base)
 		row[0] = base
 		for j := 1; j < cols; j++ {
 			row[j].addCached(&row[j-1], &bc)
@@ -114,11 +114,11 @@ func (v *Point) ScalarBaseMultVartime(s *Scalar) *Point {
 // signed radix-16 digits over the cached small multiples 1p..8p.
 // Variable-time.
 func (v *Point) ScalarMultVartime(s *Scalar, p *Point) *Point {
-	var multiples [8]PointCached
+	var multiples [8]pointCached
 	var q Point
 	q = *p
 	for j := 0; j < 8; j++ {
-		multiples[j].FromPoint(&q)
+		multiples[j].fromPoint(&q)
 		if j < 7 {
 			q.Add(&q, p)
 		}

@@ -10,6 +10,8 @@ import "math/big"
 var (
 	feD     Element // the curve constant d
 	feD2    Element // 2d, premultiplied for the addition formulas
+	feDInv  Element // 1/d, which turns a cached 2dxy back into 2xy
+	feTwo   Element // the Z of a point set from its readdition form
 	sqrtM1  Element // sqrt(-1)
 	genB    affinePoint
 	genBalt AffineCached // the basepoint in readdition form
@@ -41,6 +43,8 @@ func init() {
 	d.Mod(d, p)
 	feD = feFromBigInit(d)
 	feD2 = feFromBigInit(new(big.Int).Lsh(d, 1))
+	feDInv = feFromBigInit(new(big.Int).ModInverse(d, p))
+	feTwo = feFromBigInit(big.NewInt(2))
 
 	// sqrtM1 = 2^((p-1)/4) mod p
 	e := new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 2)

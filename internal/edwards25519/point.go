@@ -26,15 +26,47 @@ func (c *AffineCached) fromAffine(a *affinePoint) {
 	c.t2d.Mul(&c.t2d, &feD2)
 }
 
-// PointCached is a projective point in readdition form, for P3 + P3
-// additions: (Y+X, Y-X, 2Z, 2dT). Multi-scalar callers precompute one
-// per input point so each bucket insertion reuses it.
-type PointCached struct {
+// SetBytes decodes a canonical 32-byte point encoding into c,
+// reporting whether the encoding was valid.
+func (c *AffineCached) SetBytes(in []byte) bool {
+	var a affinePoint
+	if !a.decompress(in) {
+		return false
+	}
+	c.fromAffine(&a)
+	return true
+}
+
+// SetHinted sets c to the affine point (x, y) claimed to be the
+// decompression of enc, verifying the claim with a curve-equation and
+// re-encoding check instead of a square root. Returns false — leaving
+// c unspecified — if the hint does not decode exactly to enc.
+func (c *AffineCached) SetHinted(x, y *Element, enc *[32]byte) bool {
+	var a affinePoint
+	if !a.setHinted(x, y, enc) {
+		return false
+	}
+	c.fromAffine(&a)
+	return true
+}
+
+// Negate sets c = -q and returns c: negating x swaps y+x with y-x and
+// flips the sign of 2dxy.
+func (c *AffineCached) Negate(q *AffineCached) *AffineCached {
+	c.yPlusX, c.yMinusX = q.yMinusX, q.yPlusX
+	c.t2d.Negate(&q.t2d)
+	return c
+}
+
+// pointCached is a projective point in readdition form, for P3 + P3
+// additions: (Y+X, Y-X, 2Z, 2dT). ScalarMultVartime precomputes its
+// small multiples in this form so each addition reuses them.
+type pointCached struct {
 	yPlusX, yMinusX, z2, t2d Element
 }
 
-// FromPoint caches p for repeated addition and returns c.
-func (c *PointCached) FromPoint(p *Point) *PointCached {
+// fromPoint caches p for repeated addition and returns c.
+func (c *pointCached) fromPoint(p *Point) *pointCached {
 	c.yPlusX.Add(&p.y, &p.x)
 	c.yMinusX.Sub(&p.y, &p.x)
 	c.z2.Add(&p.z, &p.z)
@@ -59,6 +91,23 @@ func (v *Point) setAffine(a *affinePoint) *Point {
 	return v
 }
 
+// setAffineCached sets v to q, or to -q if neg, in one multiplication:
+// (y+x) and (y-x) give X = 2x and Y = 2y at Z = 2, and T = 2xy is
+// 2dxy divided by d. It is how an empty multi-scalar bucket takes its
+// first point, instead of adding it to the identity.
+func (v *Point) setAffineCached(q *AffineCached, neg bool) *Point {
+	v.y.Add(&q.yPlusX, &q.yMinusX)
+	v.z = feTwo
+	v.t.Mul(&q.t2d, &feDInv)
+	if neg {
+		v.x.Sub(&q.yMinusX, &q.yPlusX)
+		v.t.Negate(&v.t)
+	} else {
+		v.x.Sub(&q.yPlusX, &q.yMinusX)
+	}
+	return v
+}
+
 // IsIdentity reports whether v is the group identity. Because the
 // batch equation is cofactorless, this is an exact encoding-level
 // check: X = 0 and Y = Z.
@@ -77,12 +126,12 @@ func (v *Point) Negate(p *Point) *Point {
 
 // Add sets v = p + q (extended coordinates, add-2008-hwcd-3, 8M+1D).
 func (v *Point) Add(p, q *Point) *Point {
-	var qc PointCached
-	qc.FromPoint(q)
+	var qc pointCached
+	qc.fromPoint(q)
 	return v.addCached(p, &qc)
 }
 
-func (v *Point) addCached(p *Point, q *PointCached) *Point {
+func (v *Point) addCached(p *Point, q *pointCached) *Point {
 	var ypx, ymx, a, b, c, d, e, f, g, h Element
 	ymx.Sub(&p.y, &p.x)
 	ypx.Add(&p.y, &p.x)
@@ -104,7 +153,7 @@ func (v *Point) addCached(p *Point, q *PointCached) *Point {
 // subCached sets v = p - q; negating a cached point swaps its y±x
 // fields and flips the sign of its 2dT term, which surfaces here as
 // crossed A/B products and swapped F/G sums.
-func (v *Point) subCached(p *Point, q *PointCached) *Point {
+func (v *Point) subCached(p *Point, q *pointCached) *Point {
 	var ypx, ymx, a, b, c, d, e, f, g, h Element
 	ymx.Sub(&p.y, &p.x)
 	ypx.Add(&p.y, &p.x)
@@ -222,19 +271,6 @@ func (a *affinePoint) decompress(in []byte) bool {
 func (v *Point) SetBytes(in []byte) bool {
 	var a affinePoint
 	if !a.decompress(in) {
-		return false
-	}
-	v.setAffine(&a)
-	return true
-}
-
-// SetHinted sets v to the affine point (x, y) claimed to be the
-// decompression of enc, verifying the claim with a curve-equation and
-// re-encoding check instead of a square root. Returns false — leaving
-// v unspecified — if the hint does not decode exactly to enc.
-func (v *Point) SetHinted(x, y *Element, enc *[32]byte) bool {
-	var a affinePoint
-	if !a.setHinted(x, y, enc) {
 		return false
 	}
 	v.setAffine(&a)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/sha512"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -166,32 +167,84 @@ func TestPointGroupLaws(t *testing.T) {
 	}
 }
 
+// affineCachedOf returns p in the affine readdition form the
+// multi-scalar multiplication consumes.
+func affineCachedOf(t testing.TB, p *Point) AffineCached {
+	var c AffineCached
+	enc := p.Bytes()
+	if !c.SetBytes(enc[:]) {
+		t.Fatal("SetBytes rejected a point's own encoding")
+	}
+	return c
+}
+
+// checkMultiScalarMult compares the multi-scalar multiplication of n
+// random points by the 128-bit scalars scalarBytes yields, 16 bytes
+// each, against a naive sum of ScalarMultVartime products.
+func checkMultiScalarMult(t testing.TB, rng *rand.Rand, n int, scalarBytes func(zb []byte)) {
+	scalars := make([]Scalar, n)
+	points := make([]AffineCached, n)
+	var want Point
+	want.SetIdentity()
+	for i := 0; i < n; i++ {
+		zb := make([]byte, 16)
+		scalarBytes(zb)
+		scalars[i].SetShortBytes(zb)
+		var p, term Point
+		p.ScalarBaseMultVartime(randomScalar(rng))
+		points[i] = affineCachedOf(t, &p)
+		term.ScalarMultVartime(&scalars[i], &p)
+		want.Add(&want, &term)
+	}
+	var got Point
+	got.MultiScalarMult128Vartime(scalars, points, new(MSMScratch))
+	if got.Bytes() != want.Bytes() {
+		t.Fatalf("n=%d (window %d): MSM disagrees with naive sum", n, msmWindow(n))
+	}
+}
+
 // TestMultiScalarMult checks the Pippenger path against a naive sum
-// at several sizes, including the empty batch.
+// at sizes that pick windows 2 through 7 and 10, including the empty
+// batch.
 func TestMultiScalarMult(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{0, 1, 2, 3, 16, 257} {
-		scalars := make([]Scalar, n)
-		cached := make([]PointCached, n)
-		points := make([]Point, n)
-		var want Point
-		want.SetIdentity()
-		for i := 0; i < n; i++ {
-			zb := make([]byte, 16)
-			rng.Read(zb)
-			scalars[i].SetShortBytes(zb)
-			points[i].ScalarBaseMultVartime(randomScalar(rng))
-			cached[i].FromPoint(&points[i])
-			var term Point
-			term.ScalarMultVartime(&scalars[i], &points[i])
-			want.Add(&want, &term)
-		}
-		var got Point
-		got.MultiScalarMult128Vartime(scalars, cached, nil)
-		if got.Bytes() != want.Bytes() {
-			t.Fatalf("n=%d: MSM disagrees with naive sum", n)
+	for _, n := range []int{0, 1, 2, 3, 8, 16, 60, 257, 1024, 4096} {
+		checkMultiScalarMult(t, rng, n, func(zb []byte) { rng.Read(zb) })
+	}
+}
+
+// TestMultiScalarMultWindow pins the window rule at the flush sizes
+// the fleet produces.
+func TestMultiScalarMultWindow(t *testing.T) {
+	for n, want := range map[int]int{1: 2, 4: 2, 256: 6, 1024: 7, 4096: 10} {
+		if got := msmWindow(n); got != want {
+			t.Errorf("msmWindow(%d) = %d, want %d", n, got, want)
 		}
 	}
+}
+
+// FuzzMultiScalarMult fuzzes the multi-scalar multiplication against
+// a naive sum. Up to 300 points makes windows 2 through 6 all occur;
+// the scalars cycle through the fuzzer's bytes, so all-ones windows
+// that carry into the top digit are one input away.
+func FuzzMultiScalarMult(f *testing.F) {
+	f.Add(uint16(1), int64(1), []byte{0xff})
+	f.Add(uint16(5), int64(2), []byte{0x00})
+	f.Add(uint16(40), int64(3), []byte{0xff, 0xff, 0xff, 0x7f})
+	f.Add(uint16(190), int64(4), []byte{0x01, 0x80, 0xfe})
+	f.Add(uint16(300), int64(5), []byte{0xff})
+	f.Fuzz(func(t *testing.T, n uint16, pointSeed int64, scalarBytes []byte) {
+		if len(scalarBytes) == 0 {
+			scalarBytes = []byte{0}
+		}
+		next := 0
+		checkMultiScalarMult(t, rand.New(rand.NewSource(pointSeed)), int(n%301), func(zb []byte) {
+			for j := range zb {
+				zb[j] = scalarBytes[next%len(scalarBytes)]
+				next++
+			}
+		})
+	})
 }
 
 // TestSetHinted checks the hint validation accepts exactly the true
@@ -206,11 +259,12 @@ func TestSetHinted(t *testing.T) {
 		if !a.decompress(enc[:]) {
 			t.Fatal("decompress rejected own encoding")
 		}
-		var q Point
+		want := affineCachedOf(t, &p)
+		var q AffineCached
 		if !q.SetHinted(&a.x, &a.y, &enc) {
 			t.Fatal("SetHinted rejected the true hint")
 		}
-		if q.Bytes() != enc {
+		if q != want {
 			t.Fatal("SetHinted produced a different point")
 		}
 		// A hint for a different point must be rejected even though it
@@ -252,23 +306,31 @@ func BenchmarkScalarBaseMult(b *testing.B) {
 	}
 }
 
-func BenchmarkMultiScalarMult256(b *testing.B) {
+// BenchmarkMultiScalarMult reports the cost per point at a small
+// flush, one fleet epoch, four epochs and a whole 4096-device shard.
+func BenchmarkMultiScalarMult(b *testing.B) {
 	rng := rand.New(rand.NewSource(26))
-	const n = 256
-	scalars := make([]Scalar, n)
-	cached := make([]PointCached, n)
-	for i := 0; i < n; i++ {
-		zb := make([]byte, 16)
-		rng.Read(zb)
-		scalars[i].SetShortBytes(zb)
-		var p Point
-		p.ScalarBaseMultVartime(randomScalar(rng))
-		cached[i].FromPoint(&p)
-	}
-	scratch := make([]int8, n*msmDigits128)
-	var out Point
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out.MultiScalarMult128Vartime(scalars, cached, scratch)
+	for _, n := range []int{4, 256, 1024, 4096} {
+		scalars := make([]Scalar, n)
+		points := make([]AffineCached, n)
+		for i := 0; i < n; i++ {
+			zb := make([]byte, 16)
+			rng.Read(zb)
+			scalars[i].SetShortBytes(zb)
+			var p Point
+			p.ScalarBaseMultVartime(randomScalar(rng))
+			points[i] = affineCachedOf(b, &p)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var scratch MSMScratch
+			var out Point
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out.MultiScalarMult128Vartime(scalars, points, &scratch)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/point")
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package edwards25519
 
 import (
+	"bytes"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -169,23 +170,34 @@ func TestSignedDigits(t *testing.T) {
 			t.Fatalf("signedRadix16 reconstructed %v, want %v", acc, x)
 		}
 
-		// 128-bit scalars through the radix-2^6 path.
-		var z Scalar
+		// 128-bit scalars through the multi-scalar path, at every
+		// window; the all-ones scalar carries into every top digit.
 		zb := make([]byte, 16)
 		rng.Read(zb)
-		z.SetShortBytes(zb)
-		var d [msmDigits128]int8
-		z.signedDigits6(d[:])
-		acc.SetInt64(0)
-		for j := msmDigits128 - 1; j >= 0; j-- {
-			acc.Lsh(acc, msmWindow)
+		checkSignedDigits(t, zb)
+	}
+	checkSignedDigits(t, bytes.Repeat([]byte{0xff}, 16))
+}
+
+// checkSignedDigits checks the radix-2^w decomposition of the 128-bit
+// scalar zb at every window the multi-scalar multiplication can pick.
+func checkSignedDigits(t *testing.T, zb []byte) {
+	t.Helper()
+	var z Scalar
+	z.SetShortBytes(zb)
+	for w := 2; w <= msmMaxWindow; w++ {
+		d := make([]int16, msmDigits(w))
+		z.signedDigits(w, d)
+		acc := new(big.Int)
+		for j := len(d) - 1; j >= 0; j-- {
+			acc.Lsh(acc, uint(w))
 			acc.Add(acc, big.NewInt(int64(d[j])))
-			if d[j] < -msmBuckets || d[j] >= msmBuckets {
-				t.Fatalf("radix-64 digit %d out of range: %d", j, d[j])
+			if int(d[j]) < -1<<(w-1) || int(d[j]) >= 1<<(w-1) {
+				t.Fatalf("w=%d: digit %d out of range: %d", w, j, d[j])
 			}
 		}
 		if acc.Cmp(bigFromLE(zb)) != 0 {
-			t.Fatalf("signedDigits6 reconstructed %v, want %v", acc, bigFromLE(zb))
+			t.Fatalf("w=%d: signedDigits reconstructed %v, want %v", w, acc, bigFromLE(zb))
 		}
 	}
 }

@@ -39,7 +39,7 @@ func checkHint(t *testing.T, sig *[64]byte, rx, ry *Element) {
 	t.Helper()
 	var rEnc [32]byte
 	copy(rEnc[:], sig[:32])
-	var r Point
+	var r AffineCached
 	if !r.SetHinted(rx, ry, &rEnc) {
 		t.Fatalf("hint does not decode to the signature R %x", rEnc)
 	}

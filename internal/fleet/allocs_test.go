@@ -6,11 +6,12 @@ import (
 
 // TestBatchLoopAllocsPerDeviceO1 gates the batched appraise scratch's
 // memory behavior: the steady-state batch loop allocates O(1) per
-// device — today ~0.035 (E8's allocs_per_device), all of it
+// device — today ~0.027 (E8's allocs_per_device), all of it
 // per-shard scratch setup and per-epoch key derivation, with the boot
-// variants, the epoch's quote bodies, signatures and hints, and the
-// provisioning-epoch key material pooled in the per-shard scratch —
-// independent of fleet, shard and batch size.
+// variants, the epoch's quote bodies, signatures and hints, the
+// provisioning-epoch key material and the batch verifier's flush
+// storage pooled in the per-shard scratch — independent of fleet,
+// shard and batch size.
 // A per-device cost that grew with any of those would mean the engine
 // is quietly retaining per-device state, the exact failure mode the
 // streaming design exists to make impossible.

@@ -1,10 +1,11 @@
 // Package fleet is the streaming fleet-attestation engine: it appraises
-// fleets of millions of simulated devices in memory bounded by a batch,
-// never a fleet. A fleet is split into verifier shards (the distributed
-// verifier tier an operator deploys); each shard streams its devices
-// through fixed-size batches and folds every appraisal into a mergeable
-// Summary the moment it concludes — no per-device record survives the
-// batch that produced it.
+// fleets of millions of simulated devices in memory bounded by one
+// batch-verify flush of at most max(BatchSize, 4096) devices per
+// running shard, never a fleet. A fleet is split into verifier shards
+// (the distributed verifier tier an operator deploys); each shard
+// streams its devices through fixed-size batches and folds every
+// appraisal into a mergeable Summary once the flush that settles its
+// signature concludes — no per-device record survives that flush.
 //
 // Everything a device is — its mix share, its firmware measurement,
 // whether it is tampered, its network jitter, its challenge nonce, its
@@ -21,8 +22,10 @@
 // are compiled once per engine (event-log replay, canonical quote-body
 // template, precomputed policy verdict) and the provisioning-epoch AIK
 // is derived once per batch from the entropy root at the batch's first
-// global index — pooled state is restricted to quantities the Summary
-// cannot observe, so batching is invisible in every output.
+// global index. The batch verifier settles as many whole epochs as fit
+// in 4096 signatures in one flush, and a larger epoch alone. Pooled
+// state is restricted to quantities the Summary cannot observe, so
+// batching is invisible in every output.
 //
 // Tree (experiment E15) extends attestation to the verifiers
 // themselves: shards become the leaves of a depth × fan-out hierarchy

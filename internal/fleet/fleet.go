@@ -15,8 +15,9 @@ import (
 
 // Engine-wide defaults.
 const (
-	// DefaultBatchSize is how many devices a shard holds in memory at
-	// once. Fleet memory is O(BatchSize), never O(fleet).
+	// DefaultBatchSize is how many devices share one provisioning
+	// epoch. A running shard holds at most max(BatchSize, 4096) devices
+	// in memory, never O(fleet).
 	DefaultBatchSize = 256
 	// DefaultShardSize is how many devices one verifier shard appraises.
 	// The shard split is a function of fleet size only — never of the
@@ -183,6 +184,13 @@ func (c Config) normalize() (Config, error) {
 // nonceLen is the challenge-nonce size in bytes (two ShardSeed draws).
 const nonceLen = 16
 
+// flushCap is the most signatures a shard's batch verifier settles in
+// one flush. Whole epochs accumulate until the next would pass it, so
+// at the default sizes one flush covers a whole 4096-device shard, and
+// an epoch larger than the cap is flushed alone. The cap bounds a
+// running shard's memory at O(max(BatchSize, flushCap)).
+const flushCap = 4096
+
 // Engine appraises one fleet. It is immutable after New and safe for
 // concurrent RunShard calls — each call owns its scratch.
 type Engine struct {
@@ -324,25 +332,27 @@ func (e *Engine) priorityOf(index int) uint64 {
 	return uint64(harness.ShardSeed(e.sampleRoot, index))
 }
 
-// pending is one in-flight appraisal in a batch's scratch: everything
-// the latency sweep needs, and nothing more.
+// pending is one appraisal awaiting its flush: everything the latency
+// sweep and the summary need, and nothing more. done is when the
+// verifier finished appraising it.
 type pending struct {
 	arrive   time.Duration
 	dispatch time.Duration
+	done     time.Duration
 	index    int
 	variant  int
 	tampered bool
-	reason   uint8
 }
 
 // appraiseScratch is one RunShard call's pooled state. The pooling
 // rule (docs/ARCHITECTURE.md): state that is a pure function of the
 // engine config (the per-variant quote bodies and compiled policy
-// verdicts) or of the provisioning epoch (the AIK key pair, re-derived
-// once per batch) may live here and be reused across devices; every
-// observable per-device quantity — share, tamper fate, nonce, jitter,
-// sample priority — must still derive from (seed, global index), so
-// batch and shard boundaries can never reshuffle a device's fate.
+// verdicts) or of the provisioning epoch (the AIK key pair and the
+// batch-verify coefficient stream, re-derived once per batch) may
+// live here and be reused across devices; every observable per-device
+// quantity — share, tamper fate, nonce, jitter, sample priority — must
+// still derive from (seed, global index), so batch, flush and shard
+// boundaries can never reshuffle a device's fate.
 type appraiseScratch struct {
 	batches []*attest.BatchAppraiser // one per engine variant
 	entropy *cryptoutil.DeterministicEntropy
@@ -350,10 +360,10 @@ type appraiseScratch struct {
 	signer  cryptoutil.VartimeSigner
 	bv      *cryptoutil.BatchVerifier
 	aik     cryptoutil.PublicKey
-	queue   []pending
+	queue   []pending // the devices awaiting the flush, epoch by epoch
 	// The epoch's signing batch, in device-index order: every quote
-	// body back to back in body, msgs[j] slicing out queue[j]'s, and
-	// its signature and R hint.
+	// body back to back in body, msgs[j] slicing out the epoch's j-th,
+	// and its signature and R hint.
 	body    []byte
 	msgs    [][]byte
 	sigs    [][64]byte
@@ -363,19 +373,22 @@ type appraiseScratch struct {
 	nonce   [nonceLen]byte
 }
 
-// newScratch builds the per-shard scratch: private working copies of
-// every compiled boot variant plus the reusable key-derivation state.
-// Both entropy readers are private to the scratch — RunShard calls run
-// concurrently, so sharing a reader (or its Reset) across shards would
-// be a data race AND would entangle shard outputs; see
-// TestScratchEntropyIsolation in batch_race_test.go.
-func (e *Engine) newScratch() *appraiseScratch {
+// newScratch builds the scratch for a shard of the given number of
+// devices: private working copies of every compiled boot variant plus
+// the reusable key-derivation state, with the queue sized once for the
+// largest flush the shard can hold. Both entropy readers are private
+// to the scratch — RunShard calls run concurrently, so sharing a
+// reader (or its Reset) across shards would be a data race AND would
+// entangle shard outputs; see TestScratchEntropyIsolation in
+// batch_race_test.go.
+func (e *Engine) newScratch(devices int) *appraiseScratch {
 	n := e.cfg.BatchSize
+	span := min(devices, max(n, flushCap)) // the most devices one flush holds
 	sc := &appraiseScratch{
 		batches: make([]*attest.BatchAppraiser, len(e.variants)),
 		entropy: cryptoutil.NewDeterministicEntropy(nil),
 		coeff:   cryptoutil.NewDeterministicEntropy(nil),
-		queue:   make([]pending, 0, n),
+		queue:   make([]pending, 0, span),
 		msgs:    make([][]byte, 0, n),
 		sigs:    make([][64]byte, n),
 		hints:   make([]cryptoutil.RHint, n),
@@ -385,10 +398,12 @@ func (e *Engine) newScratch() *appraiseScratch {
 		sc.batches[i] = v.Batch()
 	}
 	// Every variant quotes the same PCR selection under the same nonce
-	// size, so one body's length sizes the epoch's buffer. The probe
-	// cannot fail: sc.nonce has the length the variants compiled for.
+	// size, so one body's length sizes the epoch's buffer and the
+	// verifier's copies of a flush. The probe cannot fail: sc.nonce has
+	// the length the variants compiled for.
 	probe, _ := sc.batches[0].AppendBody(nil, sc.nonce[:])
 	sc.body = make([]byte, 0, n*len(probe))
+	sc.bv.Grow(span, span*len(probe))
 	return sc
 }
 
@@ -412,23 +427,24 @@ func (sc *appraiseScratch) provision(e *Engine, lo int) error {
 	// Re-key the batch-verify coefficient stream for the epoch from its
 	// own purpose root. The coefficients are sound with ANY stream, but
 	// deriving them from (seed, epoch) keeps the whole run — including
-	// which random linear combination each batch checks — byte-for-byte
-	// reproducible at every -parallel width.
+	// which random linear combination each flush checks — byte-for-byte
+	// reproducible at every -parallel width. The stream is re-keyed in
+	// place: the verifier keeps the earlier epochs' pending entries and
+	// draws this epoch's coefficients from the new key in Add order.
 	binary.BigEndian.PutUint64(sc.seedBuf[:8], uint64(harness.ShardSeed(e.coeffRoot, 2*lo)))
 	binary.BigEndian.PutUint64(sc.seedBuf[8:], uint64(harness.ShardSeed(e.coeffRoot, 2*lo+1)))
 	sc.coeff.Reset(sc.seedBuf[:])
-	sc.bv.Reset(sc.coeff)
 	return nil
 }
 
 // signEpoch runs the device side of the attestation exchanges for
 // devices [lo, hi), dispatched from clock. Each device's tamper fate,
 // boot variant and fresh nonce derive from (seed, global index) and
-// land in the queue and in its canonical quote body; then the epoch's
-// AIK signs every body in one call, yielding the signatures and R
-// hints the verifier admits.
+// land at the end of the queue and in its canonical quote body; then
+// the epoch's AIK signs every body in one call, yielding the
+// signatures and R hints the verifier admits.
 func (sc *appraiseScratch) signEpoch(e *Engine, lo, hi int, clock time.Duration) error {
-	sc.queue, sc.body, sc.msgs = sc.queue[:0], sc.body[:0], sc.msgs[:0]
+	sc.body, sc.msgs = sc.body[:0], sc.msgs[:0]
 	for i := lo; i < hi; i++ {
 		tampered := e.Tampered(i)
 		variant := len(sc.batches) - 1 // the implanted boot state
@@ -460,33 +476,36 @@ func (sc *appraiseScratch) signEpoch(e *Engine, lo, hi int, clock time.Duration)
 	return nil
 }
 
-// resolveBatch flushes the scratch's batch verifier — one random-
-// linear-combination check standing in for one signature verification
-// per queued device — and maps each verdict to its outcome code. The
-// queue must still be in index order: entry j of the flush answers
-// queue[j].
-func (sc *appraiseScratch) resolveBatch() {
+// settle flushes the batch verifier — one random-linear-combination
+// check standing in for one signature verification per queued device —
+// and folds every queued device into sum in queue order: epoch by
+// epoch, each in arrival order, the order the verifier appraised them.
+// The queue holds the devices from first on, which the verifier
+// admitted in index order, so device i's verdict is flush entry
+// i-first.
+func (sc *appraiseScratch) settle(e *Engine, sum *Summary, first int) {
 	sigOK := sc.bv.Flush()
-	for j := range sc.queue {
-		p := &sc.queue[j]
-		untrusted := sc.batches[p.variant].Resolve(sigOK[j]) != nil
+	for _, p := range sc.queue {
+		untrusted := sc.batches[p.variant].Resolve(sigOK[p.index-first]) != nil
+		reason := ReasonHealthy
 		switch {
 		case p.tampered && untrusted:
-			p.reason = ReasonCaught
+			reason = ReasonCaught
 		case p.tampered:
-			p.reason = ReasonMissed
+			reason = ReasonMissed
 		case untrusted:
-			p.reason = ReasonFalseAlarm
-		default:
-			p.reason = ReasonHealthy
+			reason = ReasonFalseAlarm
 		}
+		sum.observe(p.index, reason, p.done-p.dispatch, e.priorityOf(p.index))
 	}
+	sc.queue = sc.queue[:0]
 }
 
 // RunShard streams shard's devices through batches and returns the
-// folded summary. Memory is O(BatchSize): a device's TPM, quote and log
-// die with the loop iteration that appraised them, and only the
-// scratch's arrival queue and signing batch span a batch.
+// folded summary. Memory is O(max(BatchSize, flushCap)): a device's
+// TPM, quote and log die with the loop iteration that appraised them,
+// the signing batch spans one epoch, and the arrival queue and the
+// batch verifier span one flush.
 //
 // The virtual-time model: a shard is one verifier. It dispatches a
 // batch's challenges back to back (Dispatch apart), each quote returns
@@ -494,19 +513,25 @@ func (sc *appraiseScratch) resolveBatch() {
 // verifier appraises quotes serially in arrival order (Appraise each).
 // The next batch's challenges go out when the previous batch drains —
 // the streaming pipeline a bounded-memory verifier actually runs.
+// That clock depends on arrival times only, never on verdicts, so a
+// flush may span several epochs: only the summary waits for it.
 func (e *Engine) RunShard(shard int) (Summary, error) {
 	lo, hi := e.ShardRange(shard)
 	if lo >= hi {
 		return Summary{}, fmt.Errorf("fleet: shard %d outside the fleet's %d shards", shard, e.NumShards())
 	}
 	sum := Summary{SampleK: e.cfg.SampleK}
-	sc := e.newScratch()
+	sc := e.newScratch(hi - lo)
 
 	clock := time.Duration(0)
+	first := lo // the first device of the pending flush
 	for b := lo; b < hi; b += e.cfg.BatchSize {
-		bHi := b + e.cfg.BatchSize
-		if bHi > hi {
-			bHi = hi
+		bHi := min(b+e.cfg.BatchSize, hi)
+		// A flush holds whole epochs: settle before one that would
+		// push it past the cap.
+		if len(sc.queue) > 0 && len(sc.queue)+bHi-b > flushCap {
+			sc.settle(e, &sum, first)
+			first = b
 		}
 		// One provisioning epoch per batch: the expensive AIK derivation
 		// amortizes across the batch while everything observable stays a
@@ -517,32 +542,33 @@ func (e *Engine) RunShard(shard int) (Summary, error) {
 		if err := sc.signEpoch(e, b, bHi, clock); err != nil {
 			return Summary{}, err
 		}
-		// The verifier admits each quote in index order, and one flush
-		// settles them all before the arrival sort reorders the queue.
+		// The verifier admits each quote in index order; the flush that
+		// settles them may come epochs later.
 		for j, msg := range sc.msgs {
 			sc.bv.AddHinted(sc.aik, msg, sc.sigs[j][:], &sc.hints[j])
 		}
-		sc.resolveBatch()
 		// Serial appraisal in arrival order; ties break by index so the
 		// sweep is deterministic.
-		queue := sc.queue
-		sort.Slice(queue, func(x, y int) bool {
-			if queue[x].arrive != queue[y].arrive {
-				return queue[x].arrive < queue[y].arrive
+		epoch := sc.queue[len(sc.queue)-(bHi-b):]
+		sort.Slice(epoch, func(x, y int) bool {
+			if epoch[x].arrive != epoch[y].arrive {
+				return epoch[x].arrive < epoch[y].arrive
 			}
-			return queue[x].index < queue[y].index
+			return epoch[x].index < epoch[y].index
 		})
 		free := clock
-		for _, p := range queue {
+		for j := range epoch {
+			p := &epoch[j]
 			if p.arrive > free {
 				free = p.arrive
 			}
 			free += e.cfg.Appraise
-			sum.observe(p.index, p.reason, free-p.dispatch, e.priorityOf(p.index))
+			p.done = free
 		}
 		clock = free
 		sum.Batches++
 	}
+	sc.settle(e, &sum, first)
 	sum.Completion = clock
 	return sum, nil
 }
