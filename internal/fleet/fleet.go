@@ -103,9 +103,10 @@ type Config struct {
 	Latency, Jitter, Dispatch, Appraise time.Duration
 }
 
-// normalize validates the config and fills defaults, returning the
-// normalized copy.
-func (c Config) normalize() (Config, error) {
+// Normalize validates the config and fills defaults, returning the
+// normalized copy. It is the whole of New's validation: a config that
+// normalizes builds an engine.
+func (c Config) Normalize() (Config, error) {
 	if c.Size <= 0 {
 		return c, fmt.Errorf("fleet: size %d, want > 0", c.Size)
 	}
@@ -214,7 +215,7 @@ type Engine struct {
 
 // New validates the config and builds an engine.
 func New(cfg Config) (*Engine, error) {
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}

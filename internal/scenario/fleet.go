@@ -55,8 +55,9 @@ type FleetSpec struct {
 }
 
 // CompiledFleet is a validated FleetSpec: the compiled mix devices plus
-// the fleet engine configuration, ready for fleet.New once the caller
-// sets Config.Seed.
+// the fleet engine configuration, already normalized by the engine's
+// own validation. Compiling builds no engine; Engine builds one per
+// run seed.
 type CompiledFleet struct {
 	// Spec is the normalized spec.
 	Spec FleetSpec
@@ -116,15 +117,15 @@ func (s FleetSpec) Compile() (*CompiledFleet, error) {
 	cf.Config.BatchSize = s.BatchSize
 	cf.Config.ShardSize = s.ShardSize
 	cf.Config.SampleK = s.SampleK
-	// Normalize through the engine's own validation so a compiled fleet
-	// is exactly as runnable as it claims: a spec the engine would
-	// reject fails here, at compile time.
-	eng, err := fleet.New(cf.Config)
+	// Normalize through fleet.Config.Normalize, the validation fleet.New
+	// runs, so a spec the engine would reject fails here, at compile
+	// time. Building the engine itself waits for Engine: a store hit
+	// never needs one.
+	cfg, err := cf.Config.Normalize()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: fleet %q: %w", s.Name, err)
 	}
-	cf.Config = eng.Config()
-	cf.Config.Seed = 0
+	cf.Config = cfg
 	cf.Spec.Shares = s.Shares
 	cf.Spec.BatchSize = cf.Config.BatchSize
 	cf.Spec.ShardSize = cf.Config.ShardSize

@@ -99,3 +99,24 @@ func TestFleetSpecCompileErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetCompileAllocs gates what a cresd store hit pays to lower a
+// request: compiling the E8 reference spec (cres.E8FleetSpec, written
+// out because this package cannot import cres) validates through
+// fleet.Config.Normalize and builds no engine. Building one would
+// compile every boot variant (log replays, allowlist maps, quote-body
+// templates): 62 allocations in all, against 23 without it.
+func TestFleetCompileAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	spec := FleetSpec{Name: "e8", Size: 256, TamperEvery: 8, TamperOffset: 3}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := spec.Compile(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("FleetSpec.Compile of the E8 spec allocates %.0f times, budget 32", allocs)
+	}
+}

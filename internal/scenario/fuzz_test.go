@@ -217,7 +217,9 @@ func FuzzScenarioCompile(f *testing.F) {
 			t.Fatalf("compiled fleet has unfilled defaults: %+v", cf.Config)
 		}
 		// A compiled fleet must be runnable: the engine accepts it and
-		// classifies any index without panicking.
+		// classifies any index without panicking. Compile validates
+		// through fleet.Config.Normalize and builds no engine, so this
+		// is the check that a config which normalizes also builds.
 		eng, err := cf.Engine(7)
 		if err != nil {
 			t.Fatalf("compiled fleet rejected by engine: %v", err)

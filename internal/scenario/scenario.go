@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,9 +36,22 @@ const (
 	MonitorNet    = "net"
 )
 
+// monitorNames lists every known monitor in presentation order. A
+// compiled device keeps its enabled monitors as a bitmask over it.
+var monitorNames = [...]string{MonitorBus, MonitorCFI, MonitorTiming, MonitorEnv, MonitorNet}
+
 // MonitorNames returns every known monitor name in presentation order.
-func MonitorNames() []string {
-	return []string{MonitorBus, MonitorCFI, MonitorTiming, MonitorEnv, MonitorNet}
+func MonitorNames() []string { return slices.Clone(monitorNames[:]) }
+
+// monitorBit returns a monitor's bit in the enabled-monitor mask, or 0
+// for an unknown name.
+func monitorBit(name string) uint8 {
+	for i, m := range monitorNames {
+		if m == name {
+			return 1 << i
+		}
+	}
+	return 0
 }
 
 // DefaultServices returns the reference service set of a critical-
@@ -115,7 +129,7 @@ type CompiledDevice struct {
 	// Spec is the normalized spec: every defaultable field populated.
 	Spec DeviceSpec
 
-	monitors map[string]bool
+	monitors uint8 // enabled monitors, bit i for monitorNames[i]
 }
 
 // Compile validates the spec and fills defaults.
@@ -137,24 +151,18 @@ func (s DeviceSpec) Compile() (*CompiledDevice, error) {
 	default:
 		return nil, fmt.Errorf("scenario: device %q: unknown detection mode %q", s.Name, s.Detection)
 	}
-	known := make(map[string]bool, len(MonitorNames()))
-	for _, m := range MonitorNames() {
-		known[m] = true
-	}
-	monitors := make(map[string]bool, len(known))
-	if len(s.Monitors) == 0 {
-		for m := range known {
-			monitors[m] = true
-		}
-	} else {
+	monitors := uint8(1)<<len(monitorNames) - 1 // an empty list enables every monitor
+	if len(s.Monitors) > 0 {
+		monitors = 0
 		for _, m := range s.Monitors {
-			if !known[m] {
-				return nil, fmt.Errorf("scenario: device %q: unknown monitor %q (known: %s)", s.Name, m, strings.Join(MonitorNames(), ", "))
+			bit := monitorBit(m)
+			if bit == 0 {
+				return nil, fmt.Errorf("scenario: device %q: unknown monitor %q (known: %s)", s.Name, m, strings.Join(monitorNames[:], ", "))
 			}
-			if monitors[m] {
+			if monitors&bit != 0 {
 				return nil, fmt.Errorf("scenario: device %q: monitor %q listed twice", s.Name, m)
 			}
-			monitors[m] = true
+			monitors |= bit
 		}
 	}
 	if s.FirmwareVersion == 0 {
@@ -191,7 +199,7 @@ func (c *CompiledDevice) IsCRES() bool { return c.Spec.Arch == ArchCRES }
 
 // MonitorOn reports whether the named monitor is enabled. Unknown names
 // are off (Compile rejects them in specs).
-func (c *CompiledDevice) MonitorOn(name string) bool { return c.monitors[name] }
+func (c *CompiledDevice) MonitorOn(name string) bool { return c.monitors&monitorBit(name) != 0 }
 
 // SignatureDetection reports whether the compiled detection mode runs
 // the signature-based method family.

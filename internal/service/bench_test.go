@@ -15,6 +15,19 @@ import (
 // mode exists to minimize. Requests/sec lands in the benchmark
 // output; the SVC registry experiment is what feeds BENCH_perf.json.
 func BenchmarkServeAppraise(b *testing.B) {
+	benchServeHit(b, "/appraise?size=1024&seed=7")
+}
+
+// BenchmarkServeFleetHit measures a warm sweep: every iteration is a
+// full HTTP round trip whose three cells are read from the store and
+// spliced into the /fleet envelope.
+func BenchmarkServeFleetHit(b *testing.B) {
+	benchServeHit(b, "/fleet?sizes=4,64,512&seed=7")
+}
+
+// benchServeHit computes path's cells once, then times repeats of the
+// request, all store hits, and reports requests/sec.
+func benchServeHit(b *testing.B, path string) {
 	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -28,7 +41,7 @@ func BenchmarkServeAppraise(b *testing.B) {
 	defer ts.Close()
 	client := ts.Client()
 
-	warm, err := client.Get(ts.URL + "/appraise?size=1024&seed=7")
+	warm, err := client.Get(ts.URL + path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +53,7 @@ func BenchmarkServeAppraise(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Get(ts.URL + "/appraise?size=1024&seed=7")
+		resp, err := client.Get(ts.URL + path)
 		if err != nil {
 			b.Fatal(err)
 		}

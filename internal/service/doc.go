@@ -24,10 +24,11 @@
 // deterministic response body is recorded under its (experiment,
 // seed, config digest) key before it is first served, and later
 // identical requests — including requests to a restarted process —
-// are answered from the store without recomputing. A fleet sweep is
-// stored cell-by-cell, so an interrupted sweep resumes by computing
-// only the missing sizes. The /results endpoint exposes the stored
-// history for querying; cmd/benchdiff -store gates it.
+// are answered from the store without recomputing or building an
+// engine. A fleet sweep is stored cell-by-cell, so an interrupted
+// sweep resumes by computing only the missing sizes. The /results
+// endpoint exposes the stored history for querying; cmd/benchdiff
+// -store gates it.
 //
 // # Shutdown
 //

@@ -227,7 +227,7 @@ type cell struct {
 // response.
 type cellRequest struct {
 	cells    []cell
-	envelope func(seed int64, bodies []json.RawMessage) ([]byte, error)
+	envelope func(seed int64, bodies [][]byte) ([]byte, error)
 }
 
 // serveCells is the one path every compute endpoint takes. parse
@@ -250,9 +250,9 @@ func (s *Server) serveCells(parse func(r *http.Request, q url.Values) (cellReque
 		if err != nil {
 			return nil, err
 		}
-		var bodies []json.RawMessage
+		var bodies [][]byte
 		if req.envelope != nil {
-			bodies = make([]json.RawMessage, 0, len(req.cells))
+			bodies = make([][]byte, 0, len(req.cells))
 		}
 		hits := 0
 		for _, c := range req.cells {
@@ -502,16 +502,40 @@ func (s *Server) computeAppraise(cf *scenario.CompiledFleet, key store.Key) ([]b
 	})
 }
 
-// fleetBody is the /fleet sweep envelope. Cells are raw /appraise
-// bodies: a sweep cell and a single appraisal of the same workload
-// share one store identity, which is what lets a restarted server
-// resume a half-finished sweep.
-type fleetBody struct {
-	Schema   string            `json:"schema"`
-	Endpoint string            `json:"endpoint"`
-	Seed     int64             `json:"seed"`
-	Sizes    []int             `json:"sizes"`
-	Cells    []json.RawMessage `json:"cells"`
+// fleetHead holds the fixed fields of the /fleet sweep envelope, which
+// ends with a "cells" array of raw /appraise bodies: a sweep cell and a
+// single appraisal of the same workload share one store identity,
+// which is what lets a restarted server resume a half-finished sweep.
+type fleetHead struct {
+	Schema   string `json:"schema"`
+	Endpoint string `json:"endpoint"`
+	Seed     int64  `json:"seed"`
+	Sizes    []int  `json:"sizes"`
+}
+
+// fleetEnvelope renders the sweep envelope: the head's fields, then
+// ,"cells":[b0,b1,…]}. Every body is compact JSON as json.Marshal wrote
+// it, computed now or read from the store, so splicing the bodies in
+// unchanged yields the bytes json.Marshal would give for the whole
+// envelope, without validating and re-compacting each body again.
+func fleetEnvelope(seed int64, sizes []int, bodies [][]byte) ([]byte, error) {
+	head, err := json.Marshal(fleetHead{Schema: BodySchema, Endpoint: "fleet", Seed: seed, Sizes: sizes})
+	if err != nil {
+		return nil, err
+	}
+	n := len(head) + len(`,"cells":[]`)
+	for _, b := range bodies {
+		n += len(b) + 1 // the body and its separator
+	}
+	out := append(make([]byte, 0, n), head[:len(head)-1]...) // drop the head's closing brace
+	out = append(out, `,"cells":[`...)
+	for i, b := range bodies {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, b...)
+	}
+	return append(out, "]}"...), nil
 }
 
 // parseFleet asks for the reference workload at each of ?sizes: one
@@ -545,10 +569,8 @@ func (s *Server) parseFleet(r *http.Request, q url.Values) (cellRequest, error) 
 		}
 		cells[i] = c
 	}
-	return cellRequest{cells: cells, envelope: func(seed int64, bodies []json.RawMessage) ([]byte, error) {
-		return json.Marshal(fleetBody{
-			Schema: BodySchema, Endpoint: "fleet", Seed: seed, Sizes: sizes, Cells: bodies,
-		})
+	return cellRequest{cells: cells, envelope: func(seed int64, bodies [][]byte) ([]byte, error) {
+		return fleetEnvelope(seed, sizes, bodies)
 	}}, nil
 }
 

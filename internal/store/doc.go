@@ -20,6 +20,10 @@
 // # Durability contract
 //
 // Append writes one complete JSON line per record and syncs on Close.
+// A write that fails part-way (a full disk, a file-size limit) is cut
+// back off the file before Append returns the error, so an
+// acknowledged record never lands on a fragment; if the cut fails,
+// the store refuses every later Append.
 // A crash can tear at most the final line; Open tolerates exactly
 // that — a trailing record that does not parse (or lacks its newline)
 // is dropped and its key reported absent, so the cell is simply

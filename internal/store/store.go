@@ -69,6 +69,12 @@ type Store struct {
 	records []Record
 	// index maps a key to the positions of its records in append order.
 	index map[Key][]int
+	// end is the file offset just past the last complete record: where
+	// the next Append writes, and where a failed one is cut back to.
+	end int64
+	// broken is set when a failed Append could not be cut back; every
+	// later Append then fails with it.
+	broken error
 }
 
 // Open opens (creating if needed) the store rooted at dir. The
@@ -133,9 +139,11 @@ func (s *Store) load() error {
 			return fmt.Errorf("store: truncating torn record: %w", err)
 		}
 	}
-	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
+	end, err := s.f.Seek(0, io.SeekEnd)
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	s.end = end
 	return nil
 }
 
@@ -174,7 +182,10 @@ func (s *Store) Len() int {
 // Append validates, persists and indexes one record. The record's
 // Schema field is filled in; Experiment and Digest must be non-empty.
 // Appending a key that already exists records history — Get returns
-// the latest record, History all of them.
+// the latest record, History all of them. A write that fails part-way
+// is cut back off the file, so the record is absent and the next
+// Append starts on a clean line; if the cut itself fails, the store
+// refuses every later Append.
 func (s *Store) Append(rec Record) error {
 	rec.Schema = Schema
 	if rec.Experiment == "" || rec.Digest == "" {
@@ -190,11 +201,31 @@ func (s *Store) Append(rec Record) error {
 	if s.f == nil {
 		return fmt.Errorf("store: closed")
 	}
+	if s.broken != nil {
+		return s.broken
+	}
 	if _, err := s.f.Write(line); err != nil {
+		s.rollback()
 		return fmt.Errorf("store: %w", err)
 	}
+	s.end += int64(len(line))
 	s.append(rec)
 	return nil
+}
+
+// rollback cuts a failed append's partial line off the file and puts
+// the write offset back at the end of the last complete record. When
+// either step fails, the file may still hold the fragment, and a later
+// record would be joined onto it, so the store is marked broken
+// (caller holds the lock).
+func (s *Store) rollback() {
+	err := s.f.Truncate(s.end)
+	if err == nil {
+		_, err = s.f.Seek(s.end, io.SeekStart)
+	}
+	if err != nil {
+		s.broken = fmt.Errorf("store %s: appends refused: rolling back a failed append: %w", s.dir, err)
+	}
 }
 
 // Get returns the latest record stored under key.

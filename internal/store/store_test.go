@@ -280,3 +280,38 @@ func TestTruncatedTailIsRemovedFromDisk(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", s3.Len())
 	}
 }
+
+// TestAppendRefusedAfterFailedRollback covers a failed append whose
+// fragment cannot be cut back off: the store must refuse every later
+// append, naming itself, rather than join a record onto the fragment.
+// A read-only descriptor fails both the write and the truncate.
+func TestAppendRefusedAfterFailedRollback(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append(testRecord("E8", 1, "aaaa", "kept")); err != nil {
+		t.Fatal(err)
+	}
+	rw := s.f
+	ro, err := os.Open(filepath.Join(dir, FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.f = ro
+	err = s.Append(testRecord("E8", 2, "aaaa", "failed"))
+	s.f = rw
+	ro.Close()
+	if err == nil {
+		t.Fatal("append through a read-only descriptor succeeded")
+	}
+	err = s.Append(testRecord("E8", 3, "aaaa", "refused"))
+	if err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("append after a failed rollback: %v, want a refusal naming %s", err, dir)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("store holds %d records, want 1", s.Len())
+	}
+}
