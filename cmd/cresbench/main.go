@@ -131,10 +131,13 @@ type campaignReport struct {
 }
 
 func run(o options) error {
-	pool := harness.NewPool(o.parallel)
+	if o.parallel < 0 {
+		return fmt.Errorf("-parallel %d, want >= 0 (0 = GOMAXPROCS)", o.parallel)
+	}
 	if o.campaign && o.fleet != "" {
 		return fmt.Errorf("-campaign and -fleet are exclusive modes")
 	}
+	pool := harness.NewPool(o.parallel)
 	if o.cpuprofile != "" {
 		f, err := os.Create(o.cpuprofile)
 		if err != nil {

@@ -271,3 +271,26 @@ func TestRunRejectsFleetSizes(t *testing.T) {
 		t.Error("-fleet with -campaign accepted")
 	}
 }
+
+// TestRunRejectsNegativeParallel pins that -parallel below zero is a
+// usage error in every mode, while 0 keeps meaning GOMAXPROCS.
+func TestRunRejectsNegativeParallel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    options
+		ok   bool
+	}{
+		{"-fleet 4 -stable -parallel -5", options{seed: 7, fleet: "4", stable: true, parallel: -5}, false},
+		{"-quick -only E2 -parallel -1", options{seed: 7, quick: true, only: "E2", parallel: -1}, false},
+		{"-campaign -parallel -1", options{seed: 7, campaign: true, shards: 1, parallel: -1}, false},
+		{"-fleet 4 -stable -parallel 0", options{seed: 7, fleet: "4", stable: true}, true},
+	} {
+		err := run(tc.o)
+		if tc.ok && err != nil {
+			t.Errorf("%s rejected: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "-parallel")) {
+			t.Errorf("%s: error %v, want a usage error naming -parallel", tc.name, err)
+		}
+	}
+}

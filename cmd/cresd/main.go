@@ -62,7 +62,7 @@ func main() {
 	flag.StringVar(&o.listen, "listen", "127.0.0.1:8377", "TCP address to serve on")
 	flag.StringVar(&o.storeDir, "store", "results", "result store directory (empty disables persistence)")
 	flag.StringVar(&o.experiments, "experiment", "", "comma-separated /run experiment allowlist (empty: every registered experiment)")
-	flag.IntVar(&o.parallel, "parallel", 0, "per-request worker pool size (0 = GOMAXPROCS); never changes response bytes")
+	flag.IntVar(&o.parallel, "parallel", 0, "per-request worker pool size (0 = GOMAXPROCS), split over a fleet's shards and then inside each; never changes response bytes")
 	flag.BoolVar(&o.quick, "quick", false, "reduced sweeps for /run requests that do not choose")
 	flag.Int64Var(&o.seed, "seed", service.DefaultSeed, "default root seed for requests that omit seed")
 	flag.Parse()
@@ -76,10 +76,14 @@ func main() {
 }
 
 // build validates the flags and assembles the server and its store.
-// Every usage error — an unknown -experiment name, an unusable -store
-// path — surfaces here, before any listener opens. The caller owns
+// Every usage error — a negative -parallel, an unknown -experiment
+// name, an unusable -store path — surfaces here, before any listener
+// opens. The caller owns
 // closing the returned store.
 func build(o options) (*service.Server, *store.Store, error) {
+	if o.parallel < 0 {
+		return nil, nil, fmt.Errorf("-parallel %d, want >= 0 (0 = GOMAXPROCS)", o.parallel)
+	}
 	var st *store.Store
 	if o.storeDir != "" {
 		var err error

@@ -38,6 +38,23 @@ func TestBuildRejectsUnknownExperiment(t *testing.T) {
 	_ = srv
 }
 
+// TestBuildRejectsNegativeParallel pins that -parallel below zero is a
+// usage error naming the flag, while 0 keeps meaning GOMAXPROCS.
+func TestBuildRejectsNegativeParallel(t *testing.T) {
+	for _, tc := range []struct {
+		parallel int
+		ok       bool
+	}{{-5, false}, {-1, false}, {0, true}, {2, true}} {
+		_, _, err := build(options{parallel: tc.parallel})
+		if tc.ok && err != nil {
+			t.Errorf("-parallel %d rejected: %v", tc.parallel, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "-parallel")) {
+			t.Errorf("-parallel %d: error %v, want a usage error naming -parallel", tc.parallel, err)
+		}
+	}
+}
+
 // TestBuildRejectsUnusableStore pins that a -store path that cannot
 // hold a store (here: an existing regular file) fails before serving.
 func TestBuildRejectsUnusableStore(t *testing.T) {

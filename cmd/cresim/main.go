@@ -118,6 +118,9 @@ func main() {
 }
 
 func run(o options) error {
+	if o.parallel < 0 {
+		return fmt.Errorf("-parallel %d, want >= 0 (0 = GOMAXPROCS)", o.parallel)
+	}
 	if o.list {
 		for _, sc := range attack.All() {
 			fmt.Printf("%-22s %s\n", sc.Name(), sc.Description())

@@ -20,6 +20,29 @@ func TestRunFleetSmoke(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeParallel pins that -parallel below zero is a
+// usage error in every mode, while 0 keeps meaning GOMAXPROCS.
+func TestRunRejectsNegativeParallel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    options
+		ok   bool
+	}{
+		{"-fleet 4 -parallel -5", options{fleet: 4, parallel: -5, seed: 7}, false},
+		{"-tree 2:2 -parallel -1", options{tree: "2:2", parallel: -1, seed: 7}, false},
+		{"-campaign -parallel -1", options{campaign: true, shards: 1, parallel: -1, seed: 7}, false},
+		{"-fleet 4 -parallel 0", options{fleet: 4, seed: 7}, true},
+	} {
+		err := run(tc.o)
+		if tc.ok && err != nil {
+			t.Errorf("%s rejected: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "-parallel")) {
+			t.Errorf("%s: error %v, want a usage error naming -parallel", tc.name, err)
+		}
+	}
+}
+
 func TestRunTreeMode(t *testing.T) {
 	if err := run(options{tree: "2:2", parallel: 2, seed: 7}); err != nil {
 		t.Fatal(err)

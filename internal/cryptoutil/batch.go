@@ -82,9 +82,14 @@ type BatchVerifier struct {
 	hashBuf []byte
 	results []bool
 	msm     edwards25519.MSMScratch
+	runner  edwards25519.Runner
 	coeffs  []edwards25519.Scalar // per-group sums, pooled for combinedHolds
 	touched []bool
-	zBuf    [16]byte
+	// The touched groups' sums and negated keys, the variable-base
+	// terms of one combined check.
+	termCoeffs []edwards25519.Scalar
+	termPoints []edwards25519.Point
+	zBuf       [16]byte
 }
 
 // NewBatchVerifier returns a verifier drawing its linear-combination
@@ -95,6 +100,12 @@ type BatchVerifier struct {
 func NewBatchVerifier(coeff io.Reader) *BatchVerifier {
 	return &BatchVerifier{coeff: coeff}
 }
+
+// SetRunner makes later flushes split each combined check's curve
+// work into tasks on r (see edwards25519.MultiScalarMultVartime); nil,
+// the default, runs them on the caller. Verdicts are the same either
+// way.
+func (b *BatchVerifier) SetRunner(r edwards25519.Runner) { b.runner = r }
 
 // Reset drops any accumulated state and replaces the coefficient
 // stream, keeping pooled storage. A caller that wants new coefficients
@@ -285,6 +296,8 @@ func (b *BatchVerifier) combinedHolds(lo, hi int) bool {
 	if cap(b.coeffs) < len(b.groups) {
 		b.coeffs = make([]edwards25519.Scalar, len(b.groups))
 		b.touched = make([]bool, len(b.groups))
+		b.termCoeffs = make([]edwards25519.Scalar, 0, len(b.groups))
+		b.termPoints = make([]edwards25519.Point, 0, len(b.groups))
 	}
 	groupCoeffs := b.coeffs[:len(b.groups)]
 	groupTouched := b.touched[:len(b.groups)]
@@ -308,17 +321,15 @@ func (b *BatchVerifier) combinedHolds(lo, hi int) bool {
 	if live == 0 {
 		return true
 	}
-	var acc, term edwards25519.Point
-	acc.ScalarBaseMultVartime(&s)
+	b.termCoeffs, b.termPoints = b.termCoeffs[:0], b.termPoints[:0]
 	for j := range b.groups {
-		if !groupTouched[j] {
-			continue
+		if groupTouched[j] {
+			b.termCoeffs = append(b.termCoeffs, groupCoeffs[j])
+			b.termPoints = append(b.termPoints, b.groups[j].negA)
 		}
-		term.ScalarMultVartime(&groupCoeffs[j], &b.groups[j].negA)
-		acc.Add(&acc, &term)
 	}
-	term.MultiScalarMult128Vartime(b.zs[lo:hi], b.negRs[lo:hi], &b.msm)
-	acc.Add(&acc, &term)
+	var acc edwards25519.Point
+	acc.MultiScalarMultVartime(&s, b.termCoeffs, b.termPoints, b.zs[lo:hi], b.negRs[lo:hi], &b.msm, b.runner)
 	return acc.IsIdentity()
 }
 
@@ -353,6 +364,11 @@ func (v *VartimeSigner) Init(seed []byte) {
 	v.sg.Init(seed)
 	v.pub = v.sg.PublicKey()
 }
+
+// SetRunner makes later SignBatch calls split their work into tasks
+// on r (see edwards25519.Signer.SetRunner); nil, the default, runs
+// them on the caller. The signatures are the same either way.
+func (v *VartimeSigner) SetRunner(r edwards25519.Runner) { v.sg.SetRunner(r) }
 
 // Public returns the public key. The returned slice aliases the
 // signer; callers must not modify it.

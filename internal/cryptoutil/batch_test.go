@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cres/internal/edwards25519"
+	"cres/internal/harness"
 )
 
 // batchCase is one signature for the equivalence tests, possibly
@@ -44,14 +45,25 @@ func makeBatch(t testing.TB, rng *rand.Rand, n int, keys int) []batchCase {
 // runBoth returns the batch verdicts and the unbatched per-signature
 // verdicts for the same inputs, using a fixed coefficient stream.
 func runBoth(cases []batchCase, seed string) (batch, single []bool) {
-	bv := NewBatchVerifier(NewDeterministicEntropy([]byte(seed)))
 	single = make([]bool, len(cases))
 	for i, c := range cases {
-		bv.Add(c.pub, c.msg, c.sig)
 		single[i] = c.pub.Verify(c.msg, c.sig)
 	}
-	batch = bv.Flush()
-	return batch, single
+	return flush(cases, seed, 0), single
+}
+
+// flush returns the batch verdicts for cases under the coefficient
+// stream seeded with seed, from a verifier that splits its curve work
+// over a crew of helpers helpers.
+func flush(cases []batchCase, seed string, helpers int) []bool {
+	crew := harness.NewCrew(helpers)
+	defer crew.Stop()
+	bv := NewBatchVerifier(NewDeterministicEntropy([]byte(seed)))
+	bv.SetRunner(crew)
+	for _, c := range cases {
+		bv.Add(c.pub, c.msg, c.sig)
+	}
+	return bv.Flush()
 }
 
 func assertParity(t *testing.T, cases []batchCase, label string) {
@@ -118,6 +130,32 @@ func TestBatchVerifierMatchesSingle(t *testing.T) {
 	cases = makeBatch(t, rng, 16, 2)
 	cases[9].msg[0] ^= 1
 	assertParity(t, cases, "tampered message")
+}
+
+// TestBatchVerifierSplitMatchesSerial forges entries of a three-key
+// batch, so that the flush bisects down to single entries, and demands
+// that a verifier splitting its curve work over one to three helpers
+// returns exactly the verdicts of the serial one.
+func TestBatchVerifierSplitMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	cases := makeBatch(t, rng, 96, 3)
+	for _, i := range []int{5, 17, 40, 41, 95} {
+		cases[i].sig[9] ^= 0x10
+	}
+	serial, single := runBoth(cases, "split")
+	for i := range serial {
+		if serial[i] != single[i] {
+			t.Fatalf("signature %d: batch says %v, ed25519.Verify says %v", i, serial[i], single[i])
+		}
+	}
+	for helpers := 1; helpers <= 3; helpers++ {
+		got := flush(cases, "split", helpers)
+		for i := range serial {
+			if got[i] != serial[i] {
+				t.Fatalf("%d helpers: signature %d: split flush says %v, serial flush %v", helpers, i, got[i], serial[i])
+			}
+		}
+	}
 }
 
 // TestBatchVerifierRandomTampering is the randomized sweep: every
@@ -322,7 +360,8 @@ func TestVartimeSignerMatchesKeyPair(t *testing.T) {
 }
 
 // FuzzBatchBisect fuzzes the bisect fallback: arbitrary tamper masks
-// over a fixed batch must never break verdict parity.
+// over a fixed batch must never break verdict parity, and a flush
+// split over one to three helpers must return the serial verdicts.
 func FuzzBatchBisect(f *testing.F) {
 	f.Add(uint64(0), []byte{0})
 	f.Add(uint64(3), []byte{0xff, 0x01})
@@ -347,9 +386,14 @@ func FuzzBatchBisect(f *testing.F) {
 			}
 		}
 		batch, single := runBoth(cases, fmt.Sprintf("fuzz-%d", caseSeed))
+		helpers := 1 + int(caseSeed%3)
+		split := flush(cases, fmt.Sprintf("fuzz-%d", caseSeed), helpers)
 		for i := range batch {
 			if batch[i] != single[i] {
 				t.Fatalf("entry %d: batch %v, single %v", i, batch[i], single[i])
+			}
+			if split[i] != batch[i] {
+				t.Fatalf("entry %d: split over %d helpers %v, serial %v", i, helpers, split[i], batch[i])
 			}
 		}
 	})

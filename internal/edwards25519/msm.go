@@ -73,98 +73,199 @@ func (s *Scalar) signedDigits(w int, dst []int16) {
 	}
 }
 
-// MSMScratch pools the digit matrix and the buckets of
-// MultiScalarMult128Vartime, so steady-state callers stay
-// allocation-free. The zero value is ready to use.
-type MSMScratch struct {
-	digits   []int16
-	buckets  []Point
-	occupied []bool
+// Runner runs one stage of indexed tasks for the split curve work: Run
+// calls task(worker, i) exactly once for every i in [0, n) and returns
+// when every call has returned. worker lies in [0, Workers()) and no
+// two concurrent calls share one, so a task may use per-worker
+// scratch. harness.Crew implements it; a nil Runner runs every task on
+// the caller, in index order. Every split here regroups independent,
+// exactly computed pieces, so its result is the same at any width.
+type Runner interface {
+	Workers() int
+	Run(n int, task func(worker, i int))
 }
 
-// MultiScalarMult128Vartime sets v = sum scalars[i] * points[i], where
-// every scalar is below 2^128 (the caller's contract; SetShortBytes
-// values qualify), keeping its working storage in scratch.
-// Variable-time.
-func (v *Point) MultiScalarMult128Vartime(scalars []Scalar, points []AffineCached, scratch *MSMScratch) *Point {
-	if len(scalars) != len(points) {
+// runTasks runs n tasks on r, or on the caller when r is nil.
+func runTasks(r Runner, n int, task func(worker, i int)) {
+	if r == nil {
+		for i := 0; i < n; i++ {
+			task(0, i)
+		}
+		return
+	}
+	r.Run(n, task)
+}
+
+// workersOf is the number of per-worker scratch slots r needs.
+func workersOf(r Runner) int {
+	if r == nil {
+		return 1
+	}
+	return r.Workers()
+}
+
+// MSMScratch pools the working storage of MultiScalarMultVartime — the
+// digit matrix, each worker's buckets, and each task's result — so
+// steady-state callers stay allocation-free. The zero value is ready
+// to use; a scratch must not be copied once used.
+type MSMScratch struct {
+	digits   []int16
+	buckets  []Point // Workers() runs of nb buckets
+	occupied []bool  // parallel to buckets
+	sums     []Point // per window: its weighted bucket sum
+	filled   []bool  // per window: whether any digit was nonzero
+	fixed    Point   // [base]B
+	products []Point // per variable-base term: [coeffs[j]]terms[j]
+
+	// The call in progress, read by its tasks.
+	base          Scalar
+	coeffs        []Scalar
+	terms         []Point
+	points        []AffineCached
+	n, w, windows int
+	task          func(worker, i int) // runTask, bound once
+}
+
+// MultiScalarMultVartime sets v = [base]B + sum_j [coeffs[j]]terms[j]
+// + sum_i [scalars[i]]points[i], where every scalars[i] is below 2^128
+// (the caller's contract; SetShortBytes values qualify): the shape of
+// a batch signature check. The work runs as tasks on r — one Pippenger
+// bucket sum per window, the fixed-base term, and one term per
+// variable base — and the caller adds the results in a fixed order,
+// the windows in window order, so v is the same point in the same
+// coordinates at any width. Variable-time.
+func (v *Point) MultiScalarMultVartime(base *Scalar, coeffs []Scalar, terms []Point, scalars []Scalar, points []AffineCached, sc *MSMScratch, r Runner) *Point {
+	if len(scalars) != len(points) || len(coeffs) != len(terms) {
 		panic("edwards25519: mismatched multi-scalar multiplication lengths")
 	}
 	n := len(scalars)
-	v.SetIdentity()
-	if n == 0 {
-		return v
+	sc.n, sc.windows = n, 0
+	if n > 0 {
+		sc.w = msmWindow(n)
+		sc.windows = msmDigits(sc.w)
+		sc.prepare(scalars, workersOf(r))
 	}
-	w := msmWindow(n)
-	k := msmDigits(w)
-	nb := 1 << (w - 1) // digits span [-nb, nb), so |d| indexes nb buckets
+	sc.base, sc.coeffs, sc.terms, sc.points = *base, coeffs, terms, points
+	if cap(sc.products) < len(terms) {
+		sc.products = make([]Point, len(terms))
+	}
+	if sc.task == nil {
+		sc.task = sc.runTask
+	}
+	runTasks(r, sc.windows+1+len(terms), sc.task)
 
-	// The digit matrix is stored window-major, so each window's pass
-	// reads its digits and the points in one sequential sweep.
-	if cap(scratch.digits) < n*k {
-		scratch.digits = make([]int16, n*k)
+	*v = sc.fixed
+	for j := range terms {
+		v.Add(v, &sc.products[j])
 	}
-	digits := scratch.digits[:n*k]
+	if n > 0 {
+		var msm Point
+		msm.SetIdentity()
+		for win := sc.windows - 1; win >= 0; win-- {
+			if win != sc.windows-1 {
+				for j := 0; j < sc.w; j++ {
+					msm.Double(&msm)
+				}
+			}
+			if sc.filled[win] {
+				msm.Add(&msm, &sc.sums[win])
+			}
+		}
+		v.Add(v, &msm)
+	}
+	sc.coeffs, sc.terms, sc.points = nil, nil, nil
+	return v
+}
+
+// prepare writes the digit matrix and sizes the bucket and window
+// storage for an n-point sum on workers workers.
+func (sc *MSMScratch) prepare(scalars []Scalar, workers int) {
+	n, k := sc.n, sc.windows
+	// The digit matrix is stored window-major, so each window's task
+	// reads its digits and the points in one sequential sweep.
+	if cap(sc.digits) < n*k {
+		sc.digits = make([]int16, n*k)
+	}
+	digits := sc.digits[:n*k]
 	var row [65]int16 // msmDigits(2), the most any window needs
 	for i := range scalars {
 		if scalars[i].limbs[2]|scalars[i].limbs[3] != 0 {
-			panic("edwards25519: MultiScalarMult128Vartime scalar exceeds 128 bits")
+			panic("edwards25519: MultiScalarMultVartime scalar exceeds 128 bits")
 		}
-		scalars[i].signedDigits(w, row[:k])
+		scalars[i].signedDigits(sc.w, row[:k])
 		for win, d := range row[:k] {
 			digits[win*n+i] = d
 		}
 	}
-	if cap(scratch.buckets) < nb {
-		scratch.buckets = make([]Point, nb)
-		scratch.occupied = make([]bool, nb)
+	nb := 1 << (sc.w - 1) // digits span [-nb, nb), so |d| indexes nb buckets
+	if cap(sc.buckets) < workers*nb {
+		sc.buckets = make([]Point, workers*nb)
+		sc.occupied = make([]bool, workers*nb)
 	}
-	buckets, occupied := scratch.buckets[:nb], scratch.occupied[:nb]
+	if cap(sc.sums) < k {
+		sc.sums = make([]Point, k)
+		sc.filled = make([]bool, k)
+	}
+}
 
-	for win := k - 1; win >= 0; win-- {
-		if win != k-1 {
-			for j := 0; j < w; j++ {
-				v.Double(v)
-			}
-		}
-		clear(occupied)
-		top := -1
-		for i, d := range digits[win*n : (win+1)*n] {
-			if d == 0 {
-				continue
-			}
-			j, neg := int(d), d < 0
-			if neg {
-				j = -j
-			}
-			j--
-			bk := &buckets[j]
-			switch {
-			case !occupied[j]:
-				bk.setAffineCached(&points[i], neg)
-				occupied[j] = true
-				top = max(top, j)
-			case neg:
-				bk.SubAffine(bk, &points[i])
-			default:
-				bk.AddAffine(bk, &points[i])
-			}
-		}
-		if top < 0 {
+// runTask is task i of the call in progress: a window's bucket sum,
+// then the fixed-base term, then the variable-base terms.
+func (sc *MSMScratch) runTask(worker, i int) {
+	switch {
+	case i < sc.windows:
+		sc.window(worker, i)
+	case i == sc.windows:
+		sc.fixed.ScalarBaseMultVartime(&sc.base)
+	default:
+		j := i - sc.windows - 1
+		sc.products[j].ScalarMultVartime(&sc.coeffs[j], &sc.terms[j])
+	}
+}
+
+// window sums window win's points into sc.sums[win] with worker's
+// buckets.
+func (sc *MSMScratch) window(worker, win int) {
+	n := sc.n
+	nb := 1 << (sc.w - 1)
+	buckets := sc.buckets[worker*nb : (worker+1)*nb]
+	occupied := sc.occupied[worker*nb : (worker+1)*nb]
+	clear(occupied)
+	top := -1
+	for i, d := range sc.digits[win*n : (win+1)*n] {
+		if d == 0 {
 			continue
 		}
-		// Weighted bucket aggregation: run accumulates the suffix sum
-		// of the buckets, so adding it once per index contributes each
-		// bucket with weight (index+1).
-		run := buckets[top]
-		sum := run
-		for j := top - 1; j >= 0; j-- {
-			if occupied[j] {
-				run.Add(&run, &buckets[j])
-			}
-			sum.Add(&sum, &run)
+		j, neg := int(d), d < 0
+		if neg {
+			j = -j
 		}
-		v.Add(v, &sum)
+		j--
+		bk := &buckets[j]
+		switch {
+		case !occupied[j]:
+			bk.setAffineCached(&sc.points[i], neg)
+			occupied[j] = true
+			top = max(top, j)
+		case neg:
+			bk.SubAffine(bk, &sc.points[i])
+		default:
+			bk.AddAffine(bk, &sc.points[i])
+		}
 	}
-	return v
+	sc.filled[win] = top >= 0
+	if top < 0 {
+		return
+	}
+	// Weighted bucket aggregation: run accumulates the suffix sum of
+	// the buckets, so adding it once per index contributes each bucket
+	// with weight (index+1).
+	run := buckets[top]
+	sum := run
+	for j := top - 1; j >= 0; j-- {
+		if occupied[j] {
+			run.Add(&run, &buckets[j])
+		}
+		sum.Add(&sum, &run)
+	}
+	sc.sums[win] = sum
 }

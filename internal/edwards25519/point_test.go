@@ -8,6 +8,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"cres/internal/harness"
 )
 
 // scalarFromSeed derives the clamped secret scalar the way Ed25519 key
@@ -180,12 +182,25 @@ func affineCachedOf(t testing.TB, p *Point) AffineCached {
 
 // checkMultiScalarMult compares the multi-scalar multiplication of n
 // random points by the 128-bit scalars scalarBytes yields, 16 bytes
-// each, against a naive sum of ScalarMultVartime products.
+// each, plus a fixed-base term and up to three variable-base terms,
+// against a naive sum of ScalarMultVartime products. It runs the split
+// on one to three workers and on a nil Runner, which must all give the
+// same coordinates.
 func checkMultiScalarMult(t testing.TB, rng *rand.Rand, n int, scalarBytes func(zb []byte)) {
 	scalars := make([]Scalar, n)
 	points := make([]AffineCached, n)
 	var want Point
-	want.SetIdentity()
+	base := *randomScalar(rng)
+	want.ScalarBaseMultVartime(&base)
+	coeffs := make([]Scalar, n%4)
+	terms := make([]Point, n%4)
+	for j := range terms {
+		coeffs[j] = *randomScalar(rng)
+		terms[j].ScalarBaseMultVartime(randomScalar(rng))
+		var term Point
+		term.ScalarMultVartime(&coeffs[j], &terms[j])
+		want.Add(&want, &term)
+	}
 	for i := 0; i < n; i++ {
 		zb := make([]byte, 16)
 		scalarBytes(zb)
@@ -196,10 +211,20 @@ func checkMultiScalarMult(t testing.TB, rng *rand.Rand, n int, scalarBytes func(
 		term.ScalarMultVartime(&scalars[i], &p)
 		want.Add(&want, &term)
 	}
-	var got Point
-	got.MultiScalarMult128Vartime(scalars, points, new(MSMScratch))
-	if got.Bytes() != want.Bytes() {
+	var serial Point
+	serial.MultiScalarMultVartime(&base, coeffs, terms, scalars, points, new(MSMScratch), nil)
+	if serial.Bytes() != want.Bytes() {
 		t.Fatalf("n=%d (window %d): MSM disagrees with naive sum", n, msmWindow(n))
+	}
+	scratch := new(MSMScratch) // reused across widths, as a verifier reuses its own
+	for helpers := 0; helpers <= 2; helpers++ {
+		crew := harness.NewCrew(helpers)
+		var got Point
+		got.MultiScalarMultVartime(&base, coeffs, terms, scalars, points, scratch, crew)
+		crew.Stop()
+		if got != serial {
+			t.Fatalf("n=%d (window %d), %d workers: split MSM differs from the serial one", n, msmWindow(n), helpers+1)
+		}
 	}
 }
 
@@ -324,10 +349,11 @@ func BenchmarkMultiScalarMult(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var scratch MSMScratch
 			var out Point
+			var zero Scalar
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out.MultiScalarMult128Vartime(scalars, points, &scratch)
+				out.MultiScalarMultVartime(&zero, nil, nil, scalars, points, &scratch, nil)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/point")

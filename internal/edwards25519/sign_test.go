@@ -5,6 +5,8 @@ import (
 	"crypto/ed25519"
 	"math/rand"
 	"testing"
+
+	"cres/internal/harness"
 )
 
 // TestSignerMatchesStdlib pins the vartime signer bit-for-bit against
@@ -45,28 +47,38 @@ func checkHint(t *testing.T, sig *[64]byte, rx, ry *Element) {
 	}
 }
 
-// signBatchMatches signs msgs in one SignBatch call and checks every
-// signature against crypto/ed25519.Sign and every hint against the
-// one-message Sign's hint and SetHinted.
+// signBatchMatches signs msgs in one SignBatch call, on the caller
+// and split over one to three workers, and checks every signature
+// against crypto/ed25519.Sign and every hint against the one-message
+// Sign's hint and SetHinted.
 func signBatchMatches(t *testing.T, seed []byte, msgs [][]byte) {
 	t.Helper()
 	priv := ed25519.NewKeyFromSeed(seed)
 	var sg, one Signer
 	sg.Init(seed)
 	one.Init(seed)
-	sigs := make([][64]byte, len(msgs))
-	rx := make([]Element, len(msgs))
-	ry := make([]Element, len(msgs))
-	sg.SignBatch(msgs, sigs, rx, ry)
-	for i, msg := range msgs {
-		if want := ed25519.Sign(priv, msg); !bytes.Equal(sigs[i][:], want) {
-			t.Fatalf("batch of %d, message %d (%d bytes):\n got %x\nwant %x", len(msgs), i, len(msg), sigs[i], want)
+	runners := []Runner{nil}
+	for helpers := 0; helpers <= 2; helpers++ {
+		crew := harness.NewCrew(helpers)
+		defer crew.Stop()
+		runners = append(runners, crew)
+	}
+	for _, r := range runners {
+		sg.SetRunner(r)
+		sigs := make([][64]byte, len(msgs))
+		rx := make([]Element, len(msgs))
+		ry := make([]Element, len(msgs))
+		sg.SignBatch(msgs, sigs, rx, ry)
+		for i, msg := range msgs {
+			if want := ed25519.Sign(priv, msg); !bytes.Equal(sigs[i][:], want) {
+				t.Fatalf("batch of %d on %d workers, message %d (%d bytes):\n got %x\nwant %x", len(msgs), workersOf(r), i, len(msg), sigs[i], want)
+			}
+			_, wx, wy := one.Sign(msg)
+			if !rx[i].Equal(&wx) || !ry[i].Equal(&wy) {
+				t.Fatalf("batch of %d on %d workers, message %d: hint differs from Sign's", len(msgs), workersOf(r), i)
+			}
+			checkHint(t, &sigs[i], &rx[i], &ry[i])
 		}
-		_, wx, wy := one.Sign(msg)
-		if !rx[i].Equal(&wx) || !ry[i].Equal(&wy) {
-			t.Fatalf("batch of %d, message %d: hint differs from Sign's", len(msgs), i)
-		}
-		checkHint(t, &sigs[i], &rx[i], &ry[i])
 	}
 }
 

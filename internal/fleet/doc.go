@@ -17,7 +17,12 @@
 //
 // All execution funnels through (*Engine).RunParallel, which fans
 // RunShard across a harness.Pool and merges shard summaries in shard
-// order; Run is the nil-pool serial case of the same method. Inside a
+// order; Run is the nil-pool serial case of the same method. The shard
+// split is a function of fleet size only; the split inside a shard may
+// follow the pool, because it only regroups exact curve sums: workers
+// the shards leave idle are lent to them as a harness.Crew, whose
+// helpers claim tasks of an epoch's signing and of a flush's
+// multi-scalar multiplication alongside the shard's goroutine. Inside a
 // shard, appraisal runs on a pooled per-shard scratch: boot variants
 // are compiled once per engine (event-log replay, canonical quote-body
 // template, precomputed policy verdict) and the provisioning-epoch AIK

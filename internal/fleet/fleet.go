@@ -21,7 +21,9 @@ const (
 	DefaultBatchSize = 256
 	// DefaultShardSize is how many devices one verifier shard appraises.
 	// The shard split is a function of fleet size only — never of the
-	// worker pool — so output is identical at any parallelism.
+	// worker pool; the split inside a shard may follow the pool, because
+	// it only regroups exact curve sums — so output is identical at any
+	// parallelism.
 	DefaultShardSize = 4096
 	// DefaultSampleK is the anomaly-sample capacity per summary.
 	DefaultSampleK = 8
@@ -381,8 +383,10 @@ type appraiseScratch struct {
 // to the scratch — RunShard calls run concurrently, so sharing a
 // reader (or its Reset) across shards would be a data race AND would
 // entangle shard outputs; see TestScratchEntropyIsolation in
-// batch_race_test.go.
-func (e *Engine) newScratch(devices int) *appraiseScratch {
+// batch_race_test.go. The signer and the verifier split their curve
+// work over crew, whose helpers keep their buffers and buckets in the
+// signer's and the verifier's per-worker scratch.
+func (e *Engine) newScratch(devices int, crew *harness.Crew) *appraiseScratch {
 	n := e.cfg.BatchSize
 	span := min(devices, max(n, flushCap)) // the most devices one flush holds
 	sc := &appraiseScratch{
@@ -395,6 +399,8 @@ func (e *Engine) newScratch(devices int) *appraiseScratch {
 		hints:   make([]cryptoutil.RHint, n),
 	}
 	sc.bv = cryptoutil.NewBatchVerifier(sc.coeff)
+	sc.bv.SetRunner(crew)
+	sc.signer.SetRunner(crew)
 	for i, v := range e.variants {
 		sc.batches[i] = v.Batch()
 	}
@@ -502,11 +508,11 @@ func (sc *appraiseScratch) settle(e *Engine, sum *Summary, first int) {
 	sc.queue = sc.queue[:0]
 }
 
-// RunShard streams shard's devices through batches and returns the
-// folded summary. Memory is O(max(BatchSize, flushCap)): a device's
-// TPM, quote and log die with the loop iteration that appraised them,
-// the signing batch spans one epoch, and the arrival queue and the
-// batch verifier span one flush.
+// RunShard streams shard's devices through batches on the calling
+// goroutine and returns the folded summary. Memory is
+// O(max(BatchSize, flushCap)): a device's TPM, quote and log die with
+// the loop iteration that appraised them, the signing batch spans one
+// epoch, and the arrival queue and the batch verifier span one flush.
 //
 // The virtual-time model: a shard is one verifier. It dispatches a
 // batch's challenges back to back (Dispatch apart), each quote returns
@@ -516,13 +522,21 @@ func (sc *appraiseScratch) settle(e *Engine, sum *Summary, first int) {
 // the streaming pipeline a bounded-memory verifier actually runs.
 // That clock depends on arrival times only, never on verdicts, so a
 // flush may span several epochs: only the summary waits for it.
-func (e *Engine) RunShard(shard int) (Summary, error) {
+//
+// The summary is a function of the engine and the shard alone:
+// RunParallel's helpers may sign an epoch and verify a flush alongside
+// the caller, but they only regroup exact curve sums.
+func (e *Engine) RunShard(shard int) (Summary, error) { return e.runShard(shard, nil) }
+
+// runShard is RunShard with crew's helpers splitting each epoch's
+// signing and each flush's curve work.
+func (e *Engine) runShard(shard int, crew *harness.Crew) (Summary, error) {
 	lo, hi := e.ShardRange(shard)
 	if lo >= hi {
 		return Summary{}, fmt.Errorf("fleet: shard %d outside the fleet's %d shards", shard, e.NumShards())
 	}
 	sum := Summary{SampleK: e.cfg.SampleK}
-	sc := e.newScratch(hi - lo)
+	sc := e.newScratch(hi-lo, crew)
 
 	clock := time.Duration(0)
 	first := lo // the first device of the pending flush
@@ -578,14 +592,23 @@ func (e *Engine) RunShard(shard int) (Summary, error) {
 // harness pool and merging shard summaries in shard order — the one
 // shared entry point every fleet driver (E8, cresim -fleet, cresbench
 // -fleet) runs through. A nil pool runs serially on the calling
-// goroutine. The contract: the shard split is a function of fleet size
-// only, per-shard seeds derive by shard index, every per-device
-// quantity is a pure function of (seed, global index), and Merge is
-// associative — so the returned Summary is byte-for-byte identical at
-// any pool width.
+// goroutine. Workers the shards leave idle are lent to them: each
+// shard gets Workers()/NumShards() − 1 helpers (none when shards ≥
+// workers), which claim tasks of its epochs' signing and its flushes'
+// curve work alongside the shard's own goroutine.
+//
+// The contract: the shard split is a function of fleet size only;
+// the split inside a shard may follow the pool, because it only
+// regroups exact curve sums. Per-shard seeds derive by shard index,
+// every per-device quantity is a pure function of (seed, global
+// index), and Merge is associative — so the returned Summary is
+// byte-for-byte identical at any pool width.
 func (e *Engine) RunParallel(pool *harness.Pool) (Summary, error) {
+	helpers := pool.Workers()/e.NumShards() - 1
 	outs, err := harness.Map(pool, e.NumShards(), e.cfg.Seed, func(sh harness.Shard) (Summary, error) {
-		return e.RunShard(sh.Index)
+		crew := harness.NewCrew(helpers)
+		defer crew.Stop()
+		return e.runShard(sh.Index, crew)
 	})
 	if err != nil {
 		return Summary{}, err

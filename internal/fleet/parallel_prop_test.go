@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -58,6 +59,44 @@ func TestRunParallelEqualsSerialProperty(t *testing.T) {
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("trial %d (size=%d batch=%d shard=%d width=%d): summaries diverge\nserial:   %+v\nparallel: %+v",
 				trial, cfg.Size, cfg.BatchSize, cfg.ShardSize, width, serial, par)
+		}
+	}
+}
+
+// TestRunParallelSplitShardParity holds the split inside a shard to
+// the serial bytes: one- and two-shard fleets run at pool widths 1, 2,
+// 3 and 8, which lend each shard zero to seven helpers, and the merged
+// Summary's canonical encoding must equal that of serial RunShard
+// calls merged in shard order.
+func TestRunParallelSplitShardParity(t *testing.T) {
+	type shape struct{ size, shard int }
+	shapes := []shape{{4, 4}, {255, 255}, {256, 256}, {1024, 1024}, {5000, 5000}, {5000, 0}}
+	for _, sh := range shapes {
+		cfg := refConfig(sh.size)
+		cfg.ShardSize = sh.shard
+		cfg.BatchSize = min(DefaultBatchSize, sh.size)
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var serial Summary
+		for i := 0; i < eng.NumShards(); i++ {
+			s, err := eng.RunShard(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial = serial.Merge(s)
+		}
+		want := serial.AppendCanonical(nil)
+		for _, width := range []int{1, 2, 3, 8} {
+			got, err := eng.RunParallel(harness.NewPool(width))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.AppendCanonical(nil), want) {
+				t.Fatalf("size %d in %d shards, width %d: summary differs from serial RunShard\nsplit:  %+v\nserial: %+v",
+					sh.size, eng.NumShards(), width, got, serial)
+			}
 		}
 	}
 }

@@ -10,6 +10,14 @@
 // shard, so the merge order is the submission order even when workers
 // finish in arbitrary order.
 //
+// A Crew (crew.go) lends one running shard the workers its fan-out
+// leaves idle: the shard splits a stage into indexed tasks that it and
+// the helpers claim from one counter, and waits only for tasks a
+// helper has claimed, never for a helper to start. The shard split
+// stays a function of the input only; the split inside a shard may
+// follow the pool when, as in the fleet's curve sums, it only regroups
+// exact pieces whose combination order is fixed.
+//
 // The package also hosts the experiment registry (registry.go): the
 // experiments register themselves once, in print order, and the
 // benchmark CLI iterates the registry instead of hand-rolling a loop per

@@ -48,8 +48,14 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
+// Workers returns the pool's concurrency bound; a nil pool, which Map
+// runs serially, has one worker.
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
+}
 
 // Map runs n independent jobs across the pool and returns their results
 // in shard order. Each job receives its Shard (index, count, derived
@@ -63,14 +69,7 @@ func Map[T any](p *Pool, n int, rootSeed int64, job func(Shard) (T, error)) ([]T
 	results := make([]T, n)
 	errs := make([]error, n)
 
-	workers := 1
-	if p != nil {
-		workers = p.workers
-	}
-	if workers > n {
-		workers = n
-	}
-
+	workers := min(p.Workers(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			results[i], errs[i] = job(Shard{Index: i, Count: n, Seed: ShardSeed(rootSeed, i)})

@@ -7,8 +7,10 @@
 //
 // # Model
 //
-// The engines stay single-threaded-deterministic; the service is a
-// shell around them. Every request runs with a request-scoped
+// The engines stay deterministic at any width; the service is a shell
+// around them. The shard split is a function of fleet size only; the
+// split inside a shard may follow the pool, because it only regroups
+// exact curve sums. Every request runs with a request-scoped
 // harness.Pool and a request-supplied root seed, and every per-device
 // or per-cell quantity derives from (seed, index) exactly as in batch
 // mode, so identical requests produce byte-identical response bodies

@@ -53,7 +53,10 @@ type Config struct {
 	// request recomputes).
 	Store *store.Store
 	// Parallel bounds each request-scoped harness.Pool (0 =
-	// GOMAXPROCS). Parallelism never changes response bytes.
+	// GOMAXPROCS): a fleet's shards run on it, and workers they leave
+	// idle help inside a shard. Parallelism never changes response
+	// bytes: the shard split is a function of fleet size only, and the
+	// split inside a shard only regroups exact curve sums.
 	Parallel int
 	// Quick selects the reduced sweeps for /run when the request does
 	// not say; requests may override per call.
@@ -219,8 +222,10 @@ func (s *Server) beginDrain() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // requestPool builds the request-scoped worker pool. One pool per
-// request: the engines stay single-threaded-deterministic per shard,
-// and no request's fan-out can starve another's.
+// request: the engines stay deterministic at any width (the shard
+// split follows fleet size only, the split inside a shard only
+// regroups exact curve sums), and no request's fan-out can starve
+// another's.
 func (s *Server) requestPool() *harness.Pool { return harness.NewPool(s.cfg.Parallel) }
 
 // engine returns the warm compiled engine for a cell key, building and
