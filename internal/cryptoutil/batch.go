@@ -22,12 +22,11 @@ import (
 // per provisioning epoch, several epochs per flush) costs one
 // fixed-base multiply, g variable-base multiplies, and a k-point
 // Pippenger sum whose cost per point falls as k grows. On a shared
-// 2-vCPU Xeon (medians of 10 interleaved runs of
-// BenchmarkBatchVerifyHinted) that came to 13.1 µs per signature for
-// a one-epoch, 256-signature flush and 8.4 µs for a 16-epoch,
-// 4096-signature flush, against 16.3 µs per signature for a one-epoch
-// flush under the earlier fixed-window sum and about 90 µs for
-// crypto/ed25519.Verify on the same host.
+// 2-vCPU Xeon (medians of 6 interleaved runs of
+// BenchmarkBatchVerifyHinted) that came to 9.0 µs per signature for a
+// one-epoch, 256-signature flush and 6.4 µs for a 16-epoch,
+// 4096-signature flush, against about 79 µs for crypto/ed25519.Verify
+// on the same host.
 //
 // Verdict parity with the unbatched path is structural, not hoped-for:
 // any input crypto/ed25519 would reject at parse time (bad lengths,
@@ -347,9 +346,9 @@ func (b *BatchVerifier) verifyOne(i int) bool {
 
 // VartimeSigner is a device-side Ed25519 signer producing signatures
 // byte-identical to KeyPair.Sign and emitting the affine commitment
-// point for BatchVerifier.AddHinted. On a 2-vCPU Xeon (medians of 8
-// interleaved runs), Sign took 17.5 µs and SignBatch 11.5 µs per
-// signature over a 256-message epoch, against 28.0 µs for
+// point for BatchVerifier.AddHinted. On a shared 2-vCPU Xeon (medians
+// of 6 interleaved runs), Sign took 17.5 µs and SignBatch 10.3 µs per
+// signature over a 256-message epoch, against 41.2 µs for
 // crypto/ed25519.Sign. It trades away constant-time execution, which
 // the simulation's synthetic keys do not need; see
 // internal/edwards25519's package comment.

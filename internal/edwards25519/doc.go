@@ -5,6 +5,8 @@
 // a 128-bit-coefficient Pippenger multi-scalar multiplication, and an
 // RFC 8032 signer that signs a batch of messages with one shared field
 // inversion and also emits each commitment point in affine form.
+// Field elements and scalars share one layout, four 64-bit
+// little-endian limbs.
 //
 // The API deliberately mirrors the shape of filippo.io/edwards25519
 // (Point, Scalar, SetBytes/Bytes, SetUniformBytes) so that swapping in

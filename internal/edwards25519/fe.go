@@ -2,16 +2,17 @@ package edwards25519
 
 import "math/bits"
 
-// Element is an element of GF(2^255-19), in unsaturated radix-2^51
-// representation: v = l0 + l1*2^51 + l2*2^102 + l3*2^153 + l4*2^204.
-// Between operations limbs may exceed 51 bits; every arithmetic method
-// returns a value whose limbs are below 2^52 (a "light-reduced" form),
-// which every method also accepts as input.
+// Element is an element of GF(2^255-19), held as four saturated 64-bit
+// little-endian limbs, v = l0 + l1*2^64 + l2*2^128 + l3*2^192: the
+// layout Scalar uses. Between operations an Element may hold any value
+// below 2^256, so it is congruent to its residue mod p but need not
+// equal it. Add, Sub and Mul fold whatever crosses 2^256 back in as 38
+// (2^256 = 38 mod p); only Bytes, and through it Equal, IsZero and
+// IsNegative, reduces to the canonical residue. Every method accepts
+// any value below 2^256.
 type Element struct {
-	l0, l1, l2, l3, l4 uint64
+	l0, l1, l2, l3 uint64
 }
-
-const maskLow51 = (1 << 51) - 1
 
 // feZero and feOne are the additive and multiplicative identities.
 var (
@@ -21,23 +22,34 @@ var (
 
 // Add sets v = a + b and returns v.
 func (v *Element) Add(a, b *Element) *Element {
-	v.l0 = a.l0 + b.l0
-	v.l1 = a.l1 + b.l1
-	v.l2 = a.l2 + b.l2
-	v.l3 = a.l3 + b.l3
-	v.l4 = a.l4 + b.l4
-	return v.carry(v)
+	l0, c := bits.Add64(a.l0, b.l0, 0)
+	l1, c := bits.Add64(a.l1, b.l1, c)
+	l2, c := bits.Add64(a.l2, b.l2, c)
+	l3, c := bits.Add64(a.l3, b.l3, c)
+	l0, c = bits.Add64(l0, c*38, 0)
+	l1, c = bits.Add64(l1, 0, c)
+	l2, c = bits.Add64(l2, 0, c)
+	l3, c = bits.Add64(l3, 0, c)
+	// A second carry leaves a sum below 38 in l0 alone, so this last
+	// fold cannot carry.
+	v.l0, v.l1, v.l2, v.l3 = l0+c*38, l1, l2, l3
+	return v
 }
 
-// Sub sets v = a - b and returns v. It adds 2p first so limbs never
-// underflow: 2p = 2^256 - 38 has limbs (2^52-38, 2^52-2, ...).
+// Sub sets v = a - b and returns v.
 func (v *Element) Sub(a, b *Element) *Element {
-	v.l0 = (a.l0 + 0xFFFFFFFFFFFDA) - b.l0
-	v.l1 = (a.l1 + 0xFFFFFFFFFFFFE) - b.l1
-	v.l2 = (a.l2 + 0xFFFFFFFFFFFFE) - b.l2
-	v.l3 = (a.l3 + 0xFFFFFFFFFFFFE) - b.l3
-	v.l4 = (a.l4 + 0xFFFFFFFFFFFFE) - b.l4
-	return v.carry(v)
+	l0, c := bits.Sub64(a.l0, b.l0, 0)
+	l1, c := bits.Sub64(a.l1, b.l1, c)
+	l2, c := bits.Sub64(a.l2, b.l2, c)
+	l3, c := bits.Sub64(a.l3, b.l3, c)
+	l0, c = bits.Sub64(l0, c*38, 0)
+	l1, c = bits.Sub64(l1, 0, c)
+	l2, c = bits.Sub64(l2, 0, c)
+	l3, c = bits.Sub64(l3, 0, c)
+	// A second borrow leaves at least 2^64-38 in l0, so this last fold
+	// cannot borrow.
+	v.l0, v.l1, v.l2, v.l3 = l0-c*38, l1, l2, l3
+	return v
 }
 
 // Negate sets v = -a and returns v.
@@ -45,206 +57,119 @@ func (v *Element) Negate(a *Element) *Element {
 	return v.Sub(&feZero, a)
 }
 
-// carry runs one carry chain, bringing every limb of a below 2^52
-// (assuming inputs below 2^57 or so, far above what Add/Sub produce).
-func (v *Element) carry(a *Element) *Element {
-	c0 := a.l0 >> 51
-	c1 := a.l1 >> 51
-	c2 := a.l2 >> 51
-	c3 := a.l3 >> 51
-	c4 := a.l4 >> 51
-
-	v.l0 = a.l0&maskLow51 + c4*19
-	v.l1 = a.l1&maskLow51 + c0
-	v.l2 = a.l2&maskLow51 + c1
-	v.l3 = a.l3&maskLow51 + c2
-	v.l4 = a.l4&maskLow51 + c3
-	return v
-}
-
-// mul64 returns a*b as a two-limb accumulator.
-func mul64(a, b uint64) (hi, lo uint64) { return bits.Mul64(a, b) }
-
-// addMul accumulates a*b into (hi, lo).
-func addMul(hi, lo, a, b uint64) (uint64, uint64) {
-	h, l := bits.Mul64(a, b)
-	lo, c := bits.Add64(lo, l, 0)
-	hi = hi + h + c
-	return hi, lo
-}
-
-// shiftRight51 returns (hi, lo) >> 51 (the accumulator carry-out).
-func shiftRight51(hi, lo uint64) uint64 {
-	return hi<<13 | lo>>51
-}
-
-// Mul sets v = a * b and returns v. Inputs may have limbs up to 2^54.
+// Mul sets v = a * b and returns v: a 4x4 schoolbook product whose high
+// 256 bits are folded into the low ones times 38. It is one function
+// body because the compiler inlines neither a per-row helper nor a
+// separate fold into it, and their calls cost more than their work.
 func (v *Element) Mul(a, b *Element) *Element {
-	a0, a1, a2, a3, a4 := a.l0, a.l1, a.l2, a.l3, a.l4
-	b0, b1, b2, b3, b4 := b.l0, b.l1, b.l2, b.l3, b.l4
+	a0, a1, a2, a3 := a.l0, a.l1, a.l2, a.l3
+	b0, b1, b2, b3 := b.l0, b.l1, b.l2, b.l3
 
-	// Precompute 19*b_i for the wrapped products (2^255 = 19 mod p).
-	b1_19 := b1 * 19
-	b2_19 := b2 * 19
-	b3_19 := b3 * 19
-	b4_19 := b4 * 19
+	// r0..r4 = a0 * b.
+	h0, r0 := bits.Mul64(a0, b0)
+	h1, l1 := bits.Mul64(a0, b1)
+	h2, l2 := bits.Mul64(a0, b2)
+	h3, l3 := bits.Mul64(a0, b3)
+	r1, c := bits.Add64(l1, h0, 0)
+	r2, c := bits.Add64(l2, h1, c)
+	r3, c := bits.Add64(l3, h2, c)
+	r4 := h3 + c
 
-	// r0 = a0*b0 + 19*(a1*b4 + a2*b3 + a3*b2 + a4*b1)
-	h0, l0 := mul64(a0, b0)
-	h0, l0 = addMul(h0, l0, a1, b4_19)
-	h0, l0 = addMul(h0, l0, a2, b3_19)
-	h0, l0 = addMul(h0, l0, a3, b2_19)
-	h0, l0 = addMul(h0, l0, a4, b1_19)
+	// r1..r5 += a1 * b.
+	h0, l0 := bits.Mul64(a1, b0)
+	h1, l1 = bits.Mul64(a1, b1)
+	h2, l2 = bits.Mul64(a1, b2)
+	h3, l3 = bits.Mul64(a1, b3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	r1, c = bits.Add64(r1, l0, 0)
+	r2, c = bits.Add64(r2, l1, c)
+	r3, c = bits.Add64(r3, l2, c)
+	r4, c = bits.Add64(r4, l3, c)
+	r5 := h3 + c
 
-	// r1 = a0*b1 + a1*b0 + 19*(a2*b4 + a3*b3 + a4*b2)
-	h1, l1 := mul64(a0, b1)
-	h1, l1 = addMul(h1, l1, a1, b0)
-	h1, l1 = addMul(h1, l1, a2, b4_19)
-	h1, l1 = addMul(h1, l1, a3, b3_19)
-	h1, l1 = addMul(h1, l1, a4, b2_19)
+	// r2..r6 += a2 * b.
+	h0, l0 = bits.Mul64(a2, b0)
+	h1, l1 = bits.Mul64(a2, b1)
+	h2, l2 = bits.Mul64(a2, b2)
+	h3, l3 = bits.Mul64(a2, b3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	r2, c = bits.Add64(r2, l0, 0)
+	r3, c = bits.Add64(r3, l1, c)
+	r4, c = bits.Add64(r4, l2, c)
+	r5, c = bits.Add64(r5, l3, c)
+	r6 := h3 + c
 
-	// r2 = a0*b2 + a1*b1 + a2*b0 + 19*(a3*b4 + a4*b3)
-	h2, l2 := mul64(a0, b2)
-	h2, l2 = addMul(h2, l2, a1, b1)
-	h2, l2 = addMul(h2, l2, a2, b0)
-	h2, l2 = addMul(h2, l2, a3, b4_19)
-	h2, l2 = addMul(h2, l2, a4, b3_19)
+	// r3..r7 += a3 * b.
+	h0, l0 = bits.Mul64(a3, b0)
+	h1, l1 = bits.Mul64(a3, b1)
+	h2, l2 = bits.Mul64(a3, b2)
+	h3, l3 = bits.Mul64(a3, b3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	r3, c = bits.Add64(r3, l0, 0)
+	r4, c = bits.Add64(r4, l1, c)
+	r5, c = bits.Add64(r5, l2, c)
+	r6, c = bits.Add64(r6, l3, c)
+	r7 := h3 + c
 
-	// r3 = a0*b3 + a1*b2 + a2*b1 + a3*b0 + 19*a4*b4
-	h3, l3 := mul64(a0, b3)
-	h3, l3 = addMul(h3, l3, a1, b2)
-	h3, l3 = addMul(h3, l3, a2, b1)
-	h3, l3 = addMul(h3, l3, a3, b0)
-	h3, l3 = addMul(h3, l3, a4, b4_19)
+	// r0..r3 += 38 * r4..r7, whose top limb h3 is at most 37.
+	h0, l0 = bits.Mul64(r4, 38)
+	h1, l1 = bits.Mul64(r5, 38)
+	h2, l2 = bits.Mul64(r6, 38)
+	h3, l3 = bits.Mul64(r7, 38)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	r0, c = bits.Add64(r0, l0, 0)
+	r1, c = bits.Add64(r1, l1, c)
+	r2, c = bits.Add64(r2, l2, c)
+	r3, c = bits.Add64(r3, l3, c)
+	h3 += c
 
-	// r4 = a0*b4 + a1*b3 + a2*b2 + a3*b1 + a4*b0
-	h4, l4 := mul64(a0, b4)
-	h4, l4 = addMul(h4, l4, a1, b3)
-	h4, l4 = addMul(h4, l4, a2, b2)
-	h4, l4 = addMul(h4, l4, a3, b1)
-	h4, l4 = addMul(h4, l4, a4, b0)
-
-	return v.reduceWide(h0, l0, h1, l1, h2, l2, h3, l3, h4, l4)
-}
-
-// Square sets v = a * a and returns v.
-func (v *Element) Square(a *Element) *Element {
-	a0, a1, a2, a3, a4 := a.l0, a.l1, a.l2, a.l3, a.l4
-
-	a0_2 := a0 * 2
-	a1_2 := a1 * 2
-	a2_2 := a2 * 2
-	a3_2 := a3 * 2
-
-	a3_19 := a3 * 19
-	a4_19 := a4 * 19
-
-	// r0 = a0*a0 + 19*2*(a1*a4 + a2*a3)
-	h0, l0 := mul64(a0, a0)
-	h0, l0 = addMul(h0, l0, a1_2, a4_19)
-	h0, l0 = addMul(h0, l0, a2_2, a3_19)
-
-	// r1 = 2*a0*a1 + 19*(2*a2*a4 + a3*a3)
-	h1, l1 := mul64(a0_2, a1)
-	h1, l1 = addMul(h1, l1, a2_2, a4_19)
-	h1, l1 = addMul(h1, l1, a3, a3_19)
-
-	// r2 = 2*a0*a2 + a1*a1 + 19*2*a3*a4
-	h2, l2 := mul64(a0_2, a2)
-	h2, l2 = addMul(h2, l2, a1, a1)
-	h2, l2 = addMul(h2, l2, a3_2, a4_19)
-
-	// r3 = 2*a0*a3 + 2*a1*a2 + 19*a4*a4
-	h3, l3 := mul64(a0_2, a3)
-	h3, l3 = addMul(h3, l3, a1_2, a2)
-	h3, l3 = addMul(h3, l3, a4, a4_19)
-
-	// r4 = 2*a0*a4 + 2*a1*a3 + a2*a2
-	h4, l4 := mul64(a0_2, a4)
-	h4, l4 = addMul(h4, l4, a1_2, a3)
-	h4, l4 = addMul(h4, l4, a2, a2)
-
-	return v.reduceWide(h0, l0, h1, l1, h2, l2, h3, l3, h4, l4)
-}
-
-// reduceWide folds five 128-bit accumulators into light-reduced limbs.
-func (v *Element) reduceWide(h0, l0, h1, l1, h2, l2, h3, l3, h4, l4 uint64) *Element {
-	c0 := shiftRight51(h0, l0)
-	c1 := shiftRight51(h1, l1)
-	c2 := shiftRight51(h2, l2)
-	c3 := shiftRight51(h3, l3)
-	c4 := shiftRight51(h4, l4)
-
-	r0 := l0&maskLow51 + c4*19
-	r1 := l1&maskLow51 + c0
-	r2 := l2&maskLow51 + c1
-	r3 := l3&maskLow51 + c2
-	r4 := l4&maskLow51 + c3
-
-	// One light carry brings every limb under 2^52.
-	c := r0 >> 51
-	v.l0 = r0 & maskLow51
-	r1 += c
-	c = r1 >> 51
-	v.l1 = r1 & maskLow51
-	r2 += c
-	c = r2 >> 51
-	v.l2 = r2 & maskLow51
-	r3 += c
-	c = r3 >> 51
-	v.l3 = r3 & maskLow51
-	r4 += c
-	c = r4 >> 51
-	v.l4 = r4 & maskLow51
-	v.l0 += c * 19
+	// Fold the last limb, then a carry exactly as Add does.
+	r0, c = bits.Add64(r0, h3*38, 0)
+	r1, c = bits.Add64(r1, 0, c)
+	r2, c = bits.Add64(r2, 0, c)
+	r3, c = bits.Add64(r3, 0, c)
+	v.l0, v.l1, v.l2, v.l3 = r0+c*38, r1, r2, r3
 	return v
 }
 
-// reduce brings v to its canonical form, with every limb below 2^51
-// and the whole value below p.
-func (v *Element) reduce() *Element {
-	v.carry(v)
-	// After carry limbs are < 2^52; run one strict chain.
-	c := v.l0 >> 51
-	v.l0 &= maskLow51
-	v.l1 += c
-	c = v.l1 >> 51
-	v.l1 &= maskLow51
-	v.l2 += c
-	c = v.l2 >> 51
-	v.l2 &= maskLow51
-	v.l3 += c
-	c = v.l3 >> 51
-	v.l3 &= maskLow51
-	v.l4 += c
-	c = v.l4 >> 51
-	v.l4 &= maskLow51
-	v.l0 += c * 19
+// Square sets v = a * a and returns v. A dedicated squaring would save
+// six of Mul's sixteen products, but the hot paths square a handful of
+// times per device against hundreds of multiplications.
+func (v *Element) Square(a *Element) *Element {
+	return v.Mul(a, a)
+}
 
-	// Now v < 2^255 + small; conditionally subtract p until v < p.
-	// v >= p iff v + 19 >= 2^255.
-	for i := 0; i < 2; i++ {
-		c := (v.l0 + 19) >> 51
-		c = (v.l1 + c) >> 51
-		c = (v.l2 + c) >> 51
-		c = (v.l3 + c) >> 51
-		c = (v.l4 + c) >> 51
-		// c is 1 iff v >= p; subtract c*p = c*(2^255-19).
-		v.l0 += 19 * c
-		carry := v.l0 >> 51
-		v.l0 &= maskLow51
-		v.l1 += carry
-		carry = v.l1 >> 51
-		v.l1 &= maskLow51
-		v.l2 += carry
-		carry = v.l2 >> 51
-		v.l2 &= maskLow51
-		v.l3 += carry
-		carry = v.l3 >> 51
-		v.l3 &= maskLow51
-		v.l4 += carry
-		v.l4 &= maskLow51 // drops the 2^255 bit
+// reduce brings v to its canonical residue, below p.
+func (v *Element) reduce() *Element {
+	// Fold bit 255 back in as 19 (2^255 = 19 mod p), leaving at most
+	// 2^255 + 18.
+	l0, c := bits.Add64(v.l0, (v.l3>>63)*19, 0)
+	l1, c := bits.Add64(v.l1, 0, c)
+	l2, c := bits.Add64(v.l2, 0, c)
+	l3 := v.l3&(1<<63-1) + c
+
+	// v >= p iff v + 19 >= 2^255, and then v - p is v + 19 without its
+	// bit 255.
+	t0, c := bits.Add64(l0, 19, 0)
+	t1, c := bits.Add64(l1, 0, c)
+	t2, c := bits.Add64(l2, 0, c)
+	t3 := l3 + c
+	if t3>>63 != 0 {
+		l0, l1, l2, l3 = t0, t1, t2, t3&(1<<63-1)
 	}
+	v.l0, v.l1, v.l2, v.l3 = l0, l1, l2, l3
 	return v
 }
 
@@ -253,10 +178,10 @@ func (v *Element) Bytes() [32]byte {
 	t := *v
 	t.reduce()
 	var out [32]byte
-	putUint64LE(out[0:], t.l0|t.l1<<51)
-	putUint64LE(out[8:], t.l1>>13|t.l2<<38)
-	putUint64LE(out[16:], t.l2>>26|t.l3<<25)
-	putUint64LE(out[24:], t.l3>>39|t.l4<<12)
+	putUint64LE(out[0:], t.l0)
+	putUint64LE(out[8:], t.l1)
+	putUint64LE(out[16:], t.l2)
+	putUint64LE(out[24:], t.l3)
 	return out
 }
 
@@ -270,20 +195,18 @@ func (v *Element) SetBytes(x []byte) bool {
 	if len(x) != 32 {
 		return false
 	}
-	v.l0 = getUint64LE(x[0:]) & maskLow51
-	v.l1 = getUint64LE(x[6:]) >> 3 & maskLow51
-	v.l2 = getUint64LE(x[12:]) >> 6 & maskLow51
-	v.l3 = getUint64LE(x[19:]) >> 1 & maskLow51
-	v.l4 = getUint64LE(x[24:]) >> 12 & maskLow51
-	if x[31]>>7 != 0 {
+	v.l0 = getUint64LE(x[0:])
+	v.l1 = getUint64LE(x[8:])
+	v.l2 = getUint64LE(x[16:])
+	v.l3 = getUint64LE(x[24:])
+	if v.l3>>63 != 0 {
 		return false // the sign/overflow bit is not part of a field encoding
 	}
-	// Canonical iff v < p: limbs are already < 2^51, so only the
-	// all-ones top pattern can exceed p.
-	if v.l4 == maskLow51 && v.l3 == maskLow51 && v.l2 == maskLow51 && v.l1 == maskLow51 && v.l0 >= maskLow51-18 {
-		return false
-	}
-	return true
+	// Canonical iff v < p, that is iff v + 19 stays below 2^255.
+	_, c := bits.Add64(v.l0, 19, 0)
+	_, c = bits.Add64(v.l1, 0, c)
+	_, c = bits.Add64(v.l2, 0, c)
+	return (v.l3+c)>>63 == 0
 }
 
 func getUint64LE(b []byte) uint64 {

@@ -29,6 +29,7 @@ func FuzzAPIRequest(f *testing.F) {
 	f.Add("/topology?kind=ring&size=4&dwell=1ms&mode=cres-coop")
 	f.Add("/topology?kind=mesh&faults=low")
 	f.Add("/results?history=1&body=1&limit=2")
+	f.Add("/results?limit=-1")
 	f.Add("/statz")
 	f.Add("/nope?x=1")
 	f.Add("/appraise?size=999999999999999999999")

@@ -811,6 +811,9 @@ func (s *Server) handleResults(r *http.Request) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
+	if limit < 0 {
+		return nil, errf(http.StatusBadRequest, "limit %d: want >= 0 (0 = no limit)", limit)
+	}
 	expFilter := q.Get("experiment")
 	var seedFilter *int64
 	if v := q.Get("seed"); v != "" {

@@ -447,6 +447,11 @@ func TestResultsEndpoint(t *testing.T) {
 		t.Fatalf("body=1&limit=1: %d records, body %q", len(out.Records), out.Records[0].Body[:min(20, len(out.Records[0].Body))])
 	}
 
+	// A negative limit is a usage error, not a silent "no limit".
+	if msg := errBody(t, ts, "/results?limit=-1", http.StatusBadRequest); !strings.Contains(msg, "0 = no limit") {
+		t.Fatalf("limit=-1: error %q does not name the valid range", msg)
+	}
+
 	_, body = mustGet(t, ts, "/results?experiment=campaign")
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
