@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"cres/internal/harness"
@@ -264,15 +263,10 @@ func experiment(name string) string {
 // Keys with a single record have no trajectory yet and are noted, not
 // failed.
 func runStore(dir string, out io.Writer) error {
-	path := filepath.Join(dir, store.FileName)
-	if _, err := os.Stat(path); err != nil {
-		return fmt.Errorf("-store: no result store at %s", path)
-	}
-	st, err := store.Open(dir)
+	st, err := store.OpenReadOnly(dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("-store: %w", err)
 	}
-	defer st.Close()
 
 	problems, lines := compareStore(st)
 	for _, l := range lines {

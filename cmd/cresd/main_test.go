@@ -67,6 +67,26 @@ func TestBuildRejectsUnusableStore(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsLockedStore pins that a second cresd on a store a
+// live one holds exits at start-up, naming the flag and the store,
+// instead of writing over the first one's records.
+func TestBuildRejectsLockedStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	held, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	_, st, err := build(options{storeDir: dir})
+	if err == nil {
+		st.Close()
+		t.Fatal("a second writer opened a held store")
+	}
+	if !strings.Contains(err.Error(), "-store") || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("error %q should name -store and %s", err, dir)
+	}
+}
+
 // TestRunRejectsBadListen pins that a malformed -listen address is a
 // startup error, not a silently dead server.
 func TestRunRejectsBadListen(t *testing.T) {

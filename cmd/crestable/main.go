@@ -58,19 +58,14 @@ func run(csv bool, storeDir string) error {
 }
 
 // runStore renders the result store as one table: a row per stored
-// key, in first-appearance order. Opening a store creates one, which
-// a viewer must not, so a missing store file is a usage error naming
-// the path it looked at.
+// key, in first-appearance order. The store opens read-only, so a
+// viewer beside a live cresd changes nothing on disk, and a missing
+// store file is an error naming its path.
 func runStore(csv bool, dir string) error {
-	path := filepath.Join(dir, store.FileName)
-	if _, err := os.Stat(path); err != nil {
-		return fmt.Errorf("-store: no result store at %s (run cresd -store %s first)", path, dir)
-	}
-	st, err := store.Open(dir)
+	st, err := store.OpenReadOnly(dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("-store: %w", err)
 	}
-	defer st.Close()
 
 	t := storeTable(st)
 	if csv {

@@ -491,7 +491,6 @@ func runSwarmCell(topo *scenario.CompiledTopology, dwell time.Duration, mode str
 	}
 	worm := attack.Worm{
 		PlanName: "worm-" + payload.Name(),
-		Desc:     "E13 propagating intrusion",
 		Payload:  payload,
 		Dwell:    dwell,
 	}

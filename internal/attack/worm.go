@@ -51,11 +51,8 @@ var ErrWormFleet = errors.New("attack: worm fleet invalid")
 // critical-infrastructure threat model, where interconnection itself
 // becomes the attack surface.
 //
-// Worm implements Scenario, so a worm payload drops into every
-// single-device harness (the campaign matrix, cresim); there Launch
-// compromises just the one target. Fleet-wide propagation goes through
-// LaunchFleet, which needs the topology view only a multi-device rig
-// can provide.
+// A worm launches through LaunchFleet, which needs the topology view
+// only a multi-device rig can provide.
 //
 // Propagation is checked, per link, at the moment the dwell expires:
 // if the link to a neighbour is quarantined by then, that propagation
@@ -65,8 +62,6 @@ var ErrWormFleet = errors.New("attack: worm fleet invalid")
 type Worm struct {
 	// PlanName is the worm's stable identifier.
 	PlanName string
-	// Desc describes the intrusion the worm carries.
-	Desc string
 	// Payload is the scenario launched on every infected device.
 	Payload Scenario
 	// Dwell is virtual time from a device's infection to the
@@ -75,30 +70,6 @@ type Worm struct {
 	Dwell time.Duration
 	// MaxInfections bounds the outbreak (default: the whole fleet).
 	MaxInfections int
-}
-
-// Name implements Scenario.
-func (w Worm) Name() string { return w.PlanName }
-
-// Description implements Scenario.
-func (w Worm) Description() string {
-	if w.Desc != "" {
-		return w.Desc
-	}
-	return fmt.Sprintf("self-propagating worm carrying %s", w.Payload.Name())
-}
-
-// ExpectedSignatures implements Scenario: a worm is detected through
-// its payload's signatures on each infected device.
-func (w Worm) ExpectedSignatures() []string { return w.Payload.ExpectedSignatures() }
-
-// Launch implements Scenario: on a single target the worm degenerates
-// to its payload (patient zero with nowhere to go).
-func (w Worm) Launch(tgt *Target) error {
-	if w.Payload == nil {
-		return fmt.Errorf("attack: worm %q has no payload", w.PlanName)
-	}
-	return w.Payload.Launch(tgt)
 }
 
 // dwell returns the effective propagation delay.

@@ -147,20 +147,6 @@ func TestWormMaxInfections(t *testing.T) {
 	}
 }
 
-func TestWormSingleTargetDegeneratesToPayload(t *testing.T) {
-	launches := 0
-	w := Worm{PlanName: "w", Payload: launchCounter{&launches}}
-	if err := w.Launch(&Target{Engine: sim.New(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if launches != 1 {
-		t.Fatalf("launches=%d, want 1", launches)
-	}
-	if got := w.ExpectedSignatures(); len(got) != 1 || got[0] != "test.sig" {
-		t.Fatalf("ExpectedSignatures=%v, want payload's", got)
-	}
-}
-
 func TestWormLaunchErrors(t *testing.T) {
 	f := newStubFleet(3)
 	launches := 0

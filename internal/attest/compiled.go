@@ -28,8 +28,6 @@ type CompiledAppraisal struct {
 	body     []byte // canonical quote body with a zero nonce at the hole
 	nonceLen int
 	verdict  error // the non-signature policy outcome for this boot state
-	values   []cryptoutil.Digest
-	sel      []int
 }
 
 // CompileAppraisal precompiles the policy checks for one fixed event
@@ -87,15 +85,7 @@ func (p *Policy) CompileAppraisal(log []tpm.LogEntry, selection []int, nonceLen 
 	}
 
 	body := tpm.AppendQuoteBody(nil, make([]byte, nonceLen), sel, values)
-	return &CompiledAppraisal{body: body, nonceLen: nonceLen, verdict: verdict, values: values, sel: sel}, nil
-}
-
-// Selection returns the compiled (sorted, deduplicated) PCR selection.
-func (c *CompiledAppraisal) Selection() []int { return append([]int(nil), c.sel...) }
-
-// Values returns the quoted PCR values the compiled boot state yields.
-func (c *CompiledAppraisal) Values() []cryptoutil.Digest {
-	return append([]cryptoutil.Digest(nil), c.values...)
+	return &CompiledAppraisal{body: body, nonceLen: nonceLen, verdict: verdict}, nil
 }
 
 // Batch returns a private working copy of the compiled appraisal for
@@ -123,39 +113,12 @@ func (b *BatchAppraiser) spliceNonce(nonce []byte) error {
 	return nil
 }
 
-// Sign is the device side: it splices nonce into the canonical quote
-// body and signs with the device's AIK — producing bit-for-bit the
-// signature tpm.GenerateQuote would put on a real Quote over the same
-// boot state and nonce.
-func (b *BatchAppraiser) Sign(kp *cryptoutil.KeyPair, nonce []byte) ([]byte, error) {
-	if err := b.spliceNonce(nonce); err != nil {
-		return nil, err
-	}
-	return kp.Sign(b.body), nil
-}
-
-// Appraise is the verifier side: it verifies sig over the nonce-spliced
-// quote body under aik and then returns the precompiled policy verdict.
-// The outcome matches Policy.AppraiseKey on the equivalent full Quote
-// exactly — a bad signature fails with ErrPolicy wrapping
-// tpm.ErrQuoteInvalid, and a good one falls through to the boot state's
-// compiled verdict.
-func (b *BatchAppraiser) Appraise(aik cryptoutil.PublicKey, nonce, sig []byte) error {
-	if err := b.spliceNonce(nonce); err != nil {
-		return err
-	}
-	if !aik.Verify(b.body, sig) {
-		return fmt.Errorf("%w: %w", ErrPolicy, tpm.ErrQuoteInvalid)
-	}
-	return b.c.verdict
-}
-
-// SignFast is Sign through the variable-time signer: same spliced
-// body, byte-identical signature, plus the R hint that lets the
-// verifier's batch path skip decompression, for callers signing one
-// quote at a time (the fleet signs a whole epoch through AppendBody
-// and VartimeSigner.SignBatch); Sign remains for callers holding only
-// a KeyPair.
+// SignFast signs the nonce-spliced quote body through the
+// variable-time signer: the signature tpm.GenerateQuote would put on
+// the equivalent full Quote, plus the R hint that lets the verifier's
+// batch path skip decompression, for callers signing one quote at a
+// time (the fleet signs a whole epoch through AppendBody and
+// VartimeSigner.SignBatch).
 func (b *BatchAppraiser) SignFast(signer *cryptoutil.VartimeSigner, nonce []byte) (sig [64]byte, hint cryptoutil.RHint, err error) {
 	if err := b.spliceNonce(nonce); err != nil {
 		return sig, hint, err
@@ -174,10 +137,10 @@ func (b *BatchAppraiser) AppendBody(dst, nonce []byte) ([]byte, error) {
 	return append(dst, b.body...), nil
 }
 
-// Enqueue is the accumulation half of Appraise for the batched
-// verifier path: it splices the nonce and hands the signature to bv,
-// which copies the body before the next splice overwrites it. The
-// verdict arrives later, via Resolve, once the caller flushes bv.
+// Enqueue hands one quote to the batched verifier: it splices the nonce
+// and adds the signature to bv, which copies the body before the next
+// splice overwrites it. The verdict arrives later, via Resolve, once
+// the caller flushes bv.
 func (b *BatchAppraiser) Enqueue(bv *cryptoutil.BatchVerifier, aik cryptoutil.PublicKey, nonce, sig []byte, hint *cryptoutil.RHint) error {
 	if err := b.spliceNonce(nonce); err != nil {
 		return err
@@ -191,9 +154,10 @@ func (b *BatchAppraiser) Enqueue(bv *cryptoutil.BatchVerifier, aik cryptoutil.Pu
 }
 
 // Resolve maps one flushed BatchVerifier verdict back to the appraisal
-// outcome, completing an Enqueue. The result is exactly Appraise's: a
-// failed signature yields ErrPolicy wrapping tpm.ErrQuoteInvalid, a
-// good one the compiled policy verdict.
+// outcome, completing an Enqueue. The result is exactly
+// Policy.AppraiseKey's on the equivalent full Quote: a failed signature
+// yields ErrPolicy wrapping tpm.ErrQuoteInvalid, a good one the
+// compiled policy verdict.
 func (b *BatchAppraiser) Resolve(sigOK bool) error {
 	if !sigOK {
 		return fmt.Errorf("%w: %w", ErrPolicy, tpm.ErrQuoteInvalid)

@@ -19,10 +19,10 @@ func compiledPolicy() *Policy {
 }
 
 // TestCompiledAppraisalMatchesFullPath pins the batched entry point's
-// contract: for the same boot state, key and nonce, BatchAppraiser.Sign
-// produces bit-for-bit the signature tpm.GenerateQuote would, and
-// BatchAppraiser.Appraise reaches the same verdict (and errors.Is
-// class) as the unbatched Policy.AppraiseKey on the full Quote.
+// contract: for the same boot state and nonce, BatchAppraiser.AppendBody
+// yields the bytes tpm.GenerateQuote signs, and BatchAppraiser.Resolve
+// reaches the same verdict (and errors.Is class) as the unbatched
+// Policy.AppraiseKey on the full Quote.
 func TestCompiledAppraisalMatchesFullPath(t *testing.T) {
 	policy := compiledPolicy()
 	nonce := []byte("nonce-0123456789")
@@ -67,19 +67,10 @@ func TestCompiledAppraisalMatchesFullPath(t *testing.T) {
 			}
 			batch := compiled.Batch()
 
-			// Device side: the batched signature over the spliced body must
-			// equal a signature under the same key over the canonical
-			// encoding of the full Quote.
+			// Device side: the spliced body AppendBody hands out, after
+			// dst's bytes, is the canonical encoding of the full Quote, so
+			// a signature over it is the full quote's signature.
 			wantBody := tpm.AppendQuoteBody(nil, q.Nonce, q.Selection, q.Values)
-			wantSig := kp.Sign(wantBody)
-			sig, err := batch.Sign(kp, nonce)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sig, wantSig) {
-				t.Fatal("batched signature differs from the full quote-body signature")
-			}
-			// AppendBody hands out those same signed bytes, after dst's.
 			body, err := batch.AppendBody([]byte("dst"), nonce)
 			if err != nil {
 				t.Fatal(err)
@@ -87,9 +78,14 @@ func TestCompiledAppraisalMatchesFullPath(t *testing.T) {
 			if !bytes.Equal(body, append([]byte("dst"), wantBody...)) {
 				t.Fatal("AppendBody differs from the full quote body")
 			}
+			body = body[len("dst"):]
+			sig := kp.Sign(body)
+			if !bytes.Equal(sig, kp.Sign(wantBody)) {
+				t.Fatal("batched signature differs from the full quote-body signature")
+			}
 
 			// Verifier side: same verdict class as the unbatched path.
-			got := batch.Appraise(kp.Public(), nonce, sig)
+			got := batch.Resolve(kp.Public().Verify(body, sig))
 			if (got == nil) != tc.trusted || (full == nil) != tc.trusted {
 				t.Fatalf("verdicts diverge: batched=%v full=%v want trusted=%v", got, full, tc.trusted)
 			}
@@ -106,7 +102,7 @@ func TestCompiledAppraisalMatchesFullPath(t *testing.T) {
 			// signature check does.
 			bad := append([]byte(nil), sig...)
 			bad[0] ^= 0xff
-			if err := batch.Appraise(kp.Public(), nonce, bad); !errors.Is(err, ErrPolicy) || !errors.Is(err, tpm.ErrQuoteInvalid) {
+			if err := batch.Resolve(kp.Public().Verify(body, bad)); !errors.Is(err, ErrPolicy) || !errors.Is(err, tpm.ErrQuoteInvalid) {
 				t.Fatalf("bad signature verdict = %v", err)
 			}
 		})
@@ -143,26 +139,18 @@ func TestCompiledAppraisalMissingRequiredPCR(t *testing.T) {
 	}
 	batch := compiled.Batch()
 	nonce := bytes.Repeat([]byte{1}, 16)
-	sig, err := batch.Sign(kp, nonce)
+	body, err := batch.AppendBody(nil, nonce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := batch.Appraise(kp.Public(), nonce, sig); !errors.Is(err, ErrPolicy) {
+	if err := batch.Resolve(kp.Public().Verify(body, kp.Sign(body))); !errors.Is(err, ErrPolicy) {
 		t.Fatalf("verdict = %v, want missing-PCR policy error", err)
 	}
 	// Wrong-length nonces are caller bugs, reported loudly.
-	if _, err := batch.Sign(kp, []byte("short")); err == nil {
-		t.Fatal("short nonce accepted by Sign")
-	}
 	if _, err := batch.AppendBody(nil, []byte("short")); err == nil {
 		t.Fatal("short nonce accepted by AppendBody")
 	}
-	if err := batch.Appraise(kp.Public(), []byte("short"), sig); err == nil {
-		t.Fatal("short nonce accepted by Appraise")
-	}
-	// Selection and Values expose the compiled state for callers that
-	// still need to build full Quotes.
-	if len(compiled.Selection()) != 1 || len(compiled.Values()) != 1 {
-		t.Fatalf("compiled selection/values = %v/%v", compiled.Selection(), compiled.Values())
+	if _, _, err := batch.SignFast(new(cryptoutil.VartimeSigner), []byte("short")); err == nil {
+		t.Fatal("short nonce accepted by SignFast")
 	}
 }

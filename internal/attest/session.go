@@ -67,9 +67,6 @@ func newSession(quoteSig []byte) *Session {
 	}
 }
 
-// ID returns the session's public identifier.
-func (s *Session) ID() cryptoutil.Digest { return s.id }
-
 // sessionQuote builds the device-side MAC-authenticated re-attestation
 // answer: the current PCR state over selection, in the same Quote shape
 // as a full quote but with the AIK signature replaced by an HMAC tag

@@ -2,7 +2,9 @@ package cryptoutil
 
 import (
 	"crypto/ed25519"
+	"crypto/sha256"
 	"crypto/sha512"
+	"hash"
 	"io"
 	"slices"
 
@@ -17,8 +19,14 @@ import (
 //	[sum z_i*s_i]B - sum [z_i]R_i - sum_j [sum z_i*h_i]A_j == identity
 //
 // with one multi-scalar multiplication, where the z_i are 128-bit
-// coefficients drawn from a caller-supplied deterministic stream. A
-// flush of k signatures under g public keys (the fleet case: one AIK
+// coefficients bound to the batch they check: at Flush, a key drawn
+// from the caller's deterministic stream is hashed with every admitted
+// entry's s_i and h_i (h_i already binds R_i, the public key and the
+// message), and the z_i are drawn, in Add order, from a stream keyed by
+// that digest, as in BIP-340's batch verification. A signer who knows
+// the caller's stream therefore cannot pick defects that cancel under
+// the z_i: changing any entry changes every coefficient. A flush of k
+// signatures under g public keys (the fleet case: one AIK
 // per provisioning epoch, several epochs per flush) costs one
 // fixed-base multiply, g variable-base multiplies, and a k-point
 // Pippenger sum whose cost per point falls as k grows. On a shared
@@ -88,16 +96,23 @@ type BatchVerifier struct {
 	// terms of one combined check.
 	termCoeffs []edwards25519.Scalar
 	termPoints []edwards25519.Point
-	zBuf       [16]byte
+
+	// Coefficient binding, pooled so a flush allocates nothing: the
+	// digest of the key and every admitted (s_i, h_i), and the stream
+	// it keys. bindBuf and zBuf live here, not on the stack, because a
+	// slice passed to hash.Hash.Write escapes.
+	bind    hash.Hash
+	zStream DeterministicEntropy
+	bindBuf [64]byte
+	zBuf    [16]byte
 }
 
-// NewBatchVerifier returns a verifier drawing its linear-combination
+// NewBatchVerifier returns a verifier keying its linear-combination
 // coefficients from coeff. Pass a seeded DeterministicEntropy stream
 // to make verdicts (and therefore any downstream goldens) reproducible
-// run to run; the stream is consumed one 16-byte draw per Add, in Add
-// order.
+// run to run; the stream is consumed one 32-byte key per Flush.
 func NewBatchVerifier(coeff io.Reader) *BatchVerifier {
-	return &BatchVerifier{coeff: coeff}
+	return &BatchVerifier{coeff: coeff, bind: sha256.New()}
 }
 
 // SetRunner makes later flushes split each combined check's curve
@@ -107,9 +122,7 @@ func NewBatchVerifier(coeff io.Reader) *BatchVerifier {
 func (b *BatchVerifier) SetRunner(r edwards25519.Runner) { b.runner = r }
 
 // Reset drops any accumulated state and replaces the coefficient
-// stream, keeping pooled storage. A caller that wants new coefficients
-// but keeps its pending entries re-keys the stream itself instead, as
-// the fleet does at each provisioning epoch of a multi-epoch flush.
+// stream, keeping pooled storage.
 func (b *BatchVerifier) Reset(coeff io.Reader) {
 	b.coeff = coeff
 	b.entries = b.entries[:0]
@@ -202,19 +215,44 @@ func (b *BatchVerifier) add(pub PublicKey, msg, sig []byte, rx, ry *edwards25519
 	b.hashBuf = append(b.hashBuf, msg...)
 	hDigest := sha512.Sum512(b.hashBuf)
 	e.h.SetUniformBytes(hDigest[:])
+}
 
-	// A failed draw leaves zBuf holding an earlier coefficient, and two
-	// entries sharing one z can cancel each other's defects, so such an
-	// entry keeps z = 0 and takes the stdlib fallback.
-	if _, err := io.ReadFull(b.coeff, b.zBuf[:]); err != nil {
-		e.fallback = true
+// drawCoefficients sets z_i for every admitted entry from the digest
+// of a key drawn from the caller's stream and every admitted entry's
+// s_i and h_i. Without a key the coefficients would be public, so a
+// failed draw sends every entry to the stdlib fallback.
+func (b *BatchVerifier) drawCoefficients() {
+	key := b.bindBuf[:32]
+	if _, err := io.ReadFull(b.coeff, key); err != nil {
+		for i := range b.entries {
+			b.entries[i].fallback = true
+		}
 		return
 	}
-	// The coefficient is forced odd: an odd z is invertible in the
-	// 8-torsion subgroup, so a single small-order defect can never be
-	// annihilated by its own coefficient.
-	b.zBuf[0] |= 1
-	b.zs[idx].SetShortBytes(b.zBuf[:])
+	b.bind.Reset()
+	b.bind.Write(key)
+	for i := range b.entries {
+		e := &b.entries[i]
+		if e.fallback {
+			continue
+		}
+		copy(b.bindBuf[:32], e.sig[32:])
+		h := e.h.Bytes()
+		copy(b.bindBuf[32:], h[:])
+		b.bind.Write(b.bindBuf[:])
+	}
+	b.zStream.Reset(b.bind.Sum(b.bindBuf[:0]))
+	for i := range b.entries {
+		if b.entries[i].fallback {
+			continue
+		}
+		b.zStream.Read(b.zBuf[:])
+		// The coefficient is forced odd: an odd z is invertible in the
+		// 8-torsion subgroup, so a single small-order defect can never
+		// be annihilated by its own coefficient.
+		b.zBuf[0] |= 1
+		b.zs[i].SetShortBytes(b.zBuf[:])
+	}
 }
 
 // groupFor returns the group index for pub, creating it on first use.
@@ -248,6 +286,7 @@ func (b *BatchVerifier) Flush() []bool {
 		b.results = make([]bool, n)
 	}
 	b.results = b.results[:n]
+	b.drawCoefficients()
 	b.resolveRange(0, n)
 	for i := range b.entries {
 		if b.entries[i].fallback {

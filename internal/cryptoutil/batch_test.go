@@ -1,6 +1,7 @@
 package cryptoutil
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -320,6 +321,125 @@ func TestBatchVerifierFailingCoefficients(t *testing.T) {
 	}
 }
 
+// streamCoefficients returns the coefficients a forger who knows the
+// verifier's seed reads straight off the stream: one odd 16-byte draw
+// per entry, in Add order.
+func streamCoefficients(seed string, n int) []edwards25519.Scalar {
+	stream := NewDeterministicEntropy([]byte(seed))
+	z := make([]edwards25519.Scalar, n)
+	var buf [16]byte
+	for i := range z {
+		stream.Read(buf[:])
+		buf[0] |= 1
+		z[i].SetShortBytes(buf[:])
+	}
+	return z
+}
+
+// forgeCancelling shifts the s halves of the entries at idx (two or
+// more) by defects d_i with sum z_i*d_i = 0 under the given
+// coefficients: each pair (a, b) gets d_a = z_b and d_b = -z_a, and an
+// odd one out c joins the last pair as d_b = z_c - z_a, d_c = -z_b.
+func forgeCancelling(t testing.TB, cases []batchCase, z []edwards25519.Scalar, idx []int) {
+	t.Helper()
+	var minusOne edwards25519.Scalar
+	mb, _ := hex.DecodeString("ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010") // l - 1
+	if !minusOne.SetCanonicalBytes(mb) {
+		t.Fatal("bad l - 1")
+	}
+	neg := func(x *edwards25519.Scalar) *edwards25519.Scalar {
+		return new(edwards25519.Scalar).Mul(x, &minusOne)
+	}
+	d := make(map[int]*edwards25519.Scalar)
+	for k := 0; k+1 < len(idx); k += 2 {
+		a, b := idx[k], idx[k+1]
+		d[a], d[b] = &z[b], neg(&z[a])
+	}
+	if len(idx)%2 == 1 {
+		a, b, c := idx[len(idx)-3], idx[len(idx)-2], idx[len(idx)-1]
+		d[b] = new(edwards25519.Scalar).Add(&z[c], neg(&z[a]))
+		d[c] = neg(&z[b])
+	}
+	for i, di := range d {
+		sig := append([]byte(nil), cases[i].sig...)
+		var s edwards25519.Scalar
+		if !s.SetCanonicalBytes(sig[32:]) {
+			t.Fatal("non-canonical s")
+		}
+		s.Add(&s, di)
+		enc := s.Bytes()
+		copy(sig[32:], enc[:])
+		cases[i].sig = sig
+	}
+}
+
+// TestBatchVerifierForgedPairRejected plays a signer who knows the
+// verifier's seed: it reads the coefficients off the stream and shifts
+// two valid signatures' s halves by +z_2 and -z_1, so their defects
+// cancel in a combination that uses those coefficients. Every encoding
+// stays canonical and no small-order point is involved.
+// crypto/ed25519 rejects both signatures, and so must the batch.
+func TestBatchVerifierForgedPairRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	cases := makeBatch(t, rng, 2, 1)
+	forgeCancelling(t, cases, streamCoefficients("forger", 2), []int{0, 1})
+	got := flush(cases, "forger", 0)
+	for i, c := range cases {
+		if ok := c.pub.Verify(c.msg, c.sig); ok || got[i] {
+			t.Fatalf("entry %d: ed25519.Verify says %v, batch says %v; want both false", i, ok, got[i])
+		}
+	}
+}
+
+// derivedCoefficients runs the verifier's own coefficient derivation
+// over cases: the coefficients a forger who knows the seed computes
+// for the batch before it forges.
+func derivedCoefficients(cases []batchCase, seed string) []edwards25519.Scalar {
+	bv := NewBatchVerifier(NewDeterministicEntropy([]byte(seed)))
+	for _, c := range cases {
+		bv.Add(c.pub, c.msg, c.sig)
+	}
+	bv.drawCoefficients()
+	return append([]edwards25519.Scalar(nil), bv.zs...)
+}
+
+// FuzzBatchForger plays a forger who knows the verifier's seed and
+// adds cancelling defects to any subset of two or more entries, under
+// coefficients read off the stream or derived over the unforged
+// batch. Per entry, the batch must accept only what crypto/ed25519
+// accepts.
+func FuzzBatchForger(f *testing.F) {
+	f.Add(uint64(1), uint16(0b11), false)
+	f.Add(uint64(2), uint16(0b10110), true)
+	f.Add(uint64(3), uint16(0xffff), true)
+	f.Fuzz(func(t *testing.T, caseSeed uint64, subset uint16, derived bool) {
+		rng := rand.New(rand.NewSource(int64(caseSeed)))
+		n := 2 + int(caseSeed%15)
+		cases := makeBatch(t, rng, n, 1+int(caseSeed%3))
+		var idx []int
+		for i := 0; i < n; i++ {
+			if subset>>i&1 == 1 {
+				idx = append(idx, i)
+			}
+		}
+		if len(idx) < 2 {
+			idx = []int{0, n - 1}
+		}
+		seed := fmt.Sprintf("forger-%d", caseSeed)
+		z := streamCoefficients(seed, n)
+		if derived {
+			z = derivedCoefficients(cases, seed)
+		}
+		forgeCancelling(t, cases, z, idx)
+		batch, single := runBoth(cases, seed)
+		for i := range batch {
+			if batch[i] != single[i] {
+				t.Fatalf("entry %d of %d (forged %v): batch says %v, ed25519.Verify says %v", i, n, idx, batch[i], single[i])
+			}
+		}
+	})
+}
+
 // TestVartimeSignerMatchesKeyPair pins the fast signer against the
 // stdlib-backed KeyPair for identical bytes, one message at a time and
 // in batches of 1..4 through one re-initialised signer, whose hints
@@ -335,7 +455,7 @@ func TestVartimeSignerMatchesKeyPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		vs.Init(seed)
-		if !vs.Public().Equal(kp.Public()) {
+		if !bytes.Equal(vs.Public(), kp.Public()) {
 			t.Fatalf("seed %x: public key mismatch", seed)
 		}
 		msgs := make([][]byte, i%4+1)

@@ -1,13 +1,9 @@
 package cryptoutil
 
 import (
-	"bytes"
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -48,11 +44,6 @@ func (d Digest) Short() string { return hex.EncodeToString(d[:4]) }
 // IsZero reports whether the digest is all zeroes.
 func (d Digest) IsZero() bool { return d == Digest{} }
 
-// Equal compares two digests in constant time.
-func (d Digest) Equal(o Digest) bool {
-	return subtle.ConstantTimeCompare(d[:], o[:]) == 1
-}
-
 // ExtendDigest implements the TPM PCR extend operation:
 // new = SHA-256(old || measurement).
 func ExtendDigest(old, measurement Digest) Digest {
@@ -92,22 +83,7 @@ func KeyPairFromSeed(seed []byte) (*KeyPair, error) {
 func (k *KeyPair) Public() PublicKey { return PublicKey(append([]byte(nil), k.pub...)) }
 
 // Sign signs msg.
-func (k *KeyPair) Sign(msg []byte) []byte {
-	if k.priv == nil {
-		panic("cryptoutil: sign with zeroised key")
-	}
-	return ed25519.Sign(k.priv, msg)
-}
-
-// Zeroise destroys the private key material in place. Further Sign calls
-// panic. This models the "key zeroisation" passive countermeasure.
-func (k *KeyPair) Zeroise() {
-	Zeroise(k.priv)
-	k.priv = nil
-}
-
-// Zeroised reports whether the private key has been destroyed.
-func (k *KeyPair) Zeroised() bool { return k.priv == nil }
+func (k *KeyPair) Sign(msg []byte) []byte { return ed25519.Sign(k.priv, msg) }
 
 // PublicKey is an ed25519 public key.
 type PublicKey []byte
@@ -118,16 +94,6 @@ func (p PublicKey) Verify(msg, sig []byte) bool {
 		return false
 	}
 	return ed25519.Verify(ed25519.PublicKey(p), msg, sig)
-}
-
-// Equal reports whether two public keys are identical.
-func (p PublicKey) Equal(o PublicKey) bool { return bytes.Equal(p, o) }
-
-// Zeroise overwrites b with zeroes.
-func Zeroise(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }
 
 // DeriveKey derives a length-byte subkey from parent keyed by label and
@@ -168,59 +134,9 @@ func VerifyMAC(key, msg []byte, tag Digest) bool {
 	return hmac.Equal(want[:], tag[:])
 }
 
-// Errors returned by Sealer and counters.
-var (
-	ErrSealCorrupt     = errors.New("cryptoutil: sealed blob corrupt or wrong key")
-	ErrCounterRollback = errors.New("cryptoutil: monotonic counter rollback")
-)
-
-// Sealer performs authenticated encryption (AES-256-GCM) under a fixed
-// key, with a deterministic nonce counter. It models hardware-bound
-// storage sealing: the nonce counter stands in for the device's
-// NV-storage write counter.
-type Sealer struct {
-	aead  cipher.AEAD
-	nonce uint64
-}
-
-// NewSealer creates a sealer from a 32-byte key.
-func NewSealer(key []byte) (*Sealer, error) {
-	if len(key) != 32 {
-		return nil, fmt.Errorf("cryptoutil: sealer key must be 32 bytes, got %d", len(key))
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("cryptoutil: sealer: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("cryptoutil: sealer: %w", err)
-	}
-	return &Sealer{aead: aead}, nil
-}
-
-// Seal encrypts and authenticates plaintext, binding it to aad.
-// The returned blob embeds the nonce.
-func (s *Sealer) Seal(plaintext, aad []byte) []byte {
-	s.nonce++
-	nonce := make([]byte, s.aead.NonceSize())
-	binary.BigEndian.PutUint64(nonce[len(nonce)-8:], s.nonce)
-	blob := s.aead.Seal(nil, nonce, plaintext, aad)
-	return append(nonce, blob...)
-}
-
-// Open decrypts a blob produced by Seal with the same aad.
-func (s *Sealer) Open(blob, aad []byte) ([]byte, error) {
-	ns := s.aead.NonceSize()
-	if len(blob) < ns {
-		return nil, ErrSealCorrupt
-	}
-	pt, err := s.aead.Open(nil, blob[:ns], blob[ns:], aad)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSealCorrupt, err)
-	}
-	return pt, nil
-}
+// ErrCounterRollback is returned by MonotonicCounter.Advance for a
+// backwards move.
+var ErrCounterRollback = errors.New("cryptoutil: monotonic counter rollback")
 
 // MonotonicCounter models a hardware monotonic counter used for
 // anti-rollback. It can only move forward; Advance to a lower value is
@@ -231,12 +147,6 @@ type MonotonicCounter struct {
 
 // Value returns the current counter value.
 func (c *MonotonicCounter) Value() uint64 { return c.value }
-
-// Increment bumps the counter by one and returns the new value.
-func (c *MonotonicCounter) Increment() uint64 {
-	c.value++
-	return c.value
-}
 
 // Advance moves the counter to v. Moving backwards (v < current) returns
 // ErrCounterRollback; v == current is a no-op.

@@ -3,18 +3,20 @@
 // It wraps the standard library primitives used throughout the repository:
 // ed25519 identity and signing keys, SHA-256 digests, HMAC-based key
 // derivation (in the spirit of HKDF / NIST SP 800-108 counter mode),
-// AES-GCM sealing, constant-time comparison, explicit key zeroisation
-// (Table I, response row: "Key zeroisation"), and persistent-style
-// monotonic counters used for anti-rollback.
+// HMAC tags, and persistent-style monotonic counters used for
+// anti-rollback.
 //
 // Beyond the stdlib wrappers, the package owns the fleet hot path's
 // verification kernel: VartimeSigner (an RFC 8032 signer over the
 // in-repo edwards25519 arithmetic, byte-identical to crypto/ed25519,
 // that also emits decompressed R hints) and BatchVerifier, which
 // checks a batch of ed25519 signatures with one multi-scalar
-// multiplication over a seeded random linear combination, bisecting to
-// the stdlib verifier on failure so per-signature verdicts never
-// differ from the one-at-a-time path.
+// multiplication over a random linear combination, bisecting to the
+// stdlib verifier on failure so per-signature verdicts never differ
+// from the one-at-a-time path. The combination's coefficients are
+// derived at each flush from a seeded stream and a hash of every
+// entry in the batch, so a signer who knows the seed cannot choose
+// signatures whose defects cancel.
 //
 // That parity has one residual caveat, shared with batch verification
 // in general: the combination is cofactorless, so when several entries

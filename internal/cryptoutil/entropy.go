@@ -37,7 +37,7 @@ func (d *DeterministicEntropy) Reset(seed []byte) {
 
 // Read fills p with pseudo-random bytes. It never fails, and it never
 // allocates: the batch verifier draws one coefficient per device from
-// this stream, so a heap-allocating refill would show up straight in
+// such a stream, so a heap-allocating refill would show up straight in
 // the fleet's allocs-per-device gate. The block derivation is kept
 // bit-identical to the original SumAll(seed, counter) formulation —
 // length-prefixed seed then length-prefixed counter — because every

@@ -8,11 +8,12 @@ import (
 
 // TestScratchEntropyIsolation pins the contract the batched hot path
 // leans on: every appraiseScratch owns PRIVATE DeterministicEntropy
-// readers (device-state entropy and the batch-coefficient stream) plus
-// its own BatchVerifier, all re-keyed per shard from engine-level
-// roots. If any of that state were shared across concurrent RunShard
-// calls — one Reset racing another, or two shards interleaving reads
-// from one coefficient stream — the race detector would fire here AND
+// readers (device-state entropy, re-keyed per epoch from an
+// engine-level root, and the batch verifier's coefficient stream) plus
+// its own BatchVerifier. If any of that state were shared across
+// concurrent RunShard calls — one Reset racing another, or two shards
+// interleaving reads from one coefficient stream — the race detector
+// would fire here AND
 // the per-shard summaries would diverge from their serial values.
 //
 // The check is exact: each shard's concurrent Summary must deep-equal

@@ -57,7 +57,7 @@ const (
 	purposeNonce                    // challenge nonces (two draws per device)
 	purposeEntropy                  // device TPM entropy (two draws per device)
 	purposeSample                   // anomaly-sample priority
-	purposeBatchCoeff               // batch-verify linear-combination coefficients (per epoch)
+	purposeBatchCoeff               // unused; keeps the values below fixed
 	purposeNodeKey                  // hierarchy node signing keys (two draws per node)
 	purposeTreeCoeff                // hierarchy batch-verify coefficients (two draws per node)
 )
@@ -212,7 +212,7 @@ type Engine struct {
 
 	mixRoot, tamperRoot, jitterRoot int64
 	nonceRoot, entropyRoot          int64
-	sampleRoot, coeffRoot           int64
+	sampleRoot                      int64
 }
 
 // New validates the config and builds an engine.
@@ -229,7 +229,6 @@ func New(cfg Config) (*Engine, error) {
 		nonceRoot:   harness.ShardSeed(cfg.Seed, purposeNonce),
 		entropyRoot: harness.ShardSeed(cfg.Seed, purposeEntropy),
 		sampleRoot:  harness.ShardSeed(cfg.Seed, purposeSample),
-		coeffRoot:   harness.ShardSeed(cfg.Seed, purposeBatchCoeff),
 	}
 	cum := 0.0
 	for _, sh := range cfg.Shares {
@@ -350,16 +349,16 @@ type pending struct {
 // appraiseScratch is one RunShard call's pooled state. The pooling
 // rule (docs/ARCHITECTURE.md): state that is a pure function of the
 // engine config (the per-variant quote bodies and compiled policy
-// verdicts) or of the provisioning epoch (the AIK key pair and the
-// batch-verify coefficient stream, re-derived once per batch) may
-// live here and be reused across devices; every observable per-device
+// verdicts) or of the provisioning epoch (the AIK key pair) may live
+// here and be reused across devices, and so may the batch verifier,
+// whose coefficients bind to each flush's own entries (see
+// cryptoutil.BatchVerifier); every observable per-device
 // quantity — share, tamper fate, nonce, jitter, sample priority — must
 // still derive from (seed, global index), so batch, flush and shard
 // boundaries can never reshuffle a device's fate.
 type appraiseScratch struct {
 	batches []*attest.BatchAppraiser // one per engine variant
 	entropy *cryptoutil.DeterministicEntropy
-	coeff   *cryptoutil.DeterministicEntropy // batch-verify coefficient stream — never shared with entropy
 	signer  cryptoutil.VartimeSigner
 	bv      *cryptoutil.BatchVerifier
 	aik     cryptoutil.PublicKey
@@ -392,13 +391,12 @@ func (e *Engine) newScratch(devices int, crew *harness.Crew) *appraiseScratch {
 	sc := &appraiseScratch{
 		batches: make([]*attest.BatchAppraiser, len(e.variants)),
 		entropy: cryptoutil.NewDeterministicEntropy(nil),
-		coeff:   cryptoutil.NewDeterministicEntropy(nil),
 		queue:   make([]pending, 0, span),
 		msgs:    make([][]byte, 0, n),
 		sigs:    make([][64]byte, n),
 		hints:   make([]cryptoutil.RHint, n),
 	}
-	sc.bv = cryptoutil.NewBatchVerifier(sc.coeff)
+	sc.bv = cryptoutil.NewBatchVerifier(cryptoutil.NewDeterministicEntropy(nil))
 	sc.bv.SetRunner(crew)
 	sc.signer.SetRunner(crew)
 	for i, v := range e.variants {
@@ -430,17 +428,6 @@ func (sc *appraiseScratch) provision(e *Engine, lo int) error {
 	}
 	sc.signer.Init(sc.keySeed[:])
 	sc.aik = sc.signer.Public()
-
-	// Re-key the batch-verify coefficient stream for the epoch from its
-	// own purpose root. The coefficients are sound with ANY stream, but
-	// deriving them from (seed, epoch) keeps the whole run — including
-	// which random linear combination each flush checks — byte-for-byte
-	// reproducible at every -parallel width. The stream is re-keyed in
-	// place: the verifier keeps the earlier epochs' pending entries and
-	// draws this epoch's coefficients from the new key in Add order.
-	binary.BigEndian.PutUint64(sc.seedBuf[:8], uint64(harness.ShardSeed(e.coeffRoot, 2*lo)))
-	binary.BigEndian.PutUint64(sc.seedBuf[8:], uint64(harness.ShardSeed(e.coeffRoot, 2*lo+1)))
-	sc.coeff.Reset(sc.seedBuf[:])
 	return nil
 }
 
@@ -619,8 +606,3 @@ func (e *Engine) RunParallel(pool *harness.Pool) (Summary, error) {
 	}
 	return sum, nil
 }
-
-// Run appraises the whole fleet serially — a thin RunParallel(nil)
-// alias kept for single-machine convenience and for property tests
-// that compare the serial and pooled paths.
-func (e *Engine) Run() (Summary, error) { return e.RunParallel(nil) }

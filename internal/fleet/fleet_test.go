@@ -34,7 +34,7 @@ func TestEngineCatchesExactlyTheTampered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := eng.Run()
+	sum, err := eng.RunParallel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestShardAndBatchBoundariesDontChangeFate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := eng.Run()
+		sum, err := eng.RunParallel(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestTamperRateDistribution(t *testing.T) {
 	if tamperedB != 0 {
 		t.Fatalf("share b has tamper rate 0 but %d tampered devices", tamperedB)
 	}
-	sum, err := eng.Run()
+	sum, err := eng.RunParallel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

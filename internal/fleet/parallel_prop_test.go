@@ -48,7 +48,7 @@ func TestRunParallelEqualsSerialProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		serial, err := eng.Run()
+		serial, err := eng.RunParallel(nil)
 		if err != nil {
 			t.Fatalf("trial %d: serial run: %v", trial, err)
 		}

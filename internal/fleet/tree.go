@@ -253,9 +253,6 @@ func (t *Tree) Leaves() int { return t.tiers[0] }
 // Tiers returns the node count per tier, leaves first.
 func (t *Tree) Tiers() []int { return append([]int(nil), t.tiers...) }
 
-// Engine returns the underlying fleet engine.
-func (t *Tree) Engine() *Engine { return t.eng }
-
 // globalIndex flattens a NodeID into the key-directory index.
 func (t *Tree) globalIndex(id NodeID) int { return t.offsets[id.Tier] + id.Index }
 
@@ -635,7 +632,8 @@ func childFinish(children []Attestation, id NodeID) time.Duration {
 
 // nodeCoeffStream seeds node g's batch-verify coefficient stream from
 // the tree-coefficient purpose root, so which random linear
-// combination each node checks is a pure function of (seed, node).
+// combination each node checks is a pure function of (seed, node) and
+// the records it verifies.
 func (t *Tree) nodeCoeffStream(g int) *cryptoutil.DeterministicEntropy {
 	var seedBuf [16]byte
 	binary.BigEndian.PutUint64(seedBuf[:8], uint64(harness.ShardSeed(t.coeffRoot, 2*g)))

@@ -39,7 +39,7 @@ func TestTreeHonestMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := tr.Engine().Run()
+	flat, err := tr.eng.RunParallel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTreeDeterministicAcrossPools(t *testing.T) {
 // final fleet summary is still the honest one.
 func TestTreeForgeSummaryDetectedAtEveryTier(t *testing.T) {
 	tr := newTestTree(t, 1024, 2) // tiers [8 4 2 1]
-	flat, err := tr.Engine().Run()
+	flat, err := tr.eng.RunParallel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTreeForgeSummaryDetectedAtEveryTier(t *testing.T) {
 
 func TestTreeForgeTamperDetected(t *testing.T) {
 	tr := newTestTree(t, 1024, 2)
-	flat, err := tr.Engine().Run()
+	flat, err := tr.eng.RunParallel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTreeRaggedShapeMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := tr.Engine().Run()
+	flat, err := tr.eng.RunParallel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,19 +170,6 @@ func (c *Cache) FlushAll() {
 	}
 }
 
-// FlushWorld invalidates all lines belonging to world w.
-func (c *Cache) FlushWorld(w World) {
-	for i, set := range c.lines {
-		out := set[:0]
-		for _, ln := range set {
-			if ln.world != w {
-				out = append(out, ln)
-			}
-		}
-		c.lines[i] = out
-	}
-}
-
 // SetPartitioned enables or disables way-partitioning between worlds, the
 // architectural countermeasure that closes the covert channel at the cost
 // of effective capacity.

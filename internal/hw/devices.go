@@ -181,9 +181,6 @@ func (a *Actuator) Apply(at sim.VirtualTime, value float64) ActuatorCommand {
 // Lock forces the actuator to its fail-safe value (countermeasure).
 func (a *Actuator) Lock() { a.locked = true }
 
-// Unlock releases the fail-safe lock (recovery).
-func (a *Actuator) Unlock() { a.locked = false }
-
 // Locked reports whether the actuator is locked safe.
 func (a *Actuator) Locked() bool { return a.locked }
 
@@ -193,68 +190,3 @@ func (a *Actuator) History() []ActuatorCommand {
 	copy(out, a.applied)
 	return out
 }
-
-// Last returns the most recent command, if any.
-func (a *Actuator) Last() (ActuatorCommand, bool) {
-	if len(a.applied) == 0 {
-		return ActuatorCommand{}, false
-	}
-	return a.applied[len(a.applied)-1], true
-}
-
-// Watchdog is the classic passive countermeasure (Table I response row):
-// unless kicked within the timeout, it bites and invokes the reset
-// callback. The baseline architecture's only "response" is this plus
-// reboot.
-type Watchdog struct {
-	engine  *sim.Engine
-	timeout time.Duration
-	onBite  func()
-	id      sim.EventID
-	armed   bool
-	bites   uint64
-}
-
-// NewWatchdog creates and arms a watchdog.
-func NewWatchdog(engine *sim.Engine, timeout time.Duration, onBite func()) (*Watchdog, error) {
-	if timeout <= 0 {
-		return nil, errors.New("hw: watchdog timeout must be positive")
-	}
-	if onBite == nil {
-		return nil, errors.New("hw: watchdog needs a bite callback")
-	}
-	w := &Watchdog{engine: engine, timeout: timeout, onBite: onBite}
-	w.arm()
-	return w, nil
-}
-
-func (w *Watchdog) arm() {
-	w.armed = true
-	w.id = w.engine.MustSchedule(w.timeout, func() {
-		if !w.armed {
-			return
-		}
-		w.bites++
-		w.onBite()
-		// Watchdogs keep running after a bite: re-arm.
-		w.arm()
-	})
-}
-
-// Kick resets the countdown.
-func (w *Watchdog) Kick() {
-	if !w.armed {
-		return
-	}
-	w.engine.Cancel(w.id)
-	w.arm()
-}
-
-// Stop disarms the watchdog.
-func (w *Watchdog) Stop() {
-	w.armed = false
-	w.engine.Cancel(w.id)
-}
-
-// Bites returns how many times the watchdog has fired.
-func (w *Watchdog) Bites() uint64 { return w.bites }

@@ -3,7 +3,7 @@
 // transactions tagged with security attributes (the TrustZone-style
 // NS bit), memory regions with permissions, a DMA engine, a shared cache
 // (the microarchitectural side-channel surface of Section IV), peripheral
-// sensors and actuators, environmental sensors and a watchdog.
+// sensors and actuators, and environmental sensors.
 //
 // The model is behavioural, not cycle-accurate: it captures exactly the
 // properties the paper reasons about — which initiators can reach which

@@ -193,12 +193,6 @@ func (n *Network) AddNode(name string, key *cryptoutil.KeyPair) (*Endpoint, erro
 	return ep, nil
 }
 
-// Node returns a registered endpoint.
-func (n *Network) Node(name string) (*Endpoint, bool) {
-	ep, ok := n.nodes[name]
-	return ep, ok
-}
-
 // Handler processes a verified inbound message.
 type Handler func(msg Message)
 

@@ -41,15 +41,6 @@ func NewKey(rootSecret []byte, role string) Key {
 	return Key{material: cryptoutil.DeriveKey(rootSecret, "pac", role, 32)}
 }
 
-// Zeroise destroys the key material (response countermeasure).
-func (k *Key) Zeroise() {
-	cryptoutil.Zeroise(k.material)
-	k.material = nil
-}
-
-// Zeroised reports whether the key has been destroyed.
-func (k *Key) Zeroised() bool { return k.material == nil }
-
 // pac computes the truncated MAC for ptr under the context modifier.
 func (k Key) pac(ptr uint64, context uint64) uint64 {
 	var msg [16]byte
@@ -62,8 +53,8 @@ func (k Key) pac(ptr uint64, context uint64) uint64 {
 // Sign attaches a PAC to ptr (the PACIA instruction). ptr must fit in
 // the addressable range (its top PACBits clear).
 func (k Key) Sign(ptr uint64, context uint64) (uint64, error) {
-	if k.Zeroised() {
-		return 0, errors.New("ptrauth: sign with zeroised key")
+	if k.material == nil {
+		return 0, errors.New("ptrauth: sign with a zero Key")
 	}
 	if ptr&pacMask != 0 {
 		return 0, fmt.Errorf("%w: %#x", ErrPointerRange, ptr)
@@ -74,8 +65,8 @@ func (k Key) Sign(ptr uint64, context uint64) (uint64, error) {
 // Auth verifies and strips the PAC (the AUTIA instruction), returning
 // the raw pointer. A mismatch returns ErrAuthFailed.
 func (k Key) Auth(signed uint64, context uint64) (uint64, error) {
-	if k.Zeroised() {
-		return 0, errors.New("ptrauth: auth with zeroised key")
+	if k.material == nil {
+		return 0, errors.New("ptrauth: auth with a zero Key")
 	}
 	ptr := signed &^ uint64(pacMask)
 	want := k.pac(ptr, context)
@@ -85,10 +76,6 @@ func (k Key) Auth(signed uint64, context uint64) (uint64, error) {
 	}
 	return ptr, nil
 }
-
-// Strip removes the PAC without verifying (the XPAC instruction) — used
-// by debuggers, and by attackers who can execute it as a gadget.
-func Strip(signed uint64) uint64 { return signed &^ uint64(pacMask) }
 
 // ReturnStack is a PAC-protected shadow of return addresses, modelling
 // the "deployment of separate stacks and their pointer registers"

@@ -62,25 +62,13 @@ func TestSignRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestStrip(t *testing.T) {
-	k := testKey("ia")
-	signed, _ := k.Sign(0x2000_1234, 0)
-	if Strip(signed) != 0x2000_1234 {
-		t.Fatalf("Strip = %#x", Strip(signed))
-	}
-}
-
-func TestZeroise(t *testing.T) {
-	k := testKey("ia")
-	k.Zeroise()
-	if !k.Zeroised() {
-		t.Fatal("Zeroised = false")
-	}
+func TestZeroKeyUnusable(t *testing.T) {
+	var k Key
 	if _, err := k.Sign(0x1000, 0); err == nil {
-		t.Fatal("sign with zeroised key")
+		t.Fatal("sign with a zero Key")
 	}
 	if _, err := k.Auth(0x1000, 0); err == nil {
-		t.Fatal("auth with zeroised key")
+		t.Fatal("auth with a zero Key")
 	}
 }
 

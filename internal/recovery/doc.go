@@ -1,12 +1,9 @@
 // Package recovery implements the RECOVER core security function of
 // Table I: returning the device to a healthy provisioned state after a
-// detected compromise. It provides memory snapshot/restore (roll-back to
-// last known-good state), secure firmware update (roll-forward to a fixed
-// release, and A/B slot rollback within the anti-rollback envelope), and
-// the classic reliability redundancy mechanisms the paper surveys —
-// triple modular redundancy voting and process pairs.
+// detected compromise. It provides secure firmware update: roll-forward
+// to a fixed release, and A/B slot rollback within the anti-rollback
+// envelope.
 //
-// Determinism contract: snapshots, updates and voting operate on
-// simulated memory and the boot chain only; recovery outcomes replay
-// exactly from a seed.
+// Determinism contract: updates operate on simulated memory and the
+// boot chain only; recovery outcomes replay exactly from a seed.
 package recovery

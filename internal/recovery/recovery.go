@@ -3,82 +3,17 @@ package recovery
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 
 	"cres/internal/boot"
 	"cres/internal/hw"
 	"cres/internal/tpm"
 )
 
-// Snapshot is a point-in-time copy of selected memory regions.
-type Snapshot struct {
-	regions map[string][]byte
-}
-
 // Errors returned by the package.
 var (
-	ErrNoSnapshot     = errors.New("recovery: region not in snapshot")
 	ErrUpdateVersion  = errors.New("recovery: update version not newer than running firmware")
 	ErrUpdateRejected = errors.New("recovery: update image rejected")
-	ErrNoQuorum       = errors.New("recovery: no voting quorum")
 )
-
-// TakeSnapshot copies the named regions' contents. It models the
-// security manager checkpointing known-good state to its private
-// storage.
-func TakeSnapshot(mem *hw.Memory, regionNames ...string) (*Snapshot, error) {
-	s := &Snapshot{regions: make(map[string][]byte, len(regionNames))}
-	for _, name := range regionNames {
-		r, ok := mem.Region(name)
-		if !ok {
-			return nil, fmt.Errorf("recovery: snapshot unknown region %q", name)
-		}
-		data, err := mem.Peek(r.Base, r.Size)
-		if err != nil {
-			return nil, fmt.Errorf("recovery: snapshot %q: %w", name, err)
-		}
-		s.regions[name] = data
-	}
-	return s, nil
-}
-
-// Regions returns the snapshotted region names, sorted.
-func (s *Snapshot) Regions() []string {
-	out := make([]string, 0, len(s.regions))
-	for n := range s.regions {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RestoreRegion writes a snapshotted region back to memory (roll-back to
-// last known-good state).
-func (s *Snapshot) RestoreRegion(mem *hw.Memory, name string) error {
-	data, ok := s.regions[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSnapshot, name)
-	}
-	r, found := mem.Region(name)
-	if !found {
-		return fmt.Errorf("recovery: restore unknown region %q", name)
-	}
-	if err := mem.Poke(r.Base, data); err != nil {
-		return fmt.Errorf("recovery: restore %q: %w", name, err)
-	}
-	return nil
-}
-
-// RestoreAll restores every snapshotted region.
-func (s *Snapshot) RestoreAll(mem *hw.Memory) error {
-	for _, name := range s.Regions() {
-		if err := s.RestoreRegion(mem, name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Updater performs secure firmware updates against the boot chain's
 // A/B slots: verify the vendor signature, require a version strictly
@@ -87,11 +22,9 @@ func (s *Snapshot) RestoreAll(mem *hw.Memory) error {
 // device can never be downgraded below its high-water mark, even by the
 // updater itself.
 type Updater struct {
-	mem    *hw.Memory
-	chain  *boot.Chain
-	tpm    *tpm.TPM
-	staged *boot.Image
-	slot   boot.Slot
+	mem   *hw.Memory
+	chain *boot.Chain
+	tpm   *tpm.TPM
 }
 
 // NewUpdater creates an updater bound to the platform.
@@ -116,17 +49,7 @@ func (u *Updater) Stage(im *boot.Image, activeSlot boot.Slot) error {
 	if err := boot.InstallImage(u.mem, target, im); err != nil {
 		return fmt.Errorf("recovery: stage update: %w", err)
 	}
-	u.staged = im
-	u.slot = target
 	return nil
-}
-
-// Staged returns the staged image and its slot, if any.
-func (u *Updater) Staged() (*boot.Image, boot.Slot, bool) {
-	if u.staged == nil {
-		return nil, 0, false
-	}
-	return u.staged, u.slot, true
 }
 
 // Activate reboots through the chain to pick up the staged image. It
@@ -138,83 +61,5 @@ func (u *Updater) Activate() (*boot.Report, error) {
 	if err != nil {
 		return rep, fmt.Errorf("recovery: activate update: %w", err)
 	}
-	u.staged = nil
 	return rep, nil
 }
-
-// Vote performs majority voting over redundant computation results
-// (triple modular redundancy when len(vals) == 3). Values within eps of
-// each other agree. It returns the agreed value (the median of the
-// majority cluster) and the indexes of disagreeing replicas. If no
-// strict majority agrees, ErrNoQuorum is returned.
-func Vote(vals []float64, eps float64) (float64, []int, error) {
-	if len(vals) == 0 {
-		return 0, nil, fmt.Errorf("%w: no values", ErrNoQuorum)
-	}
-	best := -1
-	var bestCluster []int
-	for i, v := range vals {
-		var cluster []int
-		for j, w := range vals {
-			if math.Abs(v-w) <= eps {
-				cluster = append(cluster, j)
-			}
-		}
-		if len(cluster) > len(bestCluster) {
-			best = i
-			bestCluster = cluster
-		}
-	}
-	if len(bestCluster)*2 <= len(vals) {
-		return 0, nil, fmt.Errorf("%w: best cluster %d of %d", ErrNoQuorum, len(bestCluster), len(vals))
-	}
-	_ = best
-	// Median of the agreeing cluster.
-	agreed := make([]float64, 0, len(bestCluster))
-	inCluster := make(map[int]bool, len(bestCluster))
-	for _, idx := range bestCluster {
-		agreed = append(agreed, vals[idx])
-		inCluster[idx] = true
-	}
-	sort.Float64s(agreed)
-	med := agreed[len(agreed)/2]
-	var dissent []int
-	for i := range vals {
-		if !inCluster[i] {
-			dissent = append(dissent, i)
-		}
-	}
-	return med, dissent, nil
-}
-
-// ProcessPair is the classic primary/backup redundancy pattern from
-// Table I's recovery row: a hot standby takes over when the primary is
-// declared failed.
-type ProcessPair struct {
-	primary  string
-	backup   string
-	active   string
-	failures int
-}
-
-// NewProcessPair creates a pair with the primary active.
-func NewProcessPair(primary, backup string) *ProcessPair {
-	return &ProcessPair{primary: primary, backup: backup, active: primary}
-}
-
-// Active returns the currently active member.
-func (p *ProcessPair) Active() string { return p.active }
-
-// Failover switches to the other member and returns the new active one.
-func (p *ProcessPair) Failover() string {
-	p.failures++
-	if p.active == p.primary {
-		p.active = p.backup
-	} else {
-		p.active = p.primary
-	}
-	return p.active
-}
-
-// Failovers returns how many failovers have occurred.
-func (p *ProcessPair) Failovers() int { return p.failures }

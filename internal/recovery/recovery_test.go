@@ -3,9 +3,7 @@ package recovery
 import (
 	"bytes"
 	"errors"
-	"math"
 	"testing"
-	"testing/quick"
 
 	"cres/internal/boot"
 	"cres/internal/cryptoutil"
@@ -39,64 +37,6 @@ func newRig(t *testing.T) *rig {
 	return &rig{soc: soc, tpm: tp, vendor: vendor, chain: boot.NewChain(vendor.Public(), boot.Options{})}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	r := newRig(t)
-	orig := []byte("known-good configuration")
-	if err := r.soc.Mem.Poke(hw.AddrSRAM, orig); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := TakeSnapshot(r.soc.Mem, hw.RegionSRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Attacker corrupts SRAM.
-	r.soc.Mem.Poke(hw.AddrSRAM, []byte("corrupted by malware!!!!"))
-	if err := snap.RestoreRegion(r.soc.Mem, hw.RegionSRAM); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := r.soc.Mem.Peek(hw.AddrSRAM, uint64(len(orig)))
-	if !bytes.Equal(got, orig) {
-		t.Fatalf("restored = %q", got)
-	}
-}
-
-func TestSnapshotUnknownRegion(t *testing.T) {
-	r := newRig(t)
-	if _, err := TakeSnapshot(r.soc.Mem, "nope"); err == nil {
-		t.Fatal("unknown region accepted")
-	}
-	snap, err := TakeSnapshot(r.soc.Mem, hw.RegionSRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.RestoreRegion(r.soc.Mem, "nope"); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestSnapshotRestoreAll(t *testing.T) {
-	r := newRig(t)
-	r.soc.Mem.Poke(hw.AddrSRAM, []byte("aaa"))
-	r.soc.Mem.Poke(hw.AddrSecureSRAM, []byte("bbb"))
-	snap, err := TakeSnapshot(r.soc.Mem, hw.RegionSRAM, hw.RegionSecureSRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Regions()) != 2 {
-		t.Fatalf("regions = %v", snap.Regions())
-	}
-	r.soc.Mem.Poke(hw.AddrSRAM, []byte("xxx"))
-	r.soc.Mem.Poke(hw.AddrSecureSRAM, []byte("yyy"))
-	if err := snap.RestoreAll(r.soc.Mem); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := r.soc.Mem.Peek(hw.AddrSRAM, 3)
-	b, _ := r.soc.Mem.Peek(hw.AddrSecureSRAM, 3)
-	if !bytes.Equal(a, []byte("aaa")) || !bytes.Equal(b, []byte("bbb")) {
-		t.Fatal("RestoreAll incomplete")
-	}
-}
-
 func (r *rig) bootV(t *testing.T, version uint64) *boot.Report {
 	t.Helper()
 	im := boot.BuildSigned("firmware", version, []byte("fw"), r.vendor)
@@ -119,19 +59,12 @@ func TestUpdaterRollForward(t *testing.T) {
 	if err := u.Stage(next, rep.BootedSlot); err != nil {
 		t.Fatal(err)
 	}
-	im, slot, ok := u.Staged()
-	if !ok || im.Version != 4 || slot != boot.SlotB {
-		t.Fatalf("staged = %v %v %v", im, slot, ok)
-	}
 	rep2, err := u.Activate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.Image.Version != 4 || rep2.BootedSlot != boot.SlotB {
 		t.Fatalf("activated = v%d slot %v", rep2.Image.Version, rep2.BootedSlot)
-	}
-	if _, _, ok := u.Staged(); ok {
-		t.Fatal("staged not cleared after activation")
 	}
 }
 
@@ -157,106 +90,5 @@ func TestUpdaterRejectsBadSignature(t *testing.T) {
 	evil := boot.BuildSigned("firmware", 10, []byte("evil"), attacker)
 	if err := u.Stage(evil, rep.BootedSlot); !errors.Is(err, ErrUpdateRejected) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestVoteTMRMasksOneFault(t *testing.T) {
-	v, dissent, err := Vote([]float64{50.0, 50.02, 99.0}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-50.0) > 0.05 {
-		t.Fatalf("voted %f", v)
-	}
-	if len(dissent) != 1 || dissent[0] != 2 {
-		t.Fatalf("dissent = %v", dissent)
-	}
-}
-
-func TestVoteNoQuorum(t *testing.T) {
-	if _, _, err := Vote([]float64{1, 50, 99}, 0.1); !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, _, err := Vote(nil, 0.1); !errors.Is(err, ErrNoQuorum) {
-		t.Fatal("empty vote accepted")
-	}
-	// Two-way split: no strict majority.
-	if _, _, err := Vote([]float64{1, 1, 9, 9}, 0.1); !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("tie accepted: %v", err)
-	}
-}
-
-func TestVoteUnanimous(t *testing.T) {
-	v, dissent, err := Vote([]float64{7, 7, 7}, 0.001)
-	if err != nil || v != 7 || len(dissent) != 0 {
-		t.Fatalf("v=%f dissent=%v err=%v", v, dissent, err)
-	}
-}
-
-func TestProcessPairFailover(t *testing.T) {
-	p := NewProcessPair("ctrl-a", "ctrl-b")
-	if p.Active() != "ctrl-a" {
-		t.Fatal("primary not active initially")
-	}
-	if got := p.Failover(); got != "ctrl-b" {
-		t.Fatalf("failover -> %s", got)
-	}
-	if got := p.Failover(); got != "ctrl-a" {
-		t.Fatalf("failback -> %s", got)
-	}
-	if p.Failovers() != 2 {
-		t.Fatalf("failovers = %d", p.Failovers())
-	}
-}
-
-// Property: with three replicas where two agree exactly, voting always
-// returns the agreeing value and flags the third.
-func TestPropertyTMR(t *testing.T) {
-	f := func(good int16, badDelta int16, pos uint8) bool {
-		g := float64(good)
-		b := g + float64(badDelta)
-		if math.Abs(b-g) <= 0.5 {
-			return true // faulty replica within tolerance: skip
-		}
-		vals := []float64{g, g, g}
-		vals[int(pos)%3] = b
-		v, dissent, err := Vote(vals, 0.5)
-		return err == nil && v == g && len(dissent) == 1 && dissent[0] == int(pos)%3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: snapshot/restore round-trips arbitrary region contents.
-func TestPropertySnapshotRoundTrip(t *testing.T) {
-	r := newRig(t)
-	f := func(payload []byte) bool {
-		if len(payload) == 0 || len(payload) > 1024 {
-			return true
-		}
-		if r.soc.Mem.Poke(hw.AddrSRAM, payload) != nil {
-			return false
-		}
-		snap, err := TakeSnapshot(r.soc.Mem, hw.RegionSRAM)
-		if err != nil {
-			return false
-		}
-		corrupt := make([]byte, len(payload))
-		for i := range corrupt {
-			corrupt[i] = ^payload[i]
-		}
-		r.soc.Mem.Poke(hw.AddrSRAM, corrupt)
-		if snap.RestoreRegion(r.soc.Mem, hw.RegionSRAM) != nil {
-			return false
-		}
-		got, err := r.soc.Mem.Peek(hw.AddrSRAM, uint64(len(payload)))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, payload)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

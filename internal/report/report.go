@@ -128,9 +128,6 @@ func (s *Series) Render() string {
 // F formats a float with 2 decimals.
 func F(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 
-// F4 formats a float with 4 decimals.
-func F4(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
-
 // I formats an int.
 func I(v int) string { return strconv.Itoa(v) }
 

@@ -78,9 +78,6 @@ func TestFormatters(t *testing.T) {
 	if F(1.234) != "1.23" {
 		t.Fatalf("F = %q", F(1.234))
 	}
-	if F4(1.23456) != "1.2346" {
-		t.Fatalf("F4 = %q", F4(1.23456))
-	}
 	if I(42) != "42" || U(7) != "7" {
 		t.Fatal("I/U")
 	}

@@ -3,8 +3,8 @@
 // selected by the System Security Manager, turning decisions into
 // concrete platform countermeasures: physically isolating a compromised
 // bus initiator behind a hardware gate, halting a core, locking an
-// actuator to its fail-safe value, flushing or partitioning the shared
-// cache, and zeroising key material.
+// actuator to its fail-safe value, and flushing or partitioning the
+// shared cache.
 //
 // It also hosts the graceful-degradation controller: a registry of the
 // device's services with criticality flags, so that isolating a

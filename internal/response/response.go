@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"cres/internal/cryptoutil"
 	"cres/internal/hw"
 	"cres/internal/sim"
 )
@@ -25,14 +24,12 @@ const (
 	ActResumeCore
 	// ActLockActuator forces an actuator to its fail-safe value.
 	ActLockActuator
-	// ActUnlockActuator releases a fail-safe lock.
-	ActUnlockActuator
+	_ // unused; reserving the slot keeps the values below fixed
 	// ActFlushCache invalidates cache contents.
 	ActFlushCache
 	// ActPartitionCache enables world-partitioning of the shared cache.
 	ActPartitionCache
-	// ActZeroiseKeys destroys key material.
-	ActZeroiseKeys
+	_ // unused, as above
 	// ActQuarantineLink cuts an M2M link towards a compromised
 	// neighbour (cooperative response).
 	ActQuarantineLink
@@ -53,14 +50,10 @@ func (k ActionKind) String() string {
 		return "resume-core"
 	case ActLockActuator:
 		return "lock-actuator"
-	case ActUnlockActuator:
-		return "unlock-actuator"
 	case ActFlushCache:
 		return "flush-cache"
 	case ActPartitionCache:
 		return "partition-cache"
-	case ActZeroiseKeys:
-		return "zeroise-keys"
 	case ActQuarantineLink:
 		return "quarantine-link"
 	case ActRestoreLink:
@@ -193,12 +186,6 @@ func (m *Manager) LockActuator(a *hw.Actuator, reason string) {
 	m.record(ActLockActuator, a.Name, reason)
 }
 
-// UnlockActuator releases the fail-safe lock.
-func (m *Manager) UnlockActuator(a *hw.Actuator, reason string) {
-	a.Unlock()
-	m.record(ActUnlockActuator, a.Name, reason)
-}
-
 // FlushCache invalidates the whole shared cache (covert-channel purge).
 func (m *Manager) FlushCache(reason string) {
 	m.cache.FlushAll()
@@ -210,13 +197,4 @@ func (m *Manager) FlushCache(reason string) {
 func (m *Manager) PartitionCache(reason string) {
 	m.cache.SetPartitioned(true)
 	m.record(ActPartitionCache, "llc", reason)
-}
-
-// ZeroiseKeys destroys the private halves of the given key pairs (the
-// classic last-resort countermeasure from Table I).
-func (m *Manager) ZeroiseKeys(reason string, keys ...*cryptoutil.KeyPair) {
-	for _, k := range keys {
-		k.Zeroise()
-	}
-	m.record(ActZeroiseKeys, fmt.Sprintf("%d keys", len(keys)), reason)
 }

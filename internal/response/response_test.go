@@ -1,11 +1,9 @@
 package response
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
-	"cres/internal/cryptoutil"
 	"cres/internal/hw"
 	"cres/internal/sim"
 )
@@ -97,11 +95,6 @@ func TestLockActuator(t *testing.T) {
 	if !cmd.Forced {
 		t.Fatal("actuator not locked")
 	}
-	m.UnlockActuator(a, "verified clean")
-	cmd = a.Apply(0, 50)
-	if cmd.Forced {
-		t.Fatal("actuator still locked")
-	}
 }
 
 func TestCacheCountermeasures(t *testing.T) {
@@ -117,20 +110,6 @@ func TestCacheCountermeasures(t *testing.T) {
 	}
 }
 
-func TestZeroiseKeys(t *testing.T) {
-	_, _, m, actions := newRig(t)
-	k1, _ := cryptoutil.KeyPairFromSeed(bytes.Repeat([]byte{1}, 32))
-	k2, _ := cryptoutil.KeyPairFromSeed(bytes.Repeat([]byte{2}, 32))
-	m.ZeroiseKeys("device compromised", k1, k2)
-	if !k1.Zeroised() || !k2.Zeroised() {
-		t.Fatal("keys survive zeroisation")
-	}
-	last := (*actions)[len(*actions)-1]
-	if last.Kind != ActZeroiseKeys {
-		t.Fatalf("last action = %+v", last)
-	}
-}
-
 func TestActionKindStrings(t *testing.T) {
 	want := map[ActionKind]string{
 		ActIsolate:        "isolate",
@@ -138,10 +117,8 @@ func TestActionKindStrings(t *testing.T) {
 		ActHaltCore:       "halt-core",
 		ActResumeCore:     "resume-core",
 		ActLockActuator:   "lock-actuator",
-		ActUnlockActuator: "unlock-actuator",
 		ActFlushCache:     "flush-cache",
 		ActPartitionCache: "partition-cache",
-		ActZeroiseKeys:    "zeroise-keys",
 	}
 	for k, w := range want {
 		if k.String() != w {

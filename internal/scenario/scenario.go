@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -39,9 +38,6 @@ const (
 // monitorNames lists every known monitor in presentation order. A
 // compiled device keeps its enabled monitors as a bitmask over it.
 var monitorNames = [...]string{MonitorBus, MonitorCFI, MonitorTiming, MonitorEnv, MonitorNet}
-
-// MonitorNames returns every known monitor name in presentation order.
-func MonitorNames() []string { return slices.Clone(monitorNames[:]) }
 
 // monitorBit returns a monitor's bit in the enabled-monitor mask, or 0
 // for an unknown name.

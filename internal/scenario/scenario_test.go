@@ -28,7 +28,7 @@ func TestDeviceSpecDefaults(t *testing.T) {
 	if !cd.IsCRES() || !cd.SignatureDetection() || !cd.AnomalyDetection() {
 		t.Fatal("compiled predicates wrong for the reference device")
 	}
-	for _, m := range MonitorNames() {
+	for _, m := range monitorNames {
 		if !cd.MonitorOn(m) {
 			t.Errorf("monitor %s off by default", m)
 		}

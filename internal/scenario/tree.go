@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cres/internal/fleet"
-	"cres/internal/harness"
 )
 
 // TreeSpec declaratively describes a verifier-hierarchy workload: a
@@ -118,14 +117,4 @@ func (c *CompiledTree) Tree(seed int64) (*fleet.Tree, error) {
 			c.Spec.Fleet.Name, c.Leaves, c.Spec.Depth, tr.Leaves(), tr.Depth())
 	}
 	return tr, nil
-}
-
-// Run compiles nothing further: it builds the hierarchy at the seed
-// and runs it honestly across the pool.
-func (c *CompiledTree) Run(pool *harness.Pool, seed int64) (*fleet.TreeResult, error) {
-	tr, err := c.Tree(seed)
-	if err != nil {
-		return nil, err
-	}
-	return tr.Run(pool)
 }

@@ -39,7 +39,7 @@ func TestTreeSpecCompile(t *testing.T) {
 	if tr.Leaves() != 4 || tr.Depth() != 2 {
 		t.Errorf("built hierarchy %d leaves depth %d, want 4/2", tr.Leaves(), tr.Depth())
 	}
-	res, err := ct.Run(nil, 7)
+	res, err := tr.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

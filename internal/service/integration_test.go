@@ -120,6 +120,10 @@ func TestServeQuitDrainsInFlightAndRestartResumes(t *testing.T) {
 	// Restart over the same store: the full sweep resumes — the two
 	// stored cells are served byte-identically without recomputation,
 	// only size 512 is computed.
+	// The first life ends; its process exit would release the store.
+	if err := srv1.cfg.Store.Close(); err != nil {
+		t.Fatal(err)
+	}
 	srv2, base2, done2 := liveServer(t, dir)
 	resp, err = http.Get(base2 + "/fleet?sizes=4,64,512&seed=7")
 	if err != nil {

@@ -557,6 +557,10 @@ func TestRestartServesIdenticalBytes(t *testing.T) {
 		t.Fatalf("first server computed %d, want %d", srv1.Stats().Computed, len(paths))
 	}
 
+	// The first process ends, releasing the store to the next one.
+	if err := srv1.cfg.Store.Close(); err != nil {
+		t.Fatal(err)
+	}
 	srv2, ts2 := testServer(t, dir)
 	for _, p := range paths {
 		h, body := mustGet(t, ts2, p)

@@ -60,14 +60,6 @@ type Engine struct {
 	freeHead int32    // head of the free-slot list, -1 when empty
 	nextSeq  uint64
 	rng      *rand.Rand
-	trace    func(TraceEvent)
-}
-
-// TraceEvent describes one dispatched event, for debug tracing.
-type TraceEvent struct {
-	At  VirtualTime
-	ID  EventID
-	Seq uint64
 }
 
 // New returns an Engine whose RNG is seeded with seed.
@@ -84,9 +76,6 @@ func (e *Engine) Now() VirtualTime { return e.now }
 // RNG returns the engine's deterministic random source. All simulation
 // randomness must come from here to preserve reproducibility.
 func (e *Engine) RNG() *rand.Rand { return e.rng }
-
-// SetTrace installs fn as the dispatch trace hook. Pass nil to disable.
-func (e *Engine) SetTrace(fn func(TraceEvent)) { e.trace = fn }
 
 // Schedule arranges for fn to run after delay. A negative delay is an
 // error; a zero delay runs fn on the next Step, after events already
@@ -171,9 +160,6 @@ func (e *Engine) Step() bool {
 	ev := e.heapPop()
 	e.now = ev.at
 	fn := ev.fn
-	if e.trace != nil {
-		e.trace(TraceEvent{At: ev.at, ID: makeID(ev.slot, ev.gen), Seq: ev.seq})
-	}
 	// Release before running fn: the slot is immediately reusable and a
 	// stale Cancel from inside fn (e.g. a ticker stopping itself) fails
 	// the generation check instead of corrupting the queue.

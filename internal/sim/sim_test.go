@@ -170,21 +170,6 @@ func TestDeterministicRNG(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	e := New(1)
-	var traced []TraceEvent
-	e.SetTrace(func(ev TraceEvent) { traced = append(traced, ev) })
-	e.MustSchedule(time.Millisecond, func() {})
-	e.MustSchedule(2*time.Millisecond, func() {})
-	e.Drain(10)
-	if len(traced) != 2 {
-		t.Fatalf("traced %d events, want 2", len(traced))
-	}
-	if traced[0].At != VirtualTime(time.Millisecond) {
-		t.Fatalf("first trace at %v, want 1ms", traced[0].At)
-	}
-}
-
 func TestTicker(t *testing.T) {
 	e := New(1)
 	var ticks []VirtualTime
@@ -287,17 +272,25 @@ func TestPropertyMonotonicDispatch(t *testing.T) {
 	}
 }
 
-// Property: two engines with the same seed and same schedule produce
-// identical dispatch traces.
+// dispatch records one dispatched event: which scheduled callback ran,
+// and when.
+type dispatch struct {
+	at    VirtualTime
+	index int
+}
+
+// Property: two engines with the same seed and same schedule dispatch
+// the same callbacks in the same order at the same instants.
 func TestPropertyDeterminism(t *testing.T) {
 	f := func(delays []uint16, seed int64) bool {
-		run := func() []TraceEvent {
+		run := func() []dispatch {
 			e := New(seed)
-			var tr []TraceEvent
-			e.SetTrace(func(ev TraceEvent) { tr = append(tr, ev) })
-			for _, d := range delays {
+			var tr []dispatch
+			for i, d := range delays {
 				jitter := time.Duration(e.RNG().Intn(100)) * time.Nanosecond
-				e.MustSchedule(time.Duration(d)*time.Microsecond+jitter, func() {})
+				e.MustSchedule(time.Duration(d)*time.Microsecond+jitter, func() {
+					tr = append(tr, dispatch{e.Now(), i})
+				})
 			}
 			e.Drain(uint64(len(delays)) + 1)
 			return tr

@@ -83,7 +83,7 @@ func TestFailedAppendLosesNoLaterRecord(t *testing.T) {
 			t.Fatalf("acknowledged record %v after reopen: %+v (present %v)", want.Key(), got, ok)
 		}
 	}
-	if s2.Has(recs[1].Key()) {
+	if _, ok := s2.Get(recs[1].Key()); ok {
 		t.Fatal("the failed append's record is in the reopened store")
 	}
 }

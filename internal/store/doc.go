@@ -19,6 +19,12 @@
 //
 // # Durability contract
 //
+// A store has one writer. Open takes an exclusive lock on store.jsonl
+// (flock, where the platform has it) until Close, so a second cresd
+// on a live store fails at start-up instead of writing over records
+// the first one acknowledged. Viewers use OpenReadOnly, which takes no
+// lock and never changes the file.
+//
 // Append writes one complete JSON line per record and syncs on Close.
 // A write that fails part-way (a full disk, a file-size limit) is cut
 // back off the file before Append returns the error, so an

@@ -77,11 +77,13 @@ type Store struct {
 	broken error
 }
 
-// Open opens (creating if needed) the store rooted at dir. The
-// directory and its store.jsonl file are created when absent. A torn
-// final record — the residue of a crash mid-Append — is dropped and
-// the file truncated back to the last complete record; a malformed
-// record before the final line is corruption and fails Open.
+// Open opens (creating if needed) the store rooted at dir for
+// writing. The directory and its store.jsonl file are created when
+// absent. A store has one writer: Open takes an exclusive lock on the
+// file, held until Close, and fails at once if another writer holds
+// it. A torn final record — the residue of a crash mid-Append — is
+// dropped and the file truncated back to the last complete record; a
+// malformed record before the final line is corruption and fails Open.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory path")
@@ -94,9 +96,30 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	if err := lock(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store %s: locking it for writing (is another writer using it?): %w", dir, err)
+	}
 	s := &Store{dir: dir, f: f, index: make(map[Key][]int)}
 	if err := s.load(); err != nil {
 		f.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// OpenReadOnly loads the store rooted at dir for reading, beside any
+// writer. It creates, locks and truncates nothing: a torn final
+// record, which may be one a live writer is still appending, is
+// dropped in memory only. A missing store file is an error naming its
+// path. Append on the returned store fails.
+func OpenReadOnly(dir string) (*Store, error) {
+	data, err := os.ReadFile(filepath.Join(dir, FileName))
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	s := &Store{dir: dir, index: make(map[Key][]int)}
+	if _, err := s.parse(data); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -110,6 +133,28 @@ func (s *Store) load() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	good, err := s.parse(data)
+	if err != nil {
+		return err
+	}
+	if good < len(data) {
+		// Truncate the torn tail so the dropped cell is re-runnable and
+		// the next Append cannot splice onto a partial line.
+		if err := s.f.Truncate(int64(good)); err != nil {
+			return fmt.Errorf("store: truncating torn record: %w", err)
+		}
+	}
+	end, err := s.f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.end = end
+	return nil
+}
+
+// parse indexes every complete record in data and returns the byte
+// offset just past the last one; a torn final line is left out.
+func (s *Store) parse(data []byte) (int, error) {
 	good := 0 // byte offset of the end of the last complete, valid record
 	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
@@ -126,25 +171,13 @@ func (s *Store) load() error {
 				// partially flushed buffer).
 				break
 			}
-			return fmt.Errorf("store: corrupt record at byte %d (not the final line): %w", off, err)
+			return 0, fmt.Errorf("store: corrupt record at byte %d (not the final line): %w", off, err)
 		}
 		s.append(rec)
 		off += nl + 1
 		good = off
 	}
-	if good < len(data) {
-		// Truncate the torn tail so the dropped cell is re-runnable and
-		// the next Append cannot splice onto a partial line.
-		if err := s.f.Truncate(int64(good)); err != nil {
-			return fmt.Errorf("store: truncating torn record: %w", err)
-		}
-	}
-	end, err := s.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.end = end
-	return nil
+	return good, nil
 }
 
 // decodeRecord parses and validates one JSONL line.
@@ -199,7 +232,7 @@ func (s *Store) Append(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return fmt.Errorf("store: closed")
+		return fmt.Errorf("store: closed or read-only")
 	}
 	if s.broken != nil {
 		return s.broken
@@ -237,13 +270,6 @@ func (s *Store) Get(k Key) (Record, bool) {
 		return Record{}, false
 	}
 	return s.records[pos[len(pos)-1]], true
-}
-
-// Has reports whether any record is stored under key.
-func (s *Store) Has(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index[k]) > 0
 }
 
 // History returns every record stored under key, oldest first.

@@ -156,11 +156,11 @@ func TestTornFinalRecordTolerated(t *testing.T) {
 		if s.Len() != 2 {
 			t.Fatalf("cut at %d: Len = %d, want 2", cut, s.Len())
 		}
-		if s.Has(full[2].Key()) {
+		if _, ok := s.Get(full[2].Key()); ok {
 			t.Fatalf("cut at %d: torn key still present", cut)
 		}
 		for _, intact := range full[:2] {
-			if !s.Has(intact.Key()) {
+			if _, ok := s.Get(intact.Key()); !ok {
 				t.Fatalf("cut at %d: intact key %v lost", cut, intact.Key())
 			}
 		}
@@ -278,6 +278,96 @@ func TestTruncatedTailIsRemovedFromDisk(t *testing.T) {
 	defer s3.Close()
 	if s3.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s3.Len())
+	}
+}
+
+// TestSecondWriterRefused opens one directory twice for writing, as
+// two cresd processes given the same -store would. Each writer would
+// append at its own idea of the file's end, and the second record
+// would overwrite the first, so the second Open must fail at once,
+// naming the store. Once the first writer closes, a new one may open.
+func TestSecondWriterRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err == nil {
+		s2.Close()
+		t.Fatal("a second writer opened a store that has one")
+	}
+	if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("error %q does not name the store %s", err, dir)
+	}
+	if err := s.Append(testRecord("E8", 7, "aaaa", "first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	defer s3.Close()
+	if s3.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", s3.Len())
+	}
+}
+
+// TestOpenReadOnlyLeavesTornTail reads a store whose final line is
+// torn, as a viewer beside a live writer may: the complete records
+// load, the torn one is absent, the file's bytes stay as they were,
+// and nothing can be appended. A missing store is an error naming its
+// path, and creates nothing.
+func TestOpenReadOnlyLeavesTornTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(testRecord("E8", 7, "aaaa", "keep")); err != nil {
+		t.Fatal(err)
+	}
+	// A writer still holds the store: the viewer must not need its lock.
+	defer s.Close()
+	path := filepath.Join(dir, FileName)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(append([]byte{}, clean...), `{"torn":`...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ro.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", ro.Len())
+	}
+	if _, ok := ro.Get(testRecord("E8", 7, "aaaa", "").Key()); !ok {
+		t.Fatal("complete record missing")
+	}
+	if err := ro.Append(testRecord("E9", 7, "bbbb", "x")); err == nil {
+		t.Fatal("read-only store accepted an append")
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != string(torn) {
+		t.Fatalf("read-only open changed the file:\n%q\nwant\n%q", got, torn)
+	}
+
+	absent := filepath.Join(t.TempDir(), "absent")
+	if _, err := OpenReadOnly(absent); err == nil || !strings.Contains(err.Error(), filepath.Join(absent, FileName)) {
+		t.Fatalf("missing store: error %v, want one naming %s", err, filepath.Join(absent, FileName))
+	}
+	if _, err := os.Stat(absent); !os.IsNotExist(err) {
+		t.Fatal("read-only open created the directory")
 	}
 }
 

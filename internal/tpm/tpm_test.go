@@ -91,7 +91,7 @@ func TestRebootClearsPCRsKeepsCounters(t *testing.T) {
 	if tp.Counter("fw-version").Value() != 7 {
 		t.Fatal("NV counter lost on reboot")
 	}
-	if !tp.AIKPublic().Equal(aikBefore) {
+	if !bytes.Equal(tp.AIKPublic(), aikBefore) {
 		t.Fatal("AIK changed on reboot")
 	}
 }
@@ -187,61 +187,12 @@ func TestQuoteBadSelection(t *testing.T) {
 	}
 }
 
-func TestSealUnseal(t *testing.T) {
-	tp := newTestTPM(t)
-	tp.Extend(PCRFirmware, cryptoutil.Sum([]byte("fw-v1")), "fw")
-	secret := []byte("network credential")
-	sb, err := tp.Seal(secret, []int{PCRFirmware})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tp.Unseal(sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Fatalf("Unseal = %q", got)
-	}
-}
-
-func TestUnsealFailsAfterStateChange(t *testing.T) {
-	tp := newTestTPM(t)
-	tp.Extend(PCRFirmware, cryptoutil.Sum([]byte("fw-v1")), "fw")
-	sb, err := tp.Seal([]byte("secret"), []int{PCRFirmware})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Platform state changes: different firmware measured (the
-	// downgrade-attack detection mechanism for sealed credentials).
-	tp.Extend(PCRFirmware, cryptoutil.Sum([]byte("fw-evil")), "tampered fw")
-	if _, err := tp.Unseal(sb); !errors.Is(err, ErrUnsealState) {
-		t.Fatalf("err = %v, want ErrUnsealState", err)
-	}
-}
-
-func TestUnsealFailsAfterReboot(t *testing.T) {
-	tp := newTestTPM(t)
-	tp.Extend(PCRFirmware, cryptoutil.Sum([]byte("fw-v1")), "fw")
-	sb, err := tp.Seal([]byte("secret"), []int{PCRFirmware})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp.Reboot()
-	// Without re-measuring the same firmware, unseal must fail...
-	if _, err := tp.Unseal(sb); !errors.Is(err, ErrUnsealState) {
-		t.Fatalf("err = %v, want ErrUnsealState", err)
-	}
-	// ...and after re-measuring identical firmware, it must succeed.
-	tp.Extend(PCRFirmware, cryptoutil.Sum([]byte("fw-v1")), "fw")
-	if _, err := tp.Unseal(sb); err != nil {
-		t.Fatalf("unseal after identical re-measurement: %v", err)
-	}
-}
-
 func TestCounterPersistsAndIsShared(t *testing.T) {
 	tp := newTestTPM(t)
 	c1 := tp.Counter("fw")
-	c1.Increment()
+	if err := c1.Advance(1); err != nil {
+		t.Fatal(err)
+	}
 	if tp.Counter("fw").Value() != 1 {
 		t.Fatal("counter not shared by name")
 	}
