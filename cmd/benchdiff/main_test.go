@@ -19,12 +19,22 @@ import (
 // The metric builders below go through the experiments' own Metrics
 // methods, so every row is judged under the budgets the code ships.
 
-func e9(config string, ns, allocs float64) []harness.Metric {
-	return (&cres.E9Result{Rows: []cres.E9Row{{Config: config, WallNsPerTx: ns, AllocsPerTx: allocs}}}).Metrics()
+// e9Row is one non-reference E9 configuration whose passes took ns/tx
+// against refNs for the reference in the same rounds.
+func e9Row(refNs float64, config string, ns, allocs float64) []harness.Metric {
+	return (&cres.E9Result{Rows: []cres.E9Row{{Config: config, WallNsPerTx: ns, OverheadRatio: ns / refNs,
+		AllocsPerTx: allocs}}}).Metrics()
 }
 
-// ref is the E9 no-monitoring row every normalized metric scales by.
-func ref(ns float64) []harness.Metric { return e9("no-monitoring", ns, 0) }
+// ref is the E9 no-monitoring row E8's devices/sec is normalized by.
+func ref(ns float64) []harness.Metric {
+	return (&cres.E9Result{Rows: []cres.E9Row{{Config: "no-monitoring", WallNsPerTx: ns}}}).Metrics()
+}
+
+// e9 is one E9 run: the reference at refNs and config at ns.
+func e9(refNs float64, config string, ns, allocs float64) []harness.Metric {
+	return join(ref(refNs), e9Row(refNs, config, ns, allocs))
+}
 
 func e8(batch, shard int, devicesPerSec, allocs float64) []harness.Metric {
 	return (&cres.E8Result{TotalDevices: int(devicesPerSec), Wall: time.Second,
@@ -68,43 +78,43 @@ type compareCase struct {
 // "<group>/<case>"; TestCompare<group> runs the group's rows.
 var compareCases = []compareCase{
 	{name: "NoRegression/small drift on every row",
-		base:  join(ref(16), e9("bus-monitor", 22, 0)),
-		fresh: join(ref(17), e9("bus-monitor", 23, 0))},
+		base:  e9(16, "bus-monitor", 22, 0),
+		fresh: e9(17, "bus-monitor", 23, 0)},
 	{name: "NoRegression/ungated metrics may move freely",
 		base:  join(nsPerOp("E3", 100), ref(16), svc(100, 1000)),
 		fresh: join(nsPerOp("E3", 900), ref(160), svc(100, 9000))},
 
 	{name: "FlagsNsRegression/overhead ratio past budget",
-		base:  join(ref(16), e9("bus-monitor", 22, 0)),
-		fresh: join(ref(16), e9("bus-monitor", 40, 0)),
-		want:  []string{"E9/bus-monitor/ns_per_tx"}},
+		base:  e9(16, "bus-monitor", 22, 0),
+		fresh: e9(16, "bus-monitor", 40, 0),
+		want:  []string{"E9/bus-monitor/overhead_ratio"}},
 
 	{name: "WithinThresholdPasses/ratio up 24.4%",
-		base:  join(ref(16), e9("bus-monitor", 22, 0)),
-		fresh: join(ref(16), e9("bus-monitor", 27.368, 0))},
+		base:  e9(16, "bus-monitor", 22, 0),
+		fresh: e9(16, "bus-monitor", 27.368, 0)},
 
 	{name: "FlagsAllocRegression/any allocs per tx",
-		base:  join(ref(16), e9("bus-monitor", 22, 0)),
-		fresh: join(ref(16), e9("bus-monitor", 22, 0.5)),
+		base:  e9(16, "bus-monitor", 22, 0),
+		fresh: e9(16, "bus-monitor", 22, 0.5),
 		want:  []string{"E9/bus-monitor/allocs_per_tx"}},
 
 	{name: "NormalizedIgnoresMachineSpeed/uniformly 3x slower host",
-		base:  join(ref(16), e9("bus-monitor", 22, 0)),
-		fresh: join(ref(48), e9("bus-monitor", 66, 0))},
+		base:  e9(16, "bus-monitor", 22, 0),
+		fresh: e9(48, "bus-monitor", 66, 0)},
 	{name: "NormalizedIgnoresMachineSpeed/ratio regression on a slow host",
-		base:  join(ref(16), e9("bus-monitor", 22, 0)),
-		fresh: join(ref(48), e9("bus-monitor", 120, 0)),
-		want:  []string{"E9/bus-monitor/ns_per_tx"}},
+		base:  e9(16, "bus-monitor", 22, 0),
+		fresh: e9(48, "bus-monitor", 120, 0),
+		want:  []string{"E9/bus-monitor/overhead_ratio"}},
 	{name: "NormalizedIgnoresMachineSpeed/missing reference",
-		base:  join(ref(16), e9("bus-monitor", 22, 0)),
-		fresh: e9("bus-monitor", 22, 0),
+		base:  join(e9(16, "bus-monitor", 22, 0), e8(256, 4096, 9_000, 1)),
+		fresh: join(e9Row(16, "bus-monitor", 22, 0), e8(256, 4096, 9_000, 1)),
 		want:  []string{"norm E9/no-monitoring/ns_per_tx", "E9/no-monitoring/allocs_per_tx: gated metric dropped"}},
 
 	{name: "FlagsMissingAndDroppedConfigs/new and dropped config",
-		base:  join(ref(16), e9("bus-monitor", 22, 0)),
-		fresh: join(ref(16), e9("brand-new", 1, 0)),
-		want: []string{"E9/brand-new/ns_per_tx: gated metric missing", "E9/brand-new/allocs_per_tx: gated metric missing",
-			"E9/bus-monitor/ns_per_tx: gated metric dropped", "E9/bus-monitor/allocs_per_tx: gated metric dropped"}},
+		base:  e9(16, "bus-monitor", 22, 0),
+		fresh: e9(16, "brand-new", 1, 0),
+		want: []string{"E9/brand-new/overhead_ratio: gated metric missing", "E9/brand-new/allocs_per_tx: gated metric missing",
+			"E9/bus-monitor/overhead_ratio: gated metric dropped", "E9/bus-monitor/allocs_per_tx: gated metric dropped"}},
 
 	{name: "FleetGate/throughput down 10%",
 		base:  join(ref(16), e8(256, 4096, 10_000, 1)),
@@ -268,9 +278,9 @@ func TestRunEndToEnd(t *testing.T) {
 	v2 := func(ms ...[]harness.Metric) report {
 		return report{Schema: harness.MetricsSchema, Metrics: join(ms...)}
 	}
-	basePath := write("base.json", v2(ref(16), e9("bus-monitor", 22, 0)))
-	goodPath := write("good.json", v2(ref(16.5), e9("bus-monitor", 22, 0)))
-	badPath := write("bad.json", v2(ref(16), e9("bus-monitor", 30, 0)))
+	basePath := write("base.json", v2(e9(16, "bus-monitor", 22, 0)))
+	goodPath := write("good.json", v2(e9(16.5, "bus-monitor", 22, 0)))
+	badPath := write("bad.json", v2(e9(16, "bus-monitor", 30, 0)))
 	v1Path := write("v1.json", map[string]any{"schema": "cres-bench/v1",
 		"e9": map[string]any{"rows": []map[string]any{{"config": "no-monitoring", "ns_per_tx": 16}}}})
 

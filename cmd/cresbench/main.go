@@ -211,7 +211,7 @@ func runCampaign(o options, pool *harness.Pool) error {
 	if err != nil {
 		return err
 	}
-	res, err := cres.RunE12Campaign(cres.CampaignConfig{
+	res, err := cres.RunE12Campaign(scenario.CampaignSpec{
 		RootSeed: o.seed,
 		Seeds:    o.shards,
 		Plans:    plans,

@@ -51,6 +51,9 @@ func TestRunQuick(t *testing.T) {
 		if m, ok := by["E9/"+config+"/ns_per_tx"]; !ok || m.Value <= 0 {
 			t.Errorf("E9 %s: ns/tx = %+v, want > 0", config, m)
 		}
+		if m, ok := by["E9/"+config+"/overhead_ratio"]; config != "no-monitoring" && (!ok || m.Value <= 0) {
+			t.Errorf("E9 %s: overhead ratio = %+v, want > 0", config, m)
+		}
 	}
 	for _, name := range harness.Names() {
 		if m, ok := by[name+"/ns_per_op"]; !ok || m.Value <= 0 {

@@ -3,11 +3,6 @@
 // what the security manager did, how the services fared, and the
 // forensic reconstruction.
 //
-// The -campaign mode runs the full scenario campaign instead: every
-// attack scenario and staged plan × {cres, baseline} × -shards derived
-// seeds, fanned across -parallel workers, printed as one outcome
-// matrix.
-//
 // The -fleet mode is the streaming fleet smoke: attest an N-device
 // fleet on the fleet engine and print the merged summary plus the
 // sampled anomalous devices.
@@ -34,7 +29,6 @@
 //	cresim -plan network-takeover
 //	cresim -plan "secure-probe@0,log-wipe@10ms*3"
 //	cresim -all
-//	cresim -campaign [-plan implant-persist] [-shards 3] [-parallel N] [-seed 7]
 //	cresim -fleet 4096 [-parallel N] [-seed 7]
 //	cresim -tree 2:4 [-parallel N] [-seed 7]
 //	cresim -topology ring:10 [-dwell 2ms] [-mode cres-coop] [-worm secure-probe]
@@ -75,10 +69,8 @@ type options struct {
 	all      bool
 	arch     string
 	seed     int64
-	campaign bool
 	fleet    int
 	tree     string
-	shards   int
 	parallel int
 	topology string
 	dwell    time.Duration
@@ -94,15 +86,13 @@ func main() {
 	var o options
 	flag.BoolVar(&o.list, "list", false, "list available attack scenarios and built-in plans")
 	flag.StringVar(&o.scenario, "scenario", "", "comma-separated scenarios to run (see -list)")
-	flag.StringVar(&o.plan, "plan", "", `staged plans: built-in names ("implant-persist"), "scenario@delay,..." syntax, or "none" (campaign mode)`)
+	flag.StringVar(&o.plan, "plan", "", `staged plans: built-in names ("implant-persist") or "scenario@delay,..." syntax`)
 	flag.BoolVar(&o.all, "all", false, "run every scenario")
 	flag.StringVar(&o.arch, "arch", "cres", "architecture: cres, baseline or both")
-	flag.Int64Var(&o.seed, "seed", 7, "simulation seed (campaign: root seed)")
-	flag.BoolVar(&o.campaign, "campaign", false, "run the scenario campaign matrix")
+	flag.Int64Var(&o.seed, "seed", 7, "simulation seed")
 	flag.IntVar(&o.fleet, "fleet", 0, "attest an N-device fleet on the streaming engine (smoke mode)")
 	flag.StringVar(&o.tree, "tree", "", `attest through a verifier hierarchy: "depth:fanout" (e.g. 2:4)`)
-	flag.IntVar(&o.shards, "shards", 3, "campaign seed replicas per attack × architecture cell")
-	flag.IntVar(&o.parallel, "parallel", 0, "campaign worker pool size (0 = GOMAXPROCS)")
+	flag.IntVar(&o.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 	flag.StringVar(&o.topology, "topology", "", `worm-over-fleet mode: "kind[:size[:fanout]]" (ring, star, mesh, random)`)
 	flag.DurationVar(&o.dwell, "dwell", 2*time.Millisecond, "worm infection-to-propagation delay (topology mode)")
 	flag.StringVar(&o.mode, "mode", "cres-coop", "fleet response mode: baseline, cres-isolated or cres-coop (topology mode)")
@@ -142,23 +132,6 @@ func run(o options) error {
 
 	if o.topology != "" {
 		return runSwarm(o)
-	}
-
-	if o.campaign {
-		plans, err := scenario.ParsePlans(o.plan)
-		if err != nil {
-			return err
-		}
-		res, err := cres.RunE12Campaign(cres.CampaignConfig{
-			RootSeed: o.seed,
-			Seeds:    o.shards,
-			Plans:    plans,
-		}, harness.NewPool(o.parallel))
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table.Render())
-		return nil
 	}
 
 	if err := oneOf("-arch", o.arch, []string{scenario.ArchCRES, scenario.ArchBaseline, "both"}); err != nil {

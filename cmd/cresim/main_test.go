@@ -30,7 +30,6 @@ func TestRunRejectsNegativeParallel(t *testing.T) {
 	}{
 		{"-fleet 4 -parallel -5", options{fleet: 4, parallel: -5, seed: 7}, false},
 		{"-tree 2:2 -parallel -1", options{tree: "2:2", parallel: -1, seed: 7}, false},
-		{"-campaign -parallel -1", options{campaign: true, shards: 1, parallel: -1, seed: 7}, false},
 		{"-fleet 4 -parallel 0", options{fleet: 4, seed: 7}, true},
 	} {
 		err := run(tc.o)
@@ -112,12 +111,6 @@ func TestUnknownArchitecture(t *testing.T) {
 func TestNothingSelected(t *testing.T) {
 	if err := run(options{arch: "cres", seed: 7}); err == nil {
 		t.Fatal("empty selection accepted")
-	}
-}
-
-func TestCampaignMode(t *testing.T) {
-	if err := run(options{campaign: true, seed: 7, shards: 1, parallel: 2, plan: "implant-persist"}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -112,7 +112,7 @@ func NewDevice(spec scenario.DeviceSpec, engine *sim.Engine, net *m2m.Network) (
 		SoC:       soc,
 		TPM:       tp,
 		Chain:     boot.NewChain(vendor.Public(), s.Boot),
-		TEE:       tee.New(engine, soc, s.TEE),
+		TEE:       tee.New(engine, soc, tee.Config{}),
 		Vendor:    vendor,
 		Actuators: make(map[string]*hw.Actuator),
 		spec:      compiled,
@@ -126,7 +126,7 @@ func NewDevice(spec scenario.DeviceSpec, engine *sim.Engine, net *m2m.Network) (
 	}
 
 	// Services / degradation tracking exists on both architectures.
-	d.Degrader, err = response.NewDegrader(s.Services)
+	d.Degrader, err = response.NewDegrader(scenario.DefaultServices())
 	if err != nil {
 		return nil, fmt.Errorf("cres: %w", err)
 	}
@@ -202,10 +202,9 @@ func (d *Device) buildSSM() error {
 	if err != nil {
 		return fmt.Errorf("cres: %w", err)
 	}
-	obs := d.spec.Spec.ObservationPeriod
 	d.SSM, err = core.New(d.Engine, core.Config{
-		ObservationPeriod: obs,
-		AnchorPeriod:      10 * obs,
+		ObservationPeriod: scenario.ObservationPeriod,
+		AnchorPeriod:      10 * scenario.ObservationPeriod,
 		DeviceName:        d.Name,
 	}, ssmKey, nil)
 	if err != nil {
@@ -241,7 +240,7 @@ func (d *Device) buildBusMonitor() error {
 		}
 	}
 	if d.spec.AnomalyDetection() {
-		busCfg.RateWindow = d.spec.Spec.MonitorWindow
+		busCfg.RateWindow = scenario.MonitorWindow
 	}
 	var err error
 	d.BusMon, err = monitor.NewBusMonitor(d.Engine, busCfg, d.SSM)
@@ -260,7 +259,7 @@ func (d *Device) buildCFIMonitor() error {
 		return nil
 	}
 	var err error
-	d.CFIMon, err = monitor.NewCFIMonitor(d.Engine, d.spec.Spec.CFG, d.SSM)
+	d.CFIMon, err = monitor.NewCFIMonitor(d.Engine, scenario.DefaultCFG(), d.SSM)
 	if err != nil {
 		return fmt.Errorf("cres: %w", err)
 	}
@@ -277,7 +276,7 @@ func (d *Device) buildTimingMonitor() error {
 	}
 	var err error
 	d.TimingMon, err = monitor.NewTimingMonitor(d.Engine, d.SoC.Cache, monitor.TimingConfig{
-		Window: d.spec.Spec.MonitorWindow, CrossWorldPerWindow: 8,
+		Window: scenario.MonitorWindow, CrossWorldPerWindow: 8,
 	}, d.SSM)
 	if err != nil {
 		return fmt.Errorf("cres: %w", err)
@@ -291,7 +290,7 @@ func (d *Device) buildTimingMonitor() error {
 func (d *Device) buildEnvMonitor() error {
 	var err error
 	d.EnvMon, err = monitor.NewEnvMonitor(d.Engine, d.SoC.EnvSensors(), monitor.EnvConfig{
-		Window: d.spec.Spec.MonitorWindow,
+		Window: scenario.MonitorWindow,
 		Bands: map[string]monitor.EnvBand{
 			"vdd-core": {MaxDeviation: 0.05},
 			"pll-main": {MaxDeviation: 40},
@@ -315,7 +314,7 @@ func (d *Device) buildNetMonitor() error {
 	}
 	netCfg := monitor.NetConfig{AuthFailureEscalation: 3, DisableSignatures: !d.spec.SignatureDetection()}
 	if d.spec.AnomalyDetection() {
-		netCfg.RateWindow = d.spec.Spec.MonitorWindow
+		netCfg.RateWindow = scenario.MonitorWindow
 	}
 	var err error
 	d.NetMon, err = monitor.NewNetMonitor(d.Engine, netCfg, d.SSM)
@@ -395,5 +394,5 @@ func (d *Device) ForensicReport(from, to sim.VirtualTime) *core.BreachReport {
 	if d.SSM == nil {
 		return nil
 	}
-	return core.Reconstruct(d.SSM.Log(), from, to, sim.VirtualTime(2*d.spec.Spec.ObservationPeriod), d.SSM.Anchors(), d.SSM.AnchorKey())
+	return core.Reconstruct(d.SSM.Log(), from, to, sim.VirtualTime(2*scenario.ObservationPeriod), d.SSM.Anchors(), d.SSM.AnchorKey())
 }

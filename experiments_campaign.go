@@ -23,29 +23,6 @@ import (
 // campaign means declaring a new scenario or plan, not editing this
 // file.
 
-// CampaignConfig parameterises RunE12Campaign. It is the thin public
-// face of scenario.CampaignSpec: defaults are filled here, validation
-// happens in the spec's Compile.
-type CampaignConfig struct {
-	// RootSeed seeds the campaign; every cell derives its own engine
-	// seed from it. Zero is a valid root seed — it is used as given,
-	// never substituted.
-	RootSeed int64
-	// Seeds is the number of seed replicas per (attack, architecture)
-	// cell. Default 3.
-	Seeds int
-	// Scenarios selects single-scenario attacks by registry name. Nil
-	// selects every registered scenario; empty selects none.
-	Scenarios []string
-	// Plans selects the staged attack plans. Nil selects the built-in
-	// plans; empty selects none.
-	Plans []scenario.AttackPlan
-	// Warm is the healthy-workload period before the attack (default
-	// 15ms) and Window the observation period after launch (default
-	// 30ms; plan cells extend it by the plan's horizon).
-	Warm, Window time.Duration
-}
-
 // E12Cell is one campaign run: one attack on one architecture at one
 // derived seed.
 type E12Cell struct {
@@ -100,18 +77,8 @@ type E12Result struct {
 // RunE12Campaign compiles the campaign spec and runs its matrix. Cells
 // are fanned across the harness pool; the matrix is merged in cell
 // order, so the result is byte-identical at any parallelism.
-func RunE12Campaign(cfg CampaignConfig, pool *harness.Pool) (*E12Result, error) {
-	if cfg.Seeds <= 0 {
-		cfg.Seeds = 3
-	}
-	cc, err := scenario.CampaignSpec{
-		RootSeed:  cfg.RootSeed,
-		Seeds:     cfg.Seeds,
-		Scenarios: cfg.Scenarios,
-		Plans:     cfg.Plans,
-		Warm:      cfg.Warm,
-		Window:    cfg.Window,
-	}.Compile()
+func RunE12Campaign(spec scenario.CampaignSpec, pool *harness.Pool) (*E12Result, error) {
+	cc, err := spec.Compile()
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +96,7 @@ func RunE12Campaign(cfg CampaignConfig, pool *harness.Pool) (*E12Result, error) 
 
 	res := &E12Result{Cells: cells}
 	var cresCells, cresDetected, cresRecovered, baseCells, baseDetected int
-	perAttack := len(cc.Devices) * cfg.Seeds
+	perAttack := len(cc.Devices) * spec.Seeds
 	var scenarios, plans int
 	for _, att := range cc.Attacks {
 		if att.Kind == scenario.KindPlan {
@@ -140,10 +107,10 @@ func RunE12Campaign(cfg CampaignConfig, pool *harness.Pool) (*E12Result, error) 
 	}
 	for ai, att := range cc.Attacks {
 		for di, dev := range cc.Devices {
-			row := E12Row{Scenario: att.Name, Arch: dev.Spec.Arch, Kind: att.Kind, Seeds: cfg.Seeds}
+			row := E12Row{Scenario: att.Name, Arch: dev.Spec.Arch, Kind: att.Kind, Seeds: spec.Seeds}
 			var latSum time.Duration
-			for s := 0; s < cfg.Seeds; s++ {
-				cell := cells[ai*perAttack+di*cfg.Seeds+s]
+			for s := 0; s < spec.Seeds; s++ {
+				cell := cells[ai*perAttack+di*spec.Seeds+s]
 				if cell.Detected {
 					row.Detected++
 					latSum += cell.Latency
@@ -186,7 +153,7 @@ func RunE12Campaign(cfg CampaignConfig, pool *harness.Pool) (*E12Result, error) 
 	frac := func(n, of int) string { return fmt.Sprintf("%d/%d", n, of) }
 	t := report.NewTable(
 		fmt.Sprintf("E12 — Scenario campaign: %d scenarios + %d staged plans × {cres, baseline} × %d seeds (root seed %d)",
-			scenarios, plans, cfg.Seeds, cfg.RootSeed),
+			scenarios, plans, spec.Seeds, spec.RootSeed),
 		"Attack", "Kind", "Arch", "Detected", "Mean latency", "Responded", "Recovered")
 	for _, r := range res.Rows {
 		lat, rec := "-", "-"
@@ -221,7 +188,7 @@ func runCampaignCell(cell scenario.Cell) (E12Cell, error) {
 	if err != nil {
 		return out, err
 	}
-	if err := tb.Warm(cell.Warm); err != nil {
+	if err := tb.Warm(scenario.CampaignWarm); err != nil {
 		return out, err
 	}
 

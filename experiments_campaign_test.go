@@ -10,7 +10,7 @@ import (
 )
 
 func TestE12CampaignOutcomes(t *testing.T) {
-	res, err := RunE12Campaign(CampaignConfig{RootSeed: 7, Seeds: 2}, harness.NewPool(4))
+	res, err := RunE12Campaign(scenario.CampaignSpec{RootSeed: 7, Seeds: 2}, harness.NewPool(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestE12CampaignOutcomes(t *testing.T) {
 // staged plans included — must be byte-identical whether cells run
 // serially or across 8 workers.
 func TestE12CampaignDeterministicAcrossParallelism(t *testing.T) {
-	cfg := CampaignConfig{RootSeed: 7, Seeds: 2,
+	cfg := scenario.CampaignSpec{RootSeed: 7, Seeds: 2,
 		Scenarios: []string{"secure-probe", "firmware-tamper", "code-injection"},
 		Plans:     scenario.BuiltinPlans()[:1]}
 	serial, err := RunE12Campaign(cfg, harness.NewPool(1))
@@ -79,7 +79,7 @@ func TestE12CampaignDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestE12CampaignDefaultsAndSubset(t *testing.T) {
-	res, err := RunE12Campaign(CampaignConfig{RootSeed: 9, Seeds: 1,
+	res, err := RunE12Campaign(scenario.CampaignSpec{RootSeed: 9, Seeds: 1,
 		Scenarios: []string{"secure-probe"}, Plans: []scenario.AttackPlan{}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -101,11 +101,11 @@ func TestE12CampaignDefaultsAndSubset(t *testing.T) {
 // TestE12CampaignRejectsBadSpecs pins that spec validation reaches the
 // public API: unknown scenario names fail compilation, not mid-run.
 func TestE12CampaignRejectsBadSpecs(t *testing.T) {
-	if _, err := RunE12Campaign(CampaignConfig{Seeds: 1, Scenarios: []string{"ghost"}}, nil); err == nil {
+	if _, err := RunE12Campaign(scenario.CampaignSpec{Seeds: 1, Scenarios: []string{"ghost"}}, nil); err == nil {
 		t.Fatal("unknown scenario name accepted")
 	}
 	bad := scenario.AttackPlan{Name: "p", Stages: []scenario.PlanStage{{Scenario: "ghost"}}}
-	if _, err := RunE12Campaign(CampaignConfig{Seeds: 1, Plans: []scenario.AttackPlan{bad}}, nil); err == nil {
+	if _, err := RunE12Campaign(scenario.CampaignSpec{Seeds: 1, Plans: []scenario.AttackPlan{bad}}, nil); err == nil {
 		t.Fatal("plan with unknown stage scenario accepted")
 	}
 }
@@ -114,7 +114,7 @@ func TestE12CampaignRejectsBadSpecs(t *testing.T) {
 // not silently replaced by a default: its derived cell seeds must differ
 // from root seed 7's.
 func TestE12CampaignHonorsSeedZero(t *testing.T) {
-	cfg := CampaignConfig{Seeds: 1, Scenarios: []string{"secure-probe"}, Plans: []scenario.AttackPlan{}}
+	cfg := scenario.CampaignSpec{Seeds: 1, Scenarios: []string{"secure-probe"}, Plans: []scenario.AttackPlan{}}
 	zero, err := RunE12Campaign(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -74,23 +74,16 @@ type E14Config struct {
 	// seeds derive per (topology, level) pair so the two modes of a row
 	// share their faults.
 	RootSeed int64
-	// FleetSize is the number of devices per cell (default 10).
-	FleetSize int
 	// Topologies are the wirings under test (default ring fanout 1,
-	// star, random fanout 2 — the E13 quick axis, where cooperative
-	// containment is established).
+	// star, random fanout 2 of e14FleetSize devices — the E13 quick
+	// axis, where cooperative containment is established).
 	Topologies []scenario.TopologySpec
 	// Dwell is the worm's propagation delay (default 2ms).
 	Dwell time.Duration
 	// Levels is the fault-intensity axis (default DefaultFaultLevels).
 	Levels []FaultLevel
-	// Modes are the response modes (default both).
-	Modes []string
 	// Payload is the worm's payload scenario (default "secure-probe").
 	Payload string
-	// Window caps the recovery phase, measured from worm launch
-	// (default 100ms). A contain cell's time-to-full-service pins here.
-	Window time.Duration
 	// Quick trims the sweep: two wirings, levels none and high.
 	Quick bool
 }
@@ -144,6 +137,15 @@ type E14Result struct {
 	MeanTTFSGain time.Duration
 }
 
+// Every E14 sweep runs both response modes, wires e14FleetSize
+// devices in its default topologies, and caps each cell's recovery
+// phase at e14Window from worm launch: a contain cell's
+// time-to-full-service pins there.
+const (
+	e14FleetSize = 10
+	e14Window    = 100 * time.Millisecond
+)
+
 // e14DefaultTopologies is the wiring axis (the E13 quick axis).
 func e14DefaultTopologies(n int, quick bool) []scenario.TopologySpec {
 	all := []scenario.TopologySpec{
@@ -162,12 +164,6 @@ func e14DefaultTopologies(n int, quick bool) []scenario.TopologySpec {
 // enumeration order — topology-major, then level, then mode — and
 // merge by index, so the table is byte-identical at any parallelism.
 func RunE14FaultRecovery(cfg E14Config, pool *harness.Pool) (*E14Result, error) {
-	if cfg.FleetSize == 0 {
-		cfg.FleetSize = 10
-	}
-	if cfg.FleetSize < 3 {
-		return nil, fmt.Errorf("e14: fleet of %d cannot demonstrate recovery (want >= 3)", cfg.FleetSize)
-	}
 	if cfg.Payload == "" {
 		cfg.Payload = "secure-probe"
 	}
@@ -178,11 +174,8 @@ func RunE14FaultRecovery(cfg E14Config, pool *harness.Pool) (*E14Result, error) 
 	if cfg.Dwell <= 0 {
 		cfg.Dwell = 2 * time.Millisecond
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 100 * time.Millisecond
-	}
 	if cfg.Topologies == nil {
-		cfg.Topologies = e14DefaultTopologies(cfg.FleetSize, cfg.Quick)
+		cfg.Topologies = e14DefaultTopologies(e14FleetSize, cfg.Quick)
 	}
 	if cfg.Levels == nil {
 		cfg.Levels = DefaultFaultLevels()
@@ -190,9 +183,7 @@ func RunE14FaultRecovery(cfg E14Config, pool *harness.Pool) (*E14Result, error) 
 			cfg.Levels = []FaultLevel{cfg.Levels[0], cfg.Levels[2]}
 		}
 	}
-	if cfg.Modes == nil {
-		cfg.Modes = FaultModes()
-	}
+	modes := FaultModes()
 
 	topos := make([]*scenario.CompiledTopology, len(cfg.Topologies))
 	for i, ts := range cfg.Topologies {
@@ -226,7 +217,7 @@ func RunE14FaultRecovery(cfg E14Config, pool *harness.Pool) (*E14Result, error) 
 			if err != nil {
 				return nil, fmt.Errorf("e14: fault level %q: %w", lv.Name, err)
 			}
-			for _, m := range cfg.Modes {
+			for _, m := range modes {
 				specs = append(specs, cellSpec{topo: t, level: lv, mode: m, plan: plan, faultSeed: spec.Seed})
 			}
 		}
@@ -234,7 +225,7 @@ func RunE14FaultRecovery(cfg E14Config, pool *harness.Pool) (*E14Result, error) 
 
 	cells, err := harness.Map(pool, len(specs), cfg.RootSeed, func(sh harness.Shard) (E14Cell, error) {
 		sp := specs[sh.Index]
-		cell, err := runFaultCell(sp.topo, cfg.Dwell, sp.mode, payload, sh.Seed, sp.plan, cfg.Window)
+		cell, err := runFaultCell(sp.topo, cfg.Dwell, sp.mode, payload, sh.Seed, sp.plan, e14Window)
 		if err != nil {
 			return E14Cell{}, fmt.Errorf("e14 %s/f%d/%s/%s: %w", sp.topo.Spec.Kind, sp.topo.Spec.Fanout, sp.level.Name, sp.mode, err)
 		}
@@ -251,7 +242,7 @@ func RunE14FaultRecovery(cfg E14Config, pool *harness.Pool) (*E14Result, error) 
 	res := &E14Result{Cells: cells, RecoveryDominates: true}
 	ttfs := make(map[int]map[string]time.Duration) // row index -> mode -> TTFS
 	for _, c := range cells {
-		row := c.Index / len(cfg.Modes)
+		row := c.Index / len(modes)
 		if ttfs[row] == nil {
 			ttfs[row] = make(map[string]time.Duration)
 		}
@@ -277,7 +268,7 @@ func RunE14FaultRecovery(cfg E14Config, pool *harness.Pool) (*E14Result, error) 
 
 	t := report.NewTable(
 		fmt.Sprintf("E14 — Closed-loop recovery under fault injection: %q worm, %d-device fleets, %v window (root seed %d)",
-			cfg.Payload, cfg.FleetSize, cfg.Window, cfg.RootSeed),
+			cfg.Payload, e14FleetSize, e14Window, cfg.RootSeed),
 		"Topology", "Fanout", "Faults", "Mode", "Infected", "Reinf", "Saved", "Crashes",
 		"Recovered", "Retries", "Gossip d/x", "TTFS", "Full svc")
 	for _, c := range cells {

@@ -62,14 +62,6 @@ type E13Config struct {
 	Dwells []time.Duration
 	// Modes are the response modes (default all three).
 	Modes []string
-	// Payload is the attack-registry scenario the worm carries
-	// (default "secure-probe").
-	Payload string
-	// Faults is the cell-level fault campaign (lossy fabric, churn).
-	// The zero spec compiles to a disabled plan and the sweep is then
-	// byte-identical to a fault-free run; E14 is the sweep that
-	// actually exercises this axis.
-	Faults scenario.FaultSpec
 	// Quick trims the sweep for smoke runs: three wirings, one dwell.
 	Quick bool
 }
@@ -112,6 +104,12 @@ type E13Result struct {
 	CoopDominatesIsolated bool
 }
 
+// e13Payload is the attack-registry scenario every E13 worm carries.
+// The sweep runs on a fault-free fabric: its cells get the plan the
+// zero scenario.FaultSpec compiles to, which is disabled; E14 is the
+// sweep that injects faults.
+const e13Payload = "secure-probe"
+
 // defaultTopologies builds the sweep's wiring axis.
 func defaultTopologies(n int, quick bool) []scenario.TopologySpec {
 	if quick {
@@ -142,12 +140,9 @@ func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error)
 	if cfg.FleetSize < 3 {
 		return nil, fmt.Errorf("e13: fleet of %d cannot demonstrate saving anyone (want >= 3)", cfg.FleetSize)
 	}
-	if cfg.Payload == "" {
-		cfg.Payload = "secure-probe"
-	}
-	payload, ok := attack.Get(cfg.Payload)
+	payload, ok := attack.Get(e13Payload)
 	if !ok {
-		return nil, fmt.Errorf("e13: unknown worm payload %q", cfg.Payload)
+		return nil, fmt.Errorf("e13: unknown worm payload %q", e13Payload)
 	}
 	if cfg.Topologies == nil {
 		cfg.Topologies = defaultTopologies(cfg.FleetSize, cfg.Quick)
@@ -190,7 +185,7 @@ func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error)
 		}
 	}
 
-	plan, err := cfg.Faults.Compile()
+	plan, err := scenario.FaultSpec{}.Compile()
 	if err != nil {
 		return nil, fmt.Errorf("e13: %w", err)
 	}
@@ -236,7 +231,7 @@ func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error)
 
 	t := report.NewTable(
 		fmt.Sprintf("E13 — Networked-fleet resilience: %q worm over %d-device fleets (root seed %d)",
-			cfg.Payload, cfg.FleetSize, cfg.RootSeed),
+			e13Payload, cfg.FleetSize, cfg.RootSeed),
 		"Topology", "Fanout", "Dwell", "Mode", "Infected", "Saved", "Blocked", "Links cut", "Containment", "Informed")
 	for _, c := range cells {
 		fanout := "-"

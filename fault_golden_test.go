@@ -136,9 +136,10 @@ func TestE14FaultsActuallyHurt(t *testing.T) {
 }
 
 // TestE13FaultFreeByteIdentical is the no-op contract of the fault
-// layer: running E13 with an EXPLICIT zero fault spec must reproduce
-// the committed E13 golden byte-for-byte. Faults off means off — no
-// draw consumed, no schedule perturbed, no extra gossip armed.
+// layer: E13 runs every cell under the plan the zero fault spec
+// compiles to, which must be disabled, and must reproduce the
+// committed E13 golden byte-for-byte. Faults off means off — no draw
+// consumed, no schedule perturbed, no extra gossip armed.
 func TestE13FaultFreeByteIdentical(t *testing.T) {
 	plan, err := (scenario.FaultSpec{}).Compile()
 	if err != nil {
@@ -147,9 +148,7 @@ func TestE13FaultFreeByteIdentical(t *testing.T) {
 	if plan.Enabled() {
 		t.Fatal("zero fault spec compiled to an enabled plan")
 	}
-	cfg := e13TestConfig()
-	cfg.Faults = scenario.FaultSpec{}
-	res, err := RunE13WormResilience(cfg, harness.NewPool(4))
+	res, err := RunE13WormResilience(e13TestConfig(), harness.NewPool(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +157,6 @@ func TestE13FaultFreeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := res.Table.Render(); got != string(want) {
-		t.Fatalf("explicit zero-fault E13 run drifted from the fault-free golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Fatalf("zero-fault E13 run drifted from the fault-free golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -97,7 +97,7 @@ func (s *SSM) IngestPeerDigest(d PeerDigest) {
 	// device suspicious before its own monitors fire. Peer evidence
 	// alone never declares THIS device compromised — that stays a
 	// local-monitor decision.
-	if s.state == StateHealthy && s.peerScores[d.Origin] >= s.cfg.PeerSuspicionThreshold {
+	if s.state == StateHealthy && s.peerScores[d.Origin] >= peerSuspicionThreshold {
 		s.setState(StateSuspicious)
 	}
 

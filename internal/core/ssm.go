@@ -60,9 +60,6 @@ type Config struct {
 	// AnchorPeriod is how often the evidence head is signed (default
 	// 10ms).
 	AnchorPeriod time.Duration
-	// SuspicionThreshold is the accumulated per-resource threat score at
-	// which the device becomes suspicious (default 1.0).
-	SuspicionThreshold float64
 	// CompromiseThreshold is the score at which the device is considered
 	// compromised even without a single critical alert (default 5.0).
 	CompromiseThreshold float64
@@ -72,11 +69,16 @@ type Config struct {
 	// DeviceName identifies this device in gossiped alert digests
 	// (default "device"). Only used when a digest publisher is set.
 	DeviceName string
-	// PeerSuspicionThreshold is the accumulated per-peer threat score
-	// at which neighbour evidence alone raises a healthy device to
-	// suspicious (default 1.0). See IngestPeerDigest.
-	PeerSuspicionThreshold float64
 }
+
+// A device turns suspicious when one resource's accumulated threat
+// score reaches suspicionThreshold, or, by neighbour evidence alone
+// (see IngestPeerDigest), when one peer's reaches
+// peerSuspicionThreshold.
+const (
+	suspicionThreshold     = 1.0
+	peerSuspicionThreshold = 1.0
+)
 
 func (c *Config) fillDefaults() {
 	if c.ObservationPeriod <= 0 {
@@ -84,9 +86,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.AnchorPeriod <= 0 {
 		c.AnchorPeriod = 10 * time.Millisecond
-	}
-	if c.SuspicionThreshold == 0 {
-		c.SuspicionThreshold = 1.0
 	}
 	if c.CompromiseThreshold == 0 {
 		c.CompromiseThreshold = 5.0
@@ -96,9 +95,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.DeviceName == "" {
 		c.DeviceName = "device"
-	}
-	if c.PeerSuspicionThreshold == 0 {
-		c.PeerSuspicionThreshold = 1.0
 	}
 }
 
@@ -358,7 +354,7 @@ func (s *SSM) updateState(a monitor.Alert) {
 		if s.state == StateHealthy || s.state == StateSuspicious {
 			s.setState(StateCompromised)
 		}
-	case s.scores[a.Resource] >= s.cfg.SuspicionThreshold:
+	case s.scores[a.Resource] >= suspicionThreshold:
 		if s.state == StateHealthy {
 			s.setState(StateSuspicious)
 		}

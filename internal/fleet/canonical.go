@@ -36,10 +36,12 @@ func (c Config) AppendCanonical(dst []byte) []byte {
 	put(int64(c.BatchSize))
 	put(int64(c.ShardSize))
 	put(int64(c.SampleK))
-	put(int64(c.Latency))
-	put(int64(c.Jitter))
-	put(int64(c.Dispatch))
-	put(int64(c.Appraise))
+	// The timing model's constants keep the slots their config fields
+	// held, so the digests of stored configs do not move.
+	put(int64(Latency))
+	put(int64(Jitter))
+	put(int64(DispatchCost))
+	put(int64(AppraiseCost))
 	put(int64(len(c.Shares)))
 	for _, sh := range c.Shares {
 		putBytes([]byte(sh.Label))

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"cres/internal/cryptoutil"
 )
@@ -19,7 +18,6 @@ func canonicalTestConfig() Config {
 		BatchSize: 128,
 		ShardSize: 512,
 		SampleK:   8,
-		Latency:   time.Millisecond,
 	}
 }
 
@@ -54,10 +52,6 @@ func TestConfigCanonicalSensitivity(t *testing.T) {
 		"batch":         func(c *Config) { c.BatchSize = 64 },
 		"shard":         func(c *Config) { c.ShardSize = 256 },
 		"sample-k":      func(c *Config) { c.SampleK = 4 },
-		"latency":       func(c *Config) { c.Latency = 2 * time.Millisecond },
-		"jitter":        func(c *Config) { c.Jitter = time.Millisecond },
-		"dispatch":      func(c *Config) { c.Dispatch = time.Millisecond },
-		"appraise":      func(c *Config) { c.Appraise = time.Millisecond },
 		"share-label":   func(c *Config) { c.Shares[0].Label = "sensors" },
 		"share-fw":      func(c *Config) { c.Shares[0].Firmware = cryptoutil.Sum([]byte("fw-x")) },
 		"share-desc":    func(c *Config) { c.Shares[0].FirmwareDesc = "other" },

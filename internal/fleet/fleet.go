@@ -27,14 +27,18 @@ const (
 	DefaultShardSize = 4096
 	// DefaultSampleK is the anomaly-sample capacity per summary.
 	DefaultSampleK = 8
-	// DefaultLatency is the modelled one-way network latency.
-	DefaultLatency = 500 * time.Microsecond
-	// DefaultJitter is the modelled maximum per-device round-trip jitter.
-	DefaultJitter = 200 * time.Microsecond
-	// DefaultDispatch is the verifier's per-challenge dispatch cost.
-	DefaultDispatch = 2 * time.Microsecond
-	// DefaultAppraise is the verifier's per-quote appraisal cost.
-	DefaultAppraise = 10 * time.Microsecond
+)
+
+// The virtual-time model's constants.
+const (
+	// Latency is the modelled one-way network latency.
+	Latency = 500 * time.Microsecond
+	// Jitter is the modelled maximum per-device round-trip jitter.
+	Jitter = 200 * time.Microsecond
+	// DispatchCost is the verifier's per-challenge dispatch cost.
+	DispatchCost = 2 * time.Microsecond
+	// AppraiseCost is the verifier's per-quote appraisal cost.
+	AppraiseCost = 10 * time.Microsecond
 )
 
 // Canonical fleet measurements. Healthy devices extend the ROM, their
@@ -99,10 +103,6 @@ type Config struct {
 	BatchSize, ShardSize int
 	// SampleK is the anomaly-sample capacity.
 	SampleK int
-	// Latency, Jitter, Dispatch and Appraise parameterize the virtual-
-	// time model (one-way latency, max RTT jitter, per-challenge
-	// dispatch cost, per-quote appraisal cost).
-	Latency, Jitter, Dispatch, Appraise time.Duration
 }
 
 // Normalize validates the config and fills defaults, returning the
@@ -160,26 +160,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.SampleK == 0 {
 		c.SampleK = DefaultSampleK
-	}
-	for _, d := range []struct {
-		name string
-		v    time.Duration
-	}{{"latency", c.Latency}, {"jitter", c.Jitter}, {"dispatch", c.Dispatch}, {"appraise", c.Appraise}} {
-		if d.v < 0 {
-			return c, fmt.Errorf("fleet: negative %s %v", d.name, d.v)
-		}
-	}
-	if c.Latency == 0 {
-		c.Latency = DefaultLatency
-	}
-	if c.Jitter == 0 {
-		c.Jitter = DefaultJitter
-	}
-	if c.Dispatch == 0 {
-		c.Dispatch = DefaultDispatch
-	}
-	if c.Appraise == 0 {
-		c.Appraise = DefaultAppraise
 	}
 	return c, nil
 }
@@ -322,11 +302,8 @@ func (e *Engine) Tampered(index int) bool {
 
 // jitterOf returns a device's round-trip jitter in [0, Jitter].
 func (e *Engine) jitterOf(index int) time.Duration {
-	if e.cfg.Jitter == 0 {
-		return 0
-	}
 	u := uint64(harness.ShardSeed(e.jitterRoot, index))
-	return time.Duration(u % uint64(e.cfg.Jitter+1))
+	return time.Duration(u % uint64(Jitter+1))
 }
 
 // priorityOf returns a device's anomaly-sample priority.
@@ -456,9 +433,9 @@ func (sc *appraiseScratch) signEpoch(e *Engine, lo, hi int, clock time.Duration)
 		// the old array, whose bytes no longer change.
 		sc.msgs = append(sc.msgs, sc.body[start:])
 
-		dispatch := clock + time.Duration(i-lo)*e.cfg.Dispatch
+		dispatch := clock + time.Duration(i-lo)*DispatchCost
 		sc.queue = append(sc.queue, pending{
-			arrive:   dispatch + 2*e.cfg.Latency + e.jitterOf(i),
+			arrive:   dispatch + 2*Latency + e.jitterOf(i),
 			dispatch: dispatch,
 			index:    i,
 			variant:  variant,
@@ -502,9 +479,10 @@ func (sc *appraiseScratch) settle(e *Engine, sum *Summary, first int) {
 // epoch, and the arrival queue and the batch verifier span one flush.
 //
 // The virtual-time model: a shard is one verifier. It dispatches a
-// batch's challenges back to back (Dispatch apart), each quote returns
-// after a round trip (2×Latency plus the device's jitter), and the
-// verifier appraises quotes serially in arrival order (Appraise each).
+// batch's challenges back to back (DispatchCost apart), each quote
+// returns after a round trip (2×Latency plus the device's jitter, at
+// most Jitter), and the verifier appraises quotes serially in arrival
+// order (AppraiseCost each).
 // The next batch's challenges go out when the previous batch drains —
 // the streaming pipeline a bounded-memory verifier actually runs.
 // That clock depends on arrival times only, never on verdicts, so a
@@ -564,7 +542,7 @@ func (e *Engine) runShard(shard int, crew *harness.Crew) (Summary, error) {
 			if p.arrive > free {
 				free = p.arrive
 			}
-			free += e.cfg.Appraise
+			free += AppraiseCost
 			p.done = free
 		}
 		clock = free

@@ -159,7 +159,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative every", func(c *Config) { c.TamperEvery = -1 }, "tamper-every"},
 		{"batch above shard", func(c *Config) { c.BatchSize = 100; c.ShardSize = 50 }, "batch"},
 		{"negative batch", func(c *Config) { c.BatchSize = -1 }, "negative"},
-		{"negative latency", func(c *Config) { c.Latency = -time.Second }, "latency"},
 	}
 	for _, tc := range cases {
 		cfg := refConfig(100)

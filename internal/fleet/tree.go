@@ -55,26 +55,20 @@ import (
 // children plus what they forwarded), which is what lets the hierarchy
 // take the fleet past any single verifier's capacity.
 
-// Tree-layer defaults.
+// The hierarchy's virtual-time constants.
 const (
-	// DefaultTreeLinkLatency is the modelled one-way uplink latency
-	// between hierarchy tiers.
-	DefaultTreeLinkLatency = DefaultLatency
-	// DefaultTreeVerify is the modelled cost of one signature operation
+	// TreeLinkLatency is the modelled one-way uplink latency between
+	// hierarchy tiers.
+	TreeLinkLatency = Latency
+	// TreeVerifyCost is the modelled cost of one signature operation
 	// (sign or verify) at a hierarchy node.
-	DefaultTreeVerify = DefaultAppraise
+	TreeVerifyCost = AppraiseCost
 )
 
 // TreeConfig shapes the verifier hierarchy over an engine's shards.
 type TreeConfig struct {
 	// Fanout is the number of children per interior node (>= 2).
 	Fanout int
-	// LinkLatency is the one-way uplink latency between tiers; zero
-	// selects DefaultTreeLinkLatency.
-	LinkLatency time.Duration
-	// Verify is the per-signature cost at a node; zero selects
-	// DefaultTreeVerify.
-	Verify time.Duration
 }
 
 // NodeID names one hierarchy node: tier 0 is the leaves, tier
@@ -200,15 +194,6 @@ type Tree struct {
 func NewTree(e *Engine, cfg TreeConfig) (*Tree, error) {
 	if cfg.Fanout < 2 {
 		return nil, fmt.Errorf("fleet: tree fanout %d, want >= 2", cfg.Fanout)
-	}
-	if cfg.LinkLatency < 0 || cfg.Verify < 0 {
-		return nil, fmt.Errorf("fleet: negative tree link latency or verify cost")
-	}
-	if cfg.LinkLatency == 0 {
-		cfg.LinkLatency = DefaultTreeLinkLatency
-	}
-	if cfg.Verify == 0 {
-		cfg.Verify = DefaultTreeVerify
 	}
 	leaves := e.NumShards()
 	if leaves < 2 {
@@ -376,7 +361,7 @@ func (t *Tree) RunForged(pool *harness.Pool, f Forge) (*TreeResult, error) {
 			Node:    id,
 			Summary: sum,
 			Sig:     sig,
-			Finish:  sum.Completion + t.cfg.Verify, // the sign op
+			Finish:  sum.Completion + TreeVerifyCost, // the sign op
 		}
 		if f.Mode == ForgeTamper && f.Node == id {
 			a.Sig = corruptSig(a.Sig)
@@ -446,7 +431,7 @@ func (t *Tree) RunForged(pool *harness.Pool, f Forge) (*TreeResult, error) {
 	if held := 1 + len(root.Children); held > res.MaxHeld {
 		res.MaxHeld = held
 	}
-	res.Completion = root.Finish + t.cfg.LinkLatency + time.Duration(checks)*t.cfg.Verify
+	res.Completion = root.Finish + TreeLinkLatency + time.Duration(checks)*TreeVerifyCost
 	if det != nil {
 		det.At = res.Completion
 		det.Lag = det.At - root.Finish
@@ -556,9 +541,9 @@ func (t *Tree) runNode(id NodeID, children []Attestation, f Forge) (nodeOutcome,
 		}
 	}
 
-	finish += t.cfg.LinkLatency + time.Duration(out.checks)*t.cfg.Verify
-	finish += time.Duration(out.retries) * t.cfg.LinkLatency
-	finish += t.cfg.Verify // the re-sign
+	finish += TreeLinkLatency + time.Duration(out.checks)*TreeVerifyCost
+	finish += time.Duration(out.retries) * TreeLinkLatency
+	finish += TreeVerifyCost // the re-sign
 
 	report := merged
 	if f.Mode == ForgeSummary && f.Node == id {

@@ -42,19 +42,20 @@ const (
 	SizeEvidence   uint64 = 512 << 10
 )
 
-// SoCConfig parameterises NewSoC.
+// The reference DMA engine moves dmaChunk-byte bursts, one every
+// dmaPerChunk.
+const (
+	dmaChunk    = 256
+	dmaPerChunk = 200 * time.Nanosecond
+)
+
+// SoCConfig parameterises NewSoC. Every SoC has the DefaultCacheConfig
+// last-level cache and a DMA engine moving 256-byte bursts every 200ns.
 type SoCConfig struct {
 	// WithSSMCore adds the physically isolated security-manager core and
 	// its private memory (the paper's Characteristic 1). The baseline
 	// architecture omits it.
 	WithSSMCore bool
-	// Cache configures the shared last-level cache. Zero value uses
-	// DefaultCacheConfig.
-	Cache CacheConfig
-	// DMAChunk and DMAPerChunk configure the DMA engine. Zero values
-	// default to 256-byte bursts every 200ns.
-	DMAChunk    uint64
-	DMAPerChunk time.Duration
 }
 
 // SoC is the assembled reference platform.
@@ -82,16 +83,6 @@ type SoC struct {
 
 // NewSoC builds the reference SoC on the given engine.
 func NewSoC(engine *sim.Engine, cfg SoCConfig) (*SoC, error) {
-	if cfg.Cache == (CacheConfig{}) {
-		cfg.Cache = DefaultCacheConfig()
-	}
-	if cfg.DMAChunk == 0 {
-		cfg.DMAChunk = 256
-	}
-	if cfg.DMAPerChunk == 0 {
-		cfg.DMAPerChunk = 200 * time.Nanosecond
-	}
-
 	mem := &Memory{}
 	type regionSpec struct {
 		name  string
@@ -122,11 +113,11 @@ func NewSoC(engine *sim.Engine, cfg SoCConfig) (*SoC, error) {
 	}
 
 	bus := NewBus(engine, mem)
-	cache, err := NewCache(cfg.Cache)
+	cache, err := NewCache(DefaultCacheConfig())
 	if err != nil {
 		return nil, fmt.Errorf("hw: build soc: %w", err)
 	}
-	dma, err := NewDMAEngine(engine, bus, "dma0", WorldNormal, cfg.DMAChunk, cfg.DMAPerChunk)
+	dma, err := NewDMAEngine(engine, bus, "dma0", WorldNormal, dmaChunk, dmaPerChunk)
 	if err != nil {
 		return nil, fmt.Errorf("hw: build soc: %w", err)
 	}

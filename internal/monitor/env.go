@@ -22,6 +22,13 @@ type EnvBand struct {
 	MaxDeviation float64
 }
 
+// The drift detector flags a window whose z-score reaches
+// envDriftThreshold, after envWarmup windows of baseline learning.
+const (
+	envDriftThreshold = 6
+	envWarmup         = 16
+)
+
 // EnvConfig configures an EnvMonitor.
 type EnvConfig struct {
 	// Window is the sampling period.
@@ -29,11 +36,6 @@ type EnvConfig struct {
 	// Bands maps sensor names to their permitted bands. Sensors without
 	// a band get a default of 10% of baseline.
 	Bands map[string]EnvBand
-	// DriftThreshold is the z-score threshold for slow-drift detection
-	// (default 6).
-	DriftThreshold float64
-	// Warmup is the number of windows for baseline learning (default 16).
-	Warmup int
 	// DisableBands turns off the out-of-band (threshold signature)
 	// detection, leaving only statistical drift detection.
 	DisableBands bool
@@ -71,12 +73,6 @@ func NewEnvMonitor(engine *sim.Engine, sensors []*hw.EnvSensor, cfg EnvConfig, s
 	if len(sensors) == 0 {
 		return nil, fmt.Errorf("monitor: env monitor needs sensors")
 	}
-	if cfg.DriftThreshold == 0 {
-		cfg.DriftThreshold = 6
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 16
-	}
 	m := &EnvMonitor{
 		engine:    engine,
 		sensors:   sensors,
@@ -85,7 +81,7 @@ func NewEnvMonitor(engine *sim.Engine, sensors []*hw.EnvSensor, cfg EnvConfig, s
 		detectors: make(map[string]*Anomaly, len(sensors)),
 	}
 	for _, s := range sensors {
-		det, err := NewAnomaly(0.1, cfg.DriftThreshold, cfg.Warmup)
+		det, err := NewAnomaly(0.1, envDriftThreshold, envWarmup)
 		if err != nil {
 			return nil, err
 		}

@@ -14,13 +14,15 @@ const (
 	SigNetRateAnomaly = "net.rate.anomaly"
 )
 
+// netRateThreshold is the z-score at which a peer's message rate is
+// anomalous.
+const netRateThreshold = 6
+
 // NetConfig configures a NetMonitor.
 type NetConfig struct {
 	// RateWindow is the per-peer message-rate sampling window. Zero
 	// disables rate anomaly detection.
 	RateWindow time.Duration
-	// RateThreshold is the z-score threshold (default 6).
-	RateThreshold float64
 	// RateWarmup is the number of windows for baseline learning
 	// (default 16).
 	RateWarmup int
@@ -57,9 +59,6 @@ var _ Monitor = (*NetMonitor)(nil)
 func NewNetMonitor(engine *sim.Engine, cfg NetConfig, sink Sink) (*NetMonitor, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("monitor: net monitor needs a sink")
-	}
-	if cfg.RateThreshold == 0 {
-		cfg.RateThreshold = 6
 	}
 	if cfg.RateWarmup == 0 {
 		cfg.RateWarmup = 16
@@ -138,7 +137,7 @@ func (m *NetMonitor) sampleRates(at sim.VirtualTime) {
 		det, ok := m.detectors[peer]
 		if !ok {
 			var err error
-			det, err = NewAnomaly(0.2, m.cfg.RateThreshold, m.cfg.RateWarmup)
+			det, err = NewAnomaly(0.2, netRateThreshold, m.cfg.RateWarmup)
 			if err != nil {
 				continue
 			}

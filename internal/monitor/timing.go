@@ -14,15 +14,17 @@ const (
 	SigTimingCrossWorld  = "timing.cross-world-eviction"
 )
 
+// The miss-rate detector flags a window whose z-score reaches
+// timingMissThreshold, after timingWarmup windows of baseline learning.
+const (
+	timingMissThreshold = 5
+	timingWarmup        = 16
+)
+
 // TimingConfig configures a TimingMonitor.
 type TimingConfig struct {
 	// Window is the sampling period.
 	Window time.Duration
-	// MissRateThreshold is the z-score threshold for the miss-rate
-	// detector (default 5).
-	MissRateThreshold float64
-	// Warmup is the number of windows to learn the baseline (default 16).
-	Warmup int
 	// CrossWorldPerWindow is the absolute number of cross-world
 	// evictions per window above which the covert-channel signature
 	// fires (default 8).
@@ -56,16 +58,10 @@ func NewTimingMonitor(engine *sim.Engine, cache *hw.Cache, cfg TimingConfig, sin
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("monitor: timing monitor needs a positive window")
 	}
-	if cfg.MissRateThreshold == 0 {
-		cfg.MissRateThreshold = 5
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 16
-	}
 	if cfg.CrossWorldPerWindow == 0 {
 		cfg.CrossWorldPerWindow = 8
 	}
-	det, err := NewAnomaly(0.2, cfg.MissRateThreshold, cfg.Warmup)
+	det, err := NewAnomaly(0.2, timingMissThreshold, timingWarmup)
 	if err != nil {
 		return nil, err
 	}

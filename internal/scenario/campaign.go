@@ -15,9 +15,25 @@ const (
 	KindPlan     = "plan"
 )
 
-// CampaignSpec crosses devices × attacks × seeds into a matrix of
-// independent runs. Attacks are single scenarios (by registry name)
-// plus staged plans; every combination runs once per derived seed.
+// Every campaign cell warms its device for CampaignWarm before the
+// attack and observes it for CampaignWindow after launch, extended by
+// the attack's horizon.
+const (
+	CampaignWarm   = 15 * time.Millisecond
+	CampaignWindow = 30 * time.Millisecond
+)
+
+// campaignDevices are the device shapes every campaign runs: the
+// reference pair of one CRES and one baseline device.
+var campaignDevices = [...]DeviceSpec{
+	{Name: "dut", Arch: ArchCRES},
+	{Name: "dut", Arch: ArchBaseline},
+}
+
+// CampaignSpec crosses the reference device pair × attacks × seeds
+// into a matrix of independent runs. Attacks are single scenarios (by
+// registry name) plus staged plans; every combination runs once per
+// derived seed.
 type CampaignSpec struct {
 	// RootSeed seeds the campaign; every cell derives its own engine
 	// seed from it via harness.ShardSeed. Zero is a valid root seed —
@@ -27,19 +43,12 @@ type CampaignSpec struct {
 	// It must be at least 1: a zero-seed campaign runs nothing and is
 	// rejected at compile time.
 	Seeds int
-	// Devices are the device shapes under test. Nil selects the
-	// reference pair: one CRES and one baseline device.
-	Devices []DeviceSpec
 	// Scenarios are single-scenario attacks by registry name. Nil
 	// selects the full registered suite; empty selects none.
 	Scenarios []string
 	// Plans are the staged attacks. Nil selects the built-in plans;
 	// empty selects none.
 	Plans []AttackPlan
-	// Warm is the healthy-workload period before each attack (default
-	// 15ms); Window the observation period after launch (default 30ms),
-	// automatically extended by each plan's horizon.
-	Warm, Window time.Duration
 }
 
 // CompiledAttack is one attack column of the campaign matrix: a single
@@ -71,9 +80,9 @@ type Cell struct {
 	// Seed is harness.ShardSeed(RootSeed, Index) — the engine seed for
 	// this cell's private simulation.
 	Seed int64
-	// Warm and Window are the cell's warm-up and observation periods,
-	// Window already extended by the attack's horizon.
-	Warm, Window time.Duration
+	// Window is the cell's observation period: CampaignWindow extended
+	// by the attack's horizon.
+	Window time.Duration
 }
 
 // CompiledCampaign is a validated campaign: the full cell enumeration
@@ -81,7 +90,7 @@ type Cell struct {
 type CompiledCampaign struct {
 	// Spec is the normalized spec.
 	Spec CampaignSpec
-	// Devices are the compiled device shapes, in spec order.
+	// Devices are the compiled reference device pair, CRES first.
 	Devices []*CompiledDevice
 	// Attacks are the compiled attack columns: scenarios in registry
 	// order, then plans in spec order.
@@ -92,24 +101,6 @@ type CompiledCampaign struct {
 func (c CampaignSpec) Compile() (*CompiledCampaign, error) {
 	if c.Seeds <= 0 {
 		return nil, fmt.Errorf("scenario: campaign with %d seeds runs nothing (want >= 1)", c.Seeds)
-	}
-	if c.Warm < 0 || c.Window < 0 {
-		return nil, fmt.Errorf("scenario: campaign with negative warm %v / window %v", c.Warm, c.Window)
-	}
-	if c.Warm == 0 {
-		c.Warm = 15 * time.Millisecond
-	}
-	if c.Window == 0 {
-		c.Window = 30 * time.Millisecond
-	}
-	if c.Devices == nil {
-		c.Devices = []DeviceSpec{
-			{Name: "dut", Arch: ArchCRES},
-			{Name: "dut", Arch: ArchBaseline},
-		}
-	}
-	if len(c.Devices) == 0 {
-		return nil, fmt.Errorf("scenario: campaign with no devices")
 	}
 	if c.Scenarios == nil {
 		c.Scenarios = attack.Names()
@@ -122,7 +113,7 @@ func (c CampaignSpec) Compile() (*CompiledCampaign, error) {
 	}
 
 	cc := &CompiledCampaign{Spec: c}
-	for i, ds := range c.Devices {
+	for i, ds := range campaignDevices {
 		cd, err := ds.Compile()
 		if err != nil {
 			return nil, fmt.Errorf("scenario: campaign device %d: %w", i, err)
@@ -181,8 +172,7 @@ func (c *CompiledCampaign) Cells() []Cell {
 					Device:    dev,
 					SeedIndex: s,
 					Seed:      harness.ShardSeed(c.Spec.RootSeed, idx),
-					Warm:      c.Spec.Warm,
-					Window:    c.Spec.Window + att.Horizon,
+					Window:    CampaignWindow + att.Horizon,
 				})
 			}
 		}

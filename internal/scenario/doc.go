@@ -6,19 +6,19 @@
 // The spec types mirror the axes of the scenario space:
 //
 //   - DeviceSpec describes a device's shape (architecture, detection
-//     mode, monitor set, firmware, boot/TEE options, services);
+//     mode, monitor set, firmware, boot options, reboot time);
 //   - AttackPlan composes registered attack scenarios into an ordered,
 //     timed intrusion (probe → escalate → destroy evidence);
-//   - CampaignSpec crosses devices × attacks × seeds into a matrix of
-//     independent runs over the sharded harness;
+//   - CampaignSpec crosses the reference CRES/baseline device pair ×
+//     attacks × seeds into a matrix of independent runs over the
+//     sharded harness;
 //   - FleetSpec describes a streaming-attestation fleet as device-mix
 //     fractions plus a tamper distribution;
 //   - TopologySpec describes how a fleet is wired over the M2M fabric
 //     (ring/star/mesh/random), the graph the E13 worm campaign and the
 //     cooperative response fight over;
 //   - TreeSpec describes a verifier hierarchy over a streaming fleet
-//     (depth × fan-out over an embedded FleetSpec, with per-link
-//     latency and per-check verify cost), the shape the E15
+//     (depth × fan-out over an embedded FleetSpec), the shape the E15
 //     hierarchical re-attestation sweep runs.
 //
 // Each has a Compile step that validates the spec, fills defaults and

@@ -159,24 +159,22 @@ func FuzzFaultSpecCompile(f *testing.F) {
 }
 
 func FuzzScenarioCompile(f *testing.F) {
-	add := func(name, arch, detection, monitors string, fwVersion uint64, mw, op, size int64, fracA, rateA float64, every int) {
-		f.Add(name, arch, detection, monitors, fwVersion, mw, op, size, fracA, rateA, every)
+	add := func(name, arch, detection, monitors string, fwVersion uint64, size int64, fracA, rateA float64, every int) {
+		f.Add(name, arch, detection, monitors, fwVersion, size, fracA, rateA, every)
 	}
-	add("dut", "cres", "combined", "", 1, 0, 0, 512, 0.5, 0, 8)
-	add("dut", "baseline", "signature-only", "bus,cfi", 2, int64(time.Millisecond), int64(time.Millisecond), 4096, 0.25, 0.5, 0)
-	add("", "tofu", "anomaly-only", "bus,bus", 0, -1, 5, 0, 0.75, 1, -3)
-	add("x", "", "", "net,timing,env", 9, 1<<62, 1, 1, 1, 0.001, 1)
-	add("nan", "cres", "", "", 1, 0, 0, 100, 0.0, -1, 0)       // fraction sums to 0.5
-	add("inf", "cres", "", "", 1, 0, 0, 100, 1e308, 2, 0)      // non-finite sums
-	add("tiny", "cres", "", "", 1, 1, 1, 1, 0.5000001, 0.5, 0) // off-by-epsilon fractions
-	f.Fuzz(func(t *testing.T, name, arch, detection, monitors string, fwVersion uint64, mw, op, size int64, fracA, rateA float64, every int) {
+	add("dut", "cres", "combined", "", 1, 512, 0.5, 0, 8)
+	add("dut", "baseline", "signature-only", "bus,cfi", 2, 4096, 0.25, 0.5, 0)
+	add("", "tofu", "anomaly-only", "bus,bus", 0, 0, 0.75, 1, -3)
+	add("x", "", "", "net,timing,env", 9, 1, 1, 0.001, 1)
+	add("nan", "cres", "", "", 1, 100, 0.0, -1, 0)       // fraction sums to 0.5
+	add("inf", "cres", "", "", 1, 100, 1e308, 2, 0)      // non-finite sums
+	add("tiny", "cres", "", "", 1, 1, 0.5000001, 0.5, 0) // off-by-epsilon fractions
+	f.Fuzz(func(t *testing.T, name, arch, detection, monitors string, fwVersion uint64, size int64, fracA, rateA float64, every int) {
 		spec := DeviceSpec{
-			Name:              name,
-			Arch:              arch,
-			Detection:         detection,
-			FirmwareVersion:   fwVersion,
-			MonitorWindow:     time.Duration(mw),
-			ObservationPeriod: time.Duration(op),
+			Name:            name,
+			Arch:            arch,
+			Detection:       detection,
+			FirmwareVersion: fwVersion,
 		}
 		if monitors != "" {
 			spec.Monitors = strings.Split(monitors, ",")
@@ -187,10 +185,7 @@ func FuzzScenarioCompile(f *testing.F) {
 			if cd.Spec.Arch != ArchCRES && cd.Spec.Arch != ArchBaseline {
 				t.Fatalf("compiled device has arch %q", cd.Spec.Arch)
 			}
-			if cd.Spec.MonitorWindow <= 0 || cd.Spec.ObservationPeriod <= 0 {
-				t.Fatalf("compiled device has unfilled windows: %+v", cd.Spec)
-			}
-			if cd.Spec.FirmwarePayload == nil || cd.Spec.CFG == nil || cd.Spec.Services == nil {
+			if cd.Spec.FirmwarePayload == nil || cd.Spec.FirmwareVersion == 0 {
 				t.Fatalf("compiled device has unfilled defaults: %+v", cd.Spec)
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"cres/internal/boot"
 	"cres/internal/monitor"
 	"cres/internal/response"
-	"cres/internal/tee"
 )
 
 // Architecture names a DeviceSpec may select.
@@ -77,11 +76,18 @@ func DefaultCFG() monitor.CFG {
 	}
 }
 
+// Every device's monitors sample once per MonitorWindow and its SSM
+// samples evidence once per ObservationPeriod.
+const (
+	MonitorWindow     = time.Millisecond
+	ObservationPeriod = time.Millisecond
+)
+
 // DeviceSpec declaratively describes a device's shape. The zero value
 // of every field except Name selects the reference configuration: CRES
-// architecture, combined detection, every monitor, firmware v1,
-// hardened boot chain and TEE, the default service set and CFG, 1ms
-// monitor and observation windows.
+// architecture, combined detection, every monitor, firmware v1 and a
+// hardened boot chain. Every device has a hardened TEE, the
+// DefaultServices set and the DefaultCFG control-flow graph.
 type DeviceSpec struct {
 	// Name is the device name (required).
 	Name string
@@ -102,19 +108,6 @@ type DeviceSpec struct {
 	FirmwarePayload []byte
 	// Boot configures the boot chain (zero value = hardened).
 	Boot boot.Options
-	// TEE configures the TEE (zero value = hardened).
-	TEE tee.Config
-	// Services declares the device's services for graceful degradation
-	// (nil = DefaultServices).
-	Services []response.Service
-	// CFG is the application's control-flow graph for the CFI monitor
-	// (nil = DefaultCFG).
-	CFG monitor.CFG
-	// MonitorWindow is the monitors' sampling window (default 1ms).
-	MonitorWindow time.Duration
-	// ObservationPeriod is the SSM evidence-sampling period (default
-	// 1ms).
-	ObservationPeriod time.Duration
 	// RebootTime is the baseline architecture's reboot outage duration.
 	RebootTime time.Duration
 }
@@ -167,25 +160,8 @@ func (s DeviceSpec) Compile() (*CompiledDevice, error) {
 	if s.FirmwarePayload == nil {
 		s.FirmwarePayload = []byte("reference firmware")
 	}
-	if s.Services == nil {
-		s.Services = DefaultServices()
-	}
-	if s.CFG == nil {
-		s.CFG = DefaultCFG()
-	}
-	for _, d := range []struct {
-		name string
-		v    time.Duration
-	}{{"monitor window", s.MonitorWindow}, {"observation period", s.ObservationPeriod}, {"reboot time", s.RebootTime}} {
-		if d.v < 0 {
-			return nil, fmt.Errorf("scenario: device %q: negative %s %v", s.Name, d.name, d.v)
-		}
-	}
-	if s.MonitorWindow == 0 {
-		s.MonitorWindow = time.Millisecond
-	}
-	if s.ObservationPeriod == 0 {
-		s.ObservationPeriod = time.Millisecond
+	if s.RebootTime < 0 {
+		return nil, fmt.Errorf("scenario: device %q: negative reboot time %v", s.Name, s.RebootTime)
 	}
 	return &CompiledDevice{Spec: s, monitors: monitors}, nil
 }

@@ -19,11 +19,14 @@ func TestDeviceSpecDefaults(t *testing.T) {
 	if s.Arch != ArchCRES || s.Detection != DetectCombined {
 		t.Fatalf("defaults: arch=%q detection=%q", s.Arch, s.Detection)
 	}
-	if s.FirmwareVersion != 1 || s.FirmwarePayload == nil || s.Services == nil || s.CFG == nil {
-		t.Fatal("firmware/services/CFG defaults not filled")
+	if s.FirmwareVersion != 1 || s.FirmwarePayload == nil {
+		t.Fatal("firmware defaults not filled")
 	}
-	if s.MonitorWindow != time.Millisecond || s.ObservationPeriod != time.Millisecond {
-		t.Fatalf("window defaults: %v %v", s.MonitorWindow, s.ObservationPeriod)
+	if len(DefaultServices()) == 0 || len(DefaultCFG()) == 0 {
+		t.Fatal("reference services/CFG empty")
+	}
+	if MonitorWindow != time.Millisecond || ObservationPeriod != time.Millisecond {
+		t.Fatalf("window constants: %v %v", MonitorWindow, ObservationPeriod)
 	}
 	if !cd.IsCRES() || !cd.SignatureDetection() || !cd.AnomalyDetection() {
 		t.Fatal("compiled predicates wrong for the reference device")
@@ -46,7 +49,7 @@ func TestDeviceSpecValidation(t *testing.T) {
 		{"bad detection", DeviceSpec{Name: "d", Detection: "psychic"}, "unknown detection mode"},
 		{"bad monitor", DeviceSpec{Name: "d", Monitors: []string{"bus", "seismic"}}, "unknown monitor"},
 		{"dup monitor", DeviceSpec{Name: "d", Monitors: []string{"bus", "bus"}}, "listed twice"},
-		{"negative window", DeviceSpec{Name: "d", MonitorWindow: -time.Millisecond}, "negative monitor window"},
+		{"negative reboot time", DeviceSpec{Name: "d", Arch: ArchBaseline, RebootTime: -time.Millisecond}, "negative reboot time"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.Compile(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -221,13 +224,10 @@ func TestCampaignCompileValidation(t *testing.T) {
 	}{
 		{"zero seeds", CampaignSpec{}, "runs nothing"},
 		{"negative seeds", CampaignSpec{Seeds: -1}, "runs nothing"},
-		{"no devices", CampaignSpec{Seeds: 1, Devices: []DeviceSpec{}}, "no devices"},
 		{"no attacks", CampaignSpec{Seeds: 1, Scenarios: []string{}, Plans: []AttackPlan{}}, "no attacks"},
 		{"unknown scenario", CampaignSpec{Seeds: 1, Scenarios: []string{"ghost"}}, "unknown scenario"},
 		{"dup scenario", CampaignSpec{Seeds: 1, Scenarios: []string{"secure-probe", "secure-probe"}}, "listed twice"},
-		{"bad device", CampaignSpec{Seeds: 1, Devices: []DeviceSpec{{}}}, "needs a name"},
 		{"bad plan", CampaignSpec{Seeds: 1, Plans: []AttackPlan{{Name: "p", Stages: []PlanStage{{Scenario: "ghost"}}}}}, "unknown scenario"},
-		{"negative window", CampaignSpec{Seeds: 1, Window: -1}, "negative"},
 		{"plan shadows scenario", CampaignSpec{Seeds: 1, Scenarios: []string{"secure-probe"},
 			Plans: []AttackPlan{{Name: "secure-probe", Stages: []PlanStage{{Scenario: "log-wipe"}}}}}, "listed twice"},
 	}

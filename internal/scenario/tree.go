@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"cres/internal/fleet"
 )
@@ -25,9 +24,6 @@ type TreeSpec struct {
 	// DevicesPerLeaf is the device count of each leaf verifier shard
 	// (default fleet.DefaultShardSize).
 	DevicesPerLeaf int
-	// LinkLatency and Verify shape the hierarchy's virtual time; zero
-	// selects the fleet tree defaults.
-	LinkLatency, Verify time.Duration
 }
 
 // CompiledTree is a validated TreeSpec: the compiled fleet sized to
@@ -91,11 +87,7 @@ func (s TreeSpec) Compile() (*CompiledTree, error) {
 		Spec:   s,
 		Fleet:  cf,
 		Leaves: leaves,
-		Config: fleet.TreeConfig{
-			Fanout:      s.Fanout,
-			LinkLatency: s.LinkLatency,
-			Verify:      s.Verify,
-		},
+		Config: fleet.TreeConfig{Fanout: s.Fanout},
 	}
 	ct.Spec.DevicesPerLeaf = s.DevicesPerLeaf
 	return ct, nil

@@ -27,7 +27,9 @@
 // seed, config digest) key before it is first served, and later
 // identical requests — including requests to a restarted process —
 // are answered from the store without recomputing or building an
-// engine. A fleet sweep is stored cell-by-cell, so an interrupted
+// engine. Identical requests that miss the store together compute the
+// cell once: the first computes and records it, the others wait and
+// are served its bytes as hits. A fleet sweep is stored cell-by-cell, so an interrupted
 // sweep resumes by computing only the missing sizes. The /results
 // endpoint exposes the stored history for querying; cmd/benchdiff
 // -store gates it.

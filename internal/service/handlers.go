@@ -618,7 +618,7 @@ func (s *Server) parseCampaign(r *http.Request, q url.Values) (cellRequest, erro
 		return cellRequest{}, err
 	}
 	return cellRequest{cells: []cell{{experiment: "campaign", digest: digest, compute: func(key store.Key) ([]byte, error) {
-		res, err := cres.RunE12Campaign(cres.CampaignConfig{
+		res, err := cres.RunE12Campaign(scenario.CampaignSpec{
 			RootSeed: key.Seed, Seeds: seeds, Plans: plans,
 		}, s.requestPool())
 		if err != nil {

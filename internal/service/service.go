@@ -96,6 +96,11 @@ type Server struct {
 	engines  map[store.Key]*fleet.Engine
 	engOrder []store.Key
 
+	// flights holds the computes in progress for store-backed cells, so
+	// identical concurrent requests compute once.
+	flightMu sync.Mutex
+	flights  map[store.Key]*flight
+
 	requests  atomic.Uint64
 	computed  atomic.Uint64
 	cacheHits atomic.Uint64
@@ -122,6 +127,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		allowed: allowed,
 		engines: make(map[store.Key]*fleet.Engine),
+		flights: make(map[store.Key]*flight),
 		quitCh:  make(chan struct{}),
 	}
 	s.mux = http.NewServeMux()
@@ -262,22 +268,71 @@ func (s *Server) engine(key store.Key, build func() (*fleet.Engine, error)) (*fl
 	return eng, nil
 }
 
+// flight is one in-flight compute of a store-backed cell. done closes
+// once body and err are set.
+type flight struct {
+	done chan struct{}
+	body []byte
+	err  error
+}
+
+// errFlightAbandoned is what requests waiting on a compute receive if
+// that compute panics instead of returning.
+var errFlightAbandoned = errors.New("the identical request computing this cell did not finish")
+
 // cell answers one deterministic cell at one seed: serve the stored
 // body when the store has the key, otherwise compute, record and
-// serve. The returned bool reports a cache hit. Identical keys always
-// yield byte-identical bodies — fresh or stored.
+// serve. A store miss for a key another request is already computing
+// waits for that compute and shares its bytes, counted as a hit, or
+// its error. The returned bool reports a cache hit. Identical keys
+// always yield byte-identical bodies — fresh or stored.
 func (s *Server) cell(c cell, seed int64, nocache bool) ([]byte, bool, error) {
 	key := store.Key{Experiment: c.experiment, Seed: seed, Digest: c.digest}
-	if s.cfg.Store != nil && !nocache {
-		if rec, ok := s.cfg.Store.Get(key); ok {
-			s.cacheHits.Add(1)
-			return []byte(rec.Body), true, nil
-		}
+	if s.cfg.Store == nil || nocache {
+		body, err := s.compute(c, key)
+		return body, false, err
 	}
+	if rec, ok := s.cfg.Store.Get(key); ok {
+		s.cacheHits.Add(1)
+		return []byte(rec.Body), true, nil
+	}
+	s.flightMu.Lock()
+	if f, ok := s.flights[key]; ok {
+		s.flightMu.Unlock()
+		<-f.done
+		if f.err != nil {
+			return nil, false, f.err
+		}
+		s.cacheHits.Add(1)
+		return f.body, true, nil
+	}
+	// A compute that finished since the Get above appended its record
+	// before leaving flights, so the store has it now.
+	if rec, ok := s.cfg.Store.Get(key); ok {
+		s.flightMu.Unlock()
+		s.cacheHits.Add(1)
+		return []byte(rec.Body), true, nil
+	}
+	f := &flight{done: make(chan struct{}), err: errFlightAbandoned}
+	s.flights[key] = f
+	s.flightMu.Unlock()
+	defer func() {
+		s.flightMu.Lock()
+		delete(s.flights, key)
+		s.flightMu.Unlock()
+		close(f.done)
+	}()
+	f.body, f.err = s.compute(c, key)
+	return f.body, false, f.err
+}
+
+// compute computes one cell and records it in the store, if there is
+// one.
+func (s *Server) compute(c cell, key store.Key) ([]byte, error) {
 	start := time.Now()
 	body, err := c.compute(key)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	s.computed.Add(1)
 	if s.cfg.Store != nil {
@@ -290,8 +345,8 @@ func (s *Server) cell(c cell, seed int64, nocache bool) ([]byte, bool, error) {
 			UnixTime:   time.Now().Unix(),
 		}
 		if err := s.cfg.Store.Append(rec); err != nil {
-			return nil, false, fmt.Errorf("storing result: %w", err)
+			return nil, fmt.Errorf("storing result: %w", err)
 		}
 	}
-	return body, false, nil
+	return body, nil
 }

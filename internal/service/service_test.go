@@ -639,3 +639,45 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Error(f)
 	}
 }
+
+// TestConcurrentIdenticalMissesComputeOnce: identical requests that
+// miss the store together share one compute. The first computes and
+// records the cell; the rest wait for it and are served its bytes as
+// hits.
+func TestConcurrentIdenticalMissesComputeOnce(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := testServer(t, dir)
+	const n = 8
+	bodies := make([][]byte, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := ts.Client().Get(ts.URL + "/appraise?size=4096&seed=7")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if bodies[i], err = io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d, err %v", i, resp.StatusCode, err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("request %d body differs from request 0's", i)
+		}
+	}
+	if st := srv.Stats(); st.Computed != 1 || st.CacheHits != n-1 {
+		t.Fatalf("computed %d and hit %d for %d identical requests, want 1 and %d", st.Computed, st.CacheHits, n, n-1)
+	}
+	if recs := srv.cfg.Store.Len(); recs != 1 {
+		t.Fatalf("store holds %d records, want 1", recs)
+	}
+}

@@ -24,7 +24,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with 
 // The table holds only virtual-time quantities, so it is stable across
 // hosts and Go releases.
 func TestCompiledCampaignGolden(t *testing.T) {
-	cfg := CampaignConfig{
+	cfg := scenario.CampaignSpec{
 		RootSeed:  7,
 		Seeds:     2,
 		Scenarios: []string{"secure-probe", "firmware-tamper"},
