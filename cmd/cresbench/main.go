@@ -11,12 +11,13 @@
 //
 // It also emits a machine-readable benchmark report when -json names a
 // file: a cres-bench/v2 report whose flat metrics list holds ns/op for
-// each experiment plus every gated metric an experiment reports (E9
-// ns/tx and allocs/tx, E8 devices/sec and allocs/device, E15 costs and
-// invariants, SVC requests/sec), each carrying its own gate and budget.
-// cmd/benchdiff compares one against the committed BENCH_perf.json to
-// gate perf regressions. No mode writes a report unless asked, so no
-// run can overwrite the committed baseline by accident.
+// each experiment plus every metric an experiment reports (E9 ns/tx,
+// overhead ratios and allocs/tx, E8 devices/sec and allocs/device, E15
+// costs and invariants, SVC requests/sec and ns/req), each with its
+// unit and the direction that is better. The report records; it gates
+// nothing. CI keeps a quick one per commit as an artifact, and the perf
+// gate is the system benchmark's parent-versus-change comparison
+// (scripts/perf-ab.sh). No mode writes a report unless asked.
 //
 // -campaign switches to the E12 scenario campaign: every attack
 // scenario and staged attack plan × {cres, baseline} × -shards seeds,
@@ -31,7 +32,7 @@
 //
 // Usage:
 //
-//	cresbench [-seed 7] [-quick] [-parallel N] [-only E3,E9] [-stable] [-json fresh_perf.json]
+//	cresbench [-seed 7] [-quick] [-parallel N] [-only E3,E9] [-stable] [-json report.json]
 //	cresbench -campaign [-shards 3] [-seed 7] [-parallel N] [-plan implant-persist] [-json campaign.json]
 //	cresbench -fleet 4096,65536 [-parallel N] [-json fleet.json] [-cpuprofile fleet.pprof]
 package main
@@ -97,8 +98,8 @@ func main() {
 	}
 }
 
-// benchReport is the schema of a BENCH_perf.json report: the run's
-// provenance and one flat list of metrics, each naming its own gate.
+// benchReport is the schema of a -json report: the run's provenance
+// and one flat list of metrics.
 type benchReport struct {
 	Schema    string           `json:"schema"`
 	Seed      int64            `json:"seed"`
@@ -192,9 +193,7 @@ func runSuite(o options, pool *harness.Pool) error {
 			fmt.Println(block)
 		}
 		// NsPerOp is measured by the runner around the computation only,
-		// so the report tracks the simulator, not the rendering. It is a
-		// whole-experiment host-clock reading, so it is printed, never
-		// gated.
+		// so the report tracks the simulator, not the rendering.
 		rep.Metrics = append(rep.Metrics, harness.Metric{
 			Name: exp.Name + "/ns_per_op", Unit: "ns", Value: out.NsPerOp, Better: harness.Lower,
 		})

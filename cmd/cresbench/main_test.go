@@ -39,7 +39,7 @@ func TestRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite")
 	}
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_perf.json")
+	jsonPath := filepath.Join(t.TempDir(), "report.json")
 	if err := run(options{seed: 7, quick: true, jsonPath: jsonPath, parallel: 4, shards: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,7 @@ func TestRunFleetMode(t *testing.T) {
 }
 
 // TestReportPathDefaultsEmpty pins that no mode writes a report unless
-// -json asks for one, so a run from the repository root cannot replace
-// the committed BENCH_perf.json baseline.
+// -json asks for one, so a run leaves no file behind by accident.
 func TestReportPathDefaultsEmpty(t *testing.T) {
 	for _, args := range [][]string{{}, {"-quick"}, {"-fleet", "4"}, {"-campaign"}} {
 		fs := flag.NewFlagSet("cresbench", flag.ContinueOnError)
@@ -168,11 +167,11 @@ func TestReportPathDefaultsEmpty(t *testing.T) {
 
 func TestRunQuickRecordsFleetThroughput(t *testing.T) {
 	by := runOnly(t, "E8")
-	if m := by["E8/batch=256/shard=4096/devices_per_sec"]; m.Value <= 0 || m.Gate != harness.GateRel {
-		t.Fatalf("devices/sec = %+v, want a gated value > 0", m)
+	if m := by["E8/batch=256/shard=4096/devices_per_sec"]; m.Value <= 0 {
+		t.Fatalf("devices/sec = %+v, want a value > 0", m)
 	}
-	if m, ok := by["E8/batch=256/shard=4096/allocs_per_device"]; !ok || m.Gate != harness.GateMax {
-		t.Fatalf("allocs/device = %+v, want a max-gated value", m)
+	if _, ok := by["E8/batch=256/shard=4096/allocs_per_device"]; !ok {
+		t.Fatalf("allocs/device missing from %v", by)
 	}
 }
 
@@ -201,11 +200,11 @@ func TestRunQuickRecordsHierarchy(t *testing.T) {
 
 func TestRunQuickRecordsService(t *testing.T) {
 	by := runOnly(t, "SVC")
-	if m := by["SVC/requests_per_sec"]; m.Value <= 0 || m.Gate != harness.GateRel {
-		t.Fatalf("requests/sec = %+v, want a gated value > 0", m)
+	if m := by["SVC/requests_per_sec"]; m.Value <= 0 {
+		t.Fatalf("requests/sec = %+v, want a value > 0", m)
 	}
-	if m := by["SVC/healthz/ns_per_req"]; m.Value <= 0 || m.Gate != "" {
-		t.Fatalf("/healthz ns/req = %+v, want an ungated value > 0", m)
+	if m := by["SVC/healthz/ns_per_req"]; m.Value <= 0 {
+		t.Fatalf("/healthz ns/req = %+v, want a value > 0", m)
 	}
 	if len(by) != 1+1+6 {
 		t.Fatalf("metrics = %v, want ns/op, requests/sec and the script's 6 endpoints", by)
@@ -214,8 +213,7 @@ func TestRunQuickRecordsService(t *testing.T) {
 
 // runOnly runs the quick suite restricted to exp, then E7 alone, and
 // returns the first run's metrics after checking the second holds none
-// of exp's: a run without an experiment reports nothing for it, which
-// benchdiff reads as "skipped", not "dropped".
+// of exp's: a run without an experiment reports nothing for it.
 func runOnly(t *testing.T, exp string) map[string]harness.Metric {
 	t.Helper()
 	dir := t.TempDir()
@@ -234,34 +232,6 @@ func runOnly(t *testing.T, exp string) map[string]harness.Metric {
 	}
 	_, with := readReport(t, withPath)
 	return with
-}
-
-// TestCommittedBaselineMatchesCode pins the committed baseline to the
-// code: every gated metric a quick run of the gated experiments
-// reports is in BENCH_perf.json under the same name, with the same
-// unit, direction, gate, budget and norm. A renamed metric or a moved
-// budget fails here, not first in CI's perf gate.
-func TestCommittedBaselineMatchesCode(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "fresh.json")
-	if err := run(options{seed: 7, quick: true, only: "E9,E8,E15,SVC", parallel: 2, jsonPath: jsonPath}); err != nil {
-		t.Fatal(err)
-	}
-	fresh, _ := readReport(t, jsonPath)
-	_, base := readReport(t, "../../BENCH_perf.json")
-	for _, f := range fresh.Metrics {
-		if f.Gate == "" {
-			continue
-		}
-		b, ok := base[f.Name]
-		if !ok {
-			t.Errorf("%s: gated metric missing from BENCH_perf.json", f.Name)
-			continue
-		}
-		b.Value = f.Value
-		if b != f {
-			t.Errorf("%s: BENCH_perf.json has %+v, code reports %+v", f.Name, b, f)
-		}
-	}
 }
 
 func TestRunRejectsFleetSizes(t *testing.T) {

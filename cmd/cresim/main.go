@@ -111,6 +111,9 @@ func run(o options) error {
 	if o.parallel < 0 {
 		return fmt.Errorf("-parallel %d, want >= 0 (0 = GOMAXPROCS)", o.parallel)
 	}
+	if o.fleet < 0 {
+		return fmt.Errorf("-fleet %d, want a positive device count", o.fleet)
+	}
 	if o.list {
 		for _, sc := range attack.All() {
 			fmt.Printf("%-22s %s\n", sc.Name(), sc.Description())
@@ -260,6 +263,9 @@ func runSwarm(o options) error {
 	}
 	if err := oneOf("-worm", o.worm, attack.Names()); err != nil {
 		return err
+	}
+	if o.dwell <= 0 {
+		return fmt.Errorf("-dwell %v, want a positive duration (e.g. 2ms)", o.dwell)
 	}
 	level, err := faultLevel(o.faults)
 	if err != nil {

@@ -142,6 +142,9 @@ func TestTopologyMode(t *testing.T) {
 	}
 }
 
+// TestTopologyModeRejectsBadValues pins that a bad value on top of an
+// otherwise valid topology-mode run is a usage error naming its flag,
+// never a silent default.
 func TestTopologyModeRejectsBadValues(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -154,12 +157,19 @@ func TestTopologyModeRejectsBadValues(t *testing.T) {
 		{"-mode sideways", func(o *options) { o.mode = "sideways" }},
 		{"-worm nope", func(o *options) { o.worm = "nope" }},
 		{"-faults extreme", func(o *options) { o.faults = "extreme" }},
+		{"-dwell 0", func(o *options) { o.dwell = 0 }},
+		{"-dwell -1ms -recover", func(o *options) { o.dwell, o.recoverLoop = -time.Millisecond, true }},
+		{"-fleet -5", func(o *options) { o.fleet = -5 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := topologyOptions()
 			tc.edit(&o)
-			if err := run(o); err == nil {
+			err := run(o)
+			if err == nil {
 				t.Fatalf("%s accepted", tc.name)
+			}
+			if flag, _, _ := strings.Cut(tc.name, " "); !strings.Contains(err.Error(), flag) {
+				t.Fatalf("%s: error %q does not name %s", tc.name, err, flag)
 			}
 		})
 	}

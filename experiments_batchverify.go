@@ -9,15 +9,13 @@ import (
 )
 
 // This file implements BV: the batched-signature microbenchmark. It is
-// not one of the paper's experiments — it is the perf-guard's
-// stethoscope on the crypto kernel the fleet hot path (E8) now runs
-// on. E8's devices/sec folds signing, policy checks and the virtual
-// latency sweep into one number; BV isolates the verification
-// primitive itself, so a regression in the multi-scalar multiplication
-// or the hint fast path is visible directly instead of diluted ~5x.
-// CI's perf guard records its whole-run cost as BV/ns_per_op in the
-// fresh report; that metric is printed next to the baseline's, not
-// gated.
+// not one of the paper's experiments — it is a stethoscope on the
+// crypto kernel the fleet hot path (E8) now runs on. E8's devices/sec
+// folds signing, policy checks and the virtual latency sweep into one
+// number; BV isolates the verification primitive itself, so a
+// regression in the multi-scalar multiplication or the hint fast path
+// is visible directly instead of diluted ~5x. Its whole-run cost is
+// BV/ns_per_op in the cresbench -json report, recorded, not gated.
 
 // bvSigs is the batch size BV measures — the fleet engine's default
 // provisioning-epoch batch, so the measured shape is the deployed one.

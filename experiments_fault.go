@@ -101,7 +101,7 @@ type E14Cell struct {
 	FaultSeed int64
 	// Infected counts distinct devices the worm ever compromised;
 	// Reinfected the infections of devices that had already recovered
-	// once; Saved is FleetSize - Infected.
+	// once; Saved is the fleet's size minus Infected.
 	Infected, Reinfected, Saved int
 	// Blocked counts propagation attempts absorbed by quarantine gates.
 	Blocked int
@@ -267,8 +267,8 @@ func RunE14FaultRecovery(cfg E14Config, pool *harness.Pool) (*E14Result, error) 
 	}
 
 	t := report.NewTable(
-		fmt.Sprintf("E14 — Closed-loop recovery under fault injection: %q worm, %d-device fleets, %v window (root seed %d)",
-			cfg.Payload, e14FleetSize, e14Window, cfg.RootSeed),
+		fmt.Sprintf("E14 — Closed-loop recovery under fault injection: %q worm, %s-device fleets, %v window (root seed %d)",
+			cfg.Payload, fleetSizes(topos), e14Window, cfg.RootSeed),
 		"Topology", "Fanout", "Faults", "Mode", "Infected", "Reinf", "Saved", "Crashes",
 		"Recovered", "Retries", "Gossip d/x", "TTFS", "Full svc")
 	for _, c := range cells {

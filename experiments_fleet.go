@@ -77,8 +77,8 @@ type E8Result struct {
 	// AllocsPerDevice is the sweep's heap allocations per appraised
 	// device (total runtime mallocs across the sweep divided by
 	// TotalDevices). The batched hot path pools everything reusable, so
-	// this stays O(1); its metric is gated against the same absolute
-	// budget as the internal/fleet allocation test.
+	// this stays O(1), as internal/fleet's TestBatchLoopAllocsPerDeviceO1
+	// enforces.
 	AllocsPerDevice float64
 }
 
@@ -90,27 +90,17 @@ func (r *E8Result) DevicesPerSec() float64 {
 	return float64(r.TotalDevices) / r.Wall.Seconds()
 }
 
-// E8 gate budgets. Normalized devices/sec may fall 35%: host
-// throughput is noisier than an ns/tx ratio. Allocations per device
-// stay within 4, the internal/fleet allocation test's budget, so a
-// return to per-device TPM/quote/log allocation (~30/device) fails.
-const (
-	e8ThroughputBudget = 0.35
-	e8AllocsBudget     = 4
-)
-
-// Metrics reports the sweep's throughput, normalized by the E9
-// reference ns/tx, and its allocations per device. Both names carry
-// the batching configuration: a bigger batch amortizes more key setup
-// per device, so a changed configuration reads as one dropped and one
-// new metric rather than as a speed change.
+// Metrics reports the sweep's throughput and its allocations per
+// device. Both names carry the batching configuration: a bigger batch
+// amortizes more key setup per device, so runs under different
+// configurations never share a metric. They are information: bench/'s
+// fleet-sweep workload gates throughput against the parent commit,
+// and TestBatchLoopAllocsPerDeviceO1 gates the allocations.
 func (r *E8Result) Metrics() []harness.Metric {
 	prefix := fmt.Sprintf("E8/batch=%d/shard=%d/", r.BatchSize, r.ShardSize)
 	return []harness.Metric{
-		{Name: prefix + "devices_per_sec", Unit: "1/s", Value: r.DevicesPerSec(), Better: harness.Higher,
-			Gate: harness.GateRel, Budget: e8ThroughputBudget, Norm: e9RefNsPerTx},
-		{Name: prefix + "allocs_per_device", Unit: "allocs", Value: r.AllocsPerDevice, Better: harness.Lower,
-			Gate: harness.GateMax, Budget: e8AllocsBudget},
+		{Name: prefix + "devices_per_sec", Unit: "1/s", Value: r.DevicesPerSec(), Better: harness.Higher},
+		{Name: prefix + "allocs_per_device", Unit: "allocs", Value: r.AllocsPerDevice, Better: harness.Lower},
 	}
 }
 

@@ -102,16 +102,11 @@ type E15Result struct {
 	Table *report.Table
 }
 
-// e15CostBudget is how far a shape's signature checks and detection
-// lag may grow over the baseline's. Both are deterministic
-// virtual-time quantities, so any growth means the protocol got
-// structurally more expensive.
-const e15CostBudget = 0.25
-
 // Metrics reports, per shape, the honest run's signature checks and
-// the forged run's detection lag, gated against the baseline, plus
-// whether the liar went unattributed or the summary unhealed: a
-// correctness invariant, so its budget is 0 whatever the baseline says.
+// the forged run's detection lag, plus whether the liar went
+// unattributed or the summary unhealed. They are information:
+// TestHierarchyGolden pins every one of these cells exactly, and
+// TestE15LyingVerifierDetected holds attribution and healing.
 func (r *E15Result) Metrics() []harness.Metric {
 	count := func(failed bool) float64 {
 		if failed {
@@ -123,14 +118,10 @@ func (r *E15Result) Metrics() []harness.Metric {
 	for _, row := range r.Rows {
 		prefix := fmt.Sprintf("E15/%dx%d/", row.Depth, row.Fanout)
 		ms = append(ms,
-			harness.Metric{Name: prefix + "sig_checks", Unit: "count", Value: float64(row.SigChecks),
-				Better: harness.Lower, Gate: harness.GateRel, Budget: e15CostBudget},
-			harness.Metric{Name: prefix + "detect_lag_ms", Unit: "ms", Value: float64(row.Detection.Lag.Microseconds()) / 1000,
-				Better: harness.Lower, Gate: harness.GateRel, Budget: e15CostBudget},
-			harness.Metric{Name: prefix + "unattributed", Unit: "count", Value: count(!row.Attributed),
-				Better: harness.Lower, Gate: harness.GateMax},
-			harness.Metric{Name: prefix + "unhealed", Unit: "count", Value: count(!row.Healed),
-				Better: harness.Lower, Gate: harness.GateMax})
+			harness.Metric{Name: prefix + "sig_checks", Unit: "count", Value: float64(row.SigChecks), Better: harness.Lower},
+			harness.Metric{Name: prefix + "detect_lag_ms", Unit: "ms", Value: float64(row.Detection.Lag.Microseconds()) / 1000, Better: harness.Lower},
+			harness.Metric{Name: prefix + "unattributed", Unit: "count", Value: count(!row.Attributed), Better: harness.Lower},
+			harness.Metric{Name: prefix + "unhealed", Unit: "count", Value: count(!row.Healed), Better: harness.Lower})
 	}
 	return ms
 }

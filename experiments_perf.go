@@ -46,20 +46,11 @@ type E9Result struct {
 // other configuration's overhead ratio is measured against it.
 const e9Reference = "no-monitoring"
 
-// e9RefNsPerTx names the reference's ns/tx metric. E8 normalizes its
-// devices/sec by it: throughput scales inversely with host speed and
-// the reference scales directly, so their product cancels the machine
-// out.
-const e9RefNsPerTx = "E9/" + e9Reference + "/ns_per_tx"
-
-// e9OverheadBudget is how far a configuration's overhead ratio may
-// grow over the baseline's before the perf gate fails.
-const e9OverheadBudget = 0.25
-
-// Metrics reports each configuration's fastest-pass ns/tx (printed
-// only), each non-reference configuration's overhead ratio, gated
-// against the baseline's, and its allocs/tx, which must stay 0: the
-// monitored hot path is allocation-free.
+// Metrics reports each configuration's fastest-pass ns/tx, each
+// non-reference configuration's overhead ratio and its allocs/tx. They
+// are information: bench/'s bus-monitor workload gates the full
+// monitor's cost against the parent commit, and TestE9OverheadOrdering
+// holds every configuration's read path to zero allocations.
 func (r *E9Result) Metrics() []harness.Metric {
 	var ms []harness.Metric
 	for _, row := range r.Rows {
@@ -67,10 +58,10 @@ func (r *E9Result) Metrics() []harness.Metric {
 		ms = append(ms, harness.Metric{Name: prefix + "ns_per_tx", Unit: "ns", Value: row.WallNsPerTx, Better: harness.Lower})
 		if row.Config != e9Reference {
 			ms = append(ms, harness.Metric{Name: prefix + "overhead_ratio", Unit: "ratio", Value: row.OverheadRatio,
-				Better: harness.Lower, Gate: harness.GateRel, Budget: e9OverheadBudget})
+				Better: harness.Lower})
 		}
 		ms = append(ms, harness.Metric{Name: prefix + "allocs_per_tx", Unit: "allocs",
-			Value: row.AllocsPerTx, Better: harness.Lower, Gate: harness.GateMax})
+			Value: row.AllocsPerTx, Better: harness.Lower})
 	}
 	return ms
 }
@@ -117,8 +108,8 @@ const e9Rounds = 5
 //
 // E9 deliberately takes no pool: it measures host-CPU ns/tx, and
 // running its configurations concurrently (or alongside other
-// experiments) would contaminate the numbers the perf-regression gate
-// compares. The suite driver runs it serially.
+// experiments) would contaminate its numbers. The suite driver runs it
+// serially.
 func RunE9MonitorOverhead(txs int) (*E9Result, error) {
 	if txs <= 0 {
 		txs = 200_000

@@ -2,7 +2,10 @@ package cres
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"cres/internal/attack"
@@ -50,12 +53,10 @@ type E13Config struct {
 	// RootSeed seeds the sweep; every cell derives its own engine seed
 	// and every random wiring derives from its topology's position.
 	RootSeed int64
-	// FleetSize is the number of devices per cell (default 10; at
-	// least 3 so saving anyone is possible).
-	FleetSize int
-	// Topologies are the wirings under test. Nil selects the default
+	// Topologies are the wirings under test, each of at least 3
+	// devices so saving anyone is possible. Nil selects the default
 	// sweep: ring (fanout 1 and 2), star, mesh, random (fanout 1 and
-	// 2), all at FleetSize. The Size of an explicit spec is respected.
+	// 2), all of e13FleetSize devices.
 	Topologies []scenario.TopologySpec
 	// Dwells are the worm's infection-to-propagation delays (default
 	// 2ms and 6ms — one the gossip handily beats, one it beats asleep).
@@ -76,7 +77,8 @@ type E13Cell struct {
 	Index int
 	Seed  int64
 	// Infected is the outbreak's final (= peak: infection is monotone)
-	// compromised-device count; Saved is FleetSize - Infected.
+	// compromised-device count; Saved is the fleet's size minus
+	// Infected.
 	Infected, Saved int
 	// Blocked counts propagation attempts that found their link
 	// quarantined; LinksCut the quarantine gates standing at the end.
@@ -110,6 +112,9 @@ type E13Result struct {
 // sweep that injects faults.
 const e13Payload = "secure-probe"
 
+// e13FleetSize is the device count of the default sweep's wirings.
+const e13FleetSize = 10
+
 // defaultTopologies builds the sweep's wiring axis.
 func defaultTopologies(n int, quick bool) []scenario.TopologySpec {
 	if quick {
@@ -129,23 +134,30 @@ func defaultTopologies(n int, quick bool) []scenario.TopologySpec {
 	}
 }
 
+// fleetSizes names the device counts of the wirings a sweep ran, for
+// its table title: the one size when they agree, as in every default
+// sweep, or each distinct size in order, joined by "/".
+func fleetSizes(topos []*scenario.CompiledTopology) string {
+	var sizes []string
+	for _, t := range topos {
+		if n := strconv.Itoa(t.Size()); !slices.Contains(sizes, n) {
+			sizes = append(sizes, n)
+		}
+	}
+	return strings.Join(sizes, "/")
+}
+
 // RunE13WormResilience sweeps worm campaigns over fleet wirings and
 // response modes. Cells fan across the harness pool in enumeration
 // order — topology-major, then dwell, then mode — and merge by index,
 // so the table is byte-identical at any parallelism.
 func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error) {
-	if cfg.FleetSize == 0 {
-		cfg.FleetSize = 10
-	}
-	if cfg.FleetSize < 3 {
-		return nil, fmt.Errorf("e13: fleet of %d cannot demonstrate saving anyone (want >= 3)", cfg.FleetSize)
-	}
 	payload, ok := attack.Get(e13Payload)
 	if !ok {
 		return nil, fmt.Errorf("e13: unknown worm payload %q", e13Payload)
 	}
 	if cfg.Topologies == nil {
-		cfg.Topologies = defaultTopologies(cfg.FleetSize, cfg.Quick)
+		cfg.Topologies = defaultTopologies(e13FleetSize, cfg.Quick)
 	}
 	if cfg.Dwells == nil {
 		cfg.Dwells = []time.Duration{2 * time.Millisecond, 6 * time.Millisecond}
@@ -167,6 +179,9 @@ func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error)
 		ct, err := ts.Compile()
 		if err != nil {
 			return nil, fmt.Errorf("e13: topology %d: %w", i, err)
+		}
+		if ct.Size() < 3 {
+			return nil, fmt.Errorf("e13: topology %d: fleet of %d cannot demonstrate saving anyone (want >= 3)", i, ct.Size())
 		}
 		topos[i] = ct
 	}
@@ -230,8 +245,8 @@ func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error)
 	}
 
 	t := report.NewTable(
-		fmt.Sprintf("E13 — Networked-fleet resilience: %q worm over %d-device fleets (root seed %d)",
-			e13Payload, cfg.FleetSize, cfg.RootSeed),
+		fmt.Sprintf("E13 — Networked-fleet resilience: %q worm over %s-device fleets (root seed %d)",
+			e13Payload, fleetSizes(topos), cfg.RootSeed),
 		"Topology", "Fanout", "Dwell", "Mode", "Infected", "Saved", "Blocked", "Links cut", "Containment", "Informed")
 	for _, c := range cells {
 		fanout := "-"
@@ -307,8 +322,8 @@ func RunSwarmUnderFaults(topo scenario.TopologySpec, dwell time.Duration, mode, 
 	if !valid {
 		return nil, fmt.Errorf("cres: unknown swarm mode %q (want one of %v)", mode, SwarmModes())
 	}
-	if payloadName == "" {
-		payloadName = "secure-probe"
+	if dwell <= 0 {
+		return nil, fmt.Errorf("cres: worm dwell %v, want a positive duration", dwell)
 	}
 	payload, ok := attack.Get(payloadName)
 	if !ok {
@@ -321,9 +336,6 @@ func RunSwarmUnderFaults(topo scenario.TopologySpec, dwell time.Duration, mode, 
 	plan, err := faults.Compile()
 	if err != nil {
 		return nil, err
-	}
-	if dwell <= 0 {
-		dwell = attack.DefaultWormDwell
 	}
 	var tl *swarmTimeline
 	cell, rig, _, err := runSwarmCell(ct, dwell, mode, payload, seed, plan, func(r *swarmRig) attack.FleetObserver {

@@ -218,6 +218,12 @@ func TestE9OverheadOrdering(t *testing.T) {
 		if r.Alerts != 0 {
 			t.Errorf("healthy traffic raised %d alerts in %s", r.Alerts, r.Config)
 		}
+		// The monitored read path is allocation-free in every
+		// configuration, the observer-less and counting ones included,
+		// which internal/monitor's allocation tests do not run.
+		if r.AllocsPerTx != 0 {
+			t.Errorf("%s allocates %g per transaction, want 0", r.Config, r.AllocsPerTx)
+		}
 	}
 }
 

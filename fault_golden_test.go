@@ -3,6 +3,7 @@ package cres
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cres/internal/harness"
@@ -132,6 +133,30 @@ func TestE14FaultsActuallyHurt(t *testing.T) {
 	}
 	if retries == 0 {
 		t.Error("high-intensity recovery needed no attestation retries — retry path not exercised")
+	}
+}
+
+// TestE14TitleNamesTheFleetsThatRan pins that the table's title states
+// the sizes of the wirings the sweep ran, not the default sweep's: a
+// caller's lone 5-device star is titled "5-device fleets", and wirings
+// of two sizes name both.
+func TestE14TitleNamesTheFleetsThatRan(t *testing.T) {
+	star5 := scenario.TopologySpec{Kind: scenario.TopologyStar, Size: 5}
+	ring6 := scenario.TopologySpec{Kind: scenario.TopologyRing, Size: 6}
+	for _, tc := range []struct {
+		topos []scenario.TopologySpec
+		want  string
+	}{
+		{[]scenario.TopologySpec{star5}, "5-device fleets"},
+		{[]scenario.TopologySpec{star5, ring6, star5}, "5/6-device fleets"},
+	} {
+		res, err := RunE14FaultRecovery(E14Config{RootSeed: 7, Topologies: tc.topos, Levels: DefaultFaultLevels()[2:]}, harness.NewPool(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if title, _, _ := strings.Cut(res.Table.Render(), "\n"); !strings.Contains(title, tc.want) {
+			t.Errorf("title %q, want %q", title, tc.want)
+		}
 	}
 }
 

@@ -46,12 +46,12 @@ func TestBatchLoopAllocsPerDeviceO1(t *testing.T) {
 	large := perDevice(1024, serial) // four batches
 	lent := perDevice(1024, split)   // four batches, with a helper
 	// The absolute budget: the batched hot path allocates only for
-	// per-batch key derivation and per-shard scratch setup. 4 leaves
-	// headroom for go runtime drift without masking a return to
-	// per-device TPM/quote/log allocation (~30/device before the
-	// scratch landed).
-	if small > 4 || large > 4 || lent > 4 {
-		t.Fatalf("batch loop allocates %.1f (256 dev) / %.1f (1024 dev) / %.1f (1024 dev, split) per device, budget 4", small, large, lent)
+	// per-batch key derivation and per-shard scratch setup, 0.07–0.23
+	// per device at these sizes (Go 1.24, with and without -race). A
+	// budget under one fails any allocation made once per device,
+	// while leaving the fixed costs several times their headroom.
+	if small >= 1 || large >= 1 || lent >= 1 {
+		t.Fatalf("batch loop allocates %.2f (256 dev) / %.2f (1024 dev) / %.2f (1024 dev, split) per device, want under 1", small, large, lent)
 	}
 	// The O(1) claim: quadrupling the devices streamed through the same
 	// scratch must not grow the per-device cost. (It usually shrinks:

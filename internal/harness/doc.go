@@ -22,5 +22,5 @@
 // experiments register themselves once, in print order, and the
 // benchmark CLI iterates the registry instead of hand-rolling a loop per
 // experiment. Each run's Outcome carries its Metrics (metric.go), the
-// one record type of the BENCH_perf.json report and its gate.
+// one record type of the cresbench -json report.
 package harness

@@ -25,9 +25,8 @@ type Outcome struct {
 	// Blocks are rendered text blocks in print order (tables, series,
 	// free-form lines). The driver prints each followed by a newline.
 	Blocks []string
-	// Metrics are the gated measurements the experiment reports for
-	// BENCH_perf.json, each carrying its own gate and budget; nil for
-	// experiments that gate nothing.
+	// Metrics are the measurements the experiment reports for the
+	// cresbench -json report; nil for experiments that report none.
 	Metrics []Metric
 	// NsPerOp is the host-CPU nanoseconds the experiment's computation
 	// took, measured by the runner around the computation only — table

@@ -14,6 +14,6 @@
 // per-resource state in dense slices or explicitly ordered walks, so
 // the alert stream — order, timing, text — is a pure function of the
 // engine seed and the observed workload. The bus monitor's per-
-// transaction path is allocation-free; E9 and the perf gate hold it
-// to that.
+// transaction path is allocation-free; alloc_test.go and E9's
+// ordering test hold it to that.
 package monitor

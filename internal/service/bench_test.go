@@ -13,7 +13,8 @@ import (
 // computed once, then every iteration is a full HTTP round trip
 // answered from the store — the service-shell overhead the resident
 // mode exists to minimize. Requests/sec lands in the benchmark
-// output; the SVC registry experiment is what feeds BENCH_perf.json.
+// output; bench/'s svc-store workload is what gates this path against
+// the parent commit.
 func BenchmarkServeAppraise(b *testing.B) {
 	benchServeHit(b, "/appraise?size=1024&seed=7")
 }

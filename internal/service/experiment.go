@@ -16,7 +16,8 @@ import (
 // This file registers SVC, the resident-service benchmark experiment:
 // a real loopback cresd answering a deterministic scripted request
 // mix, with every repeat response checked byte-identical against the
-// first — the service-level regression the perf gate tracks. It lives
+// first. It times the requests bench/'s svc-cold and svc-store
+// workloads send, which is where the perf gate judges them. It lives
 // here rather than in the root registry file because the service
 // package imports cres; registering from cres would close an import
 // cycle.
@@ -78,17 +79,12 @@ func (r *SVCResult) RequestsPerSec() float64 {
 	return float64(r.Requests) / r.Wall.Seconds()
 }
 
-// svcThroughputBudget is how far aggregate requests/sec may fall below
-// the baseline. It is loose, and not normalized by host speed, because
-// loopback HTTP throughput is the noisiest number the perf gate reads.
-const svcThroughputBudget = 0.5
-
-// Metrics reports the script's aggregate requests/sec, gated against
-// the baseline, and each endpoint's ns/req, which is printed only: one
-// aggregate threshold keeps a host-clock quantity from flaking CI.
+// Metrics reports the script's aggregate requests/sec and each
+// endpoint's ns/req. They are information: bench/'s svc-cold and
+// svc-store workloads send the same requests and gate their cost
+// against the parent commit.
 func (r *SVCResult) Metrics() []harness.Metric {
-	ms := []harness.Metric{{Name: "SVC/requests_per_sec", Unit: "1/s", Value: r.RequestsPerSec(),
-		Better: harness.Higher, Gate: harness.GateRel, Budget: svcThroughputBudget}}
+	ms := []harness.Metric{{Name: "SVC/requests_per_sec", Unit: "1/s", Value: r.RequestsPerSec(), Better: harness.Higher}}
 	for _, ep := range r.Endpoints {
 		ms = append(ms, harness.Metric{Name: "SVC" + ep.Path + "/ns_per_req", Unit: "ns", Value: ep.NsPerReq, Better: harness.Lower})
 	}

@@ -3,6 +3,7 @@ package cres
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,13 +101,15 @@ func TestE13CooperationDominatesIsolation(t *testing.T) {
 func TestE13WormSpreadsWithoutCooperation(t *testing.T) {
 	res, err := RunE13WormResilience(E13Config{
 		RootSeed:   11,
-		FleetSize:  6,
 		Topologies: []scenario.TopologySpec{{Kind: scenario.TopologyRing, Size: 6}},
 		Dwells:     []time.Duration{time.Millisecond},
 		Modes:      []string{SwarmBaseline, SwarmIsolated},
 	}, harness.NewPool(2))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if title, _, _ := strings.Cut(res.Table.Render(), "\n"); !strings.Contains(title, "6-device fleets") {
+		t.Errorf("title %q, want it to name the 6-device ring that ran", title)
 	}
 	for _, c := range res.Cells {
 		if c.Infected != 6 {
