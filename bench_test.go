@@ -183,7 +183,7 @@ func BenchmarkE3b_DetectionAblation(b *testing.B) {
 func BenchmarkE11_PointerAuth(b *testing.B) {
 	var caught int
 	for i := 0; i < b.N; i++ {
-		res, err := RunE11PointerAuth(7, 500, nil)
+		res, err := RunE11PointerAuth(7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

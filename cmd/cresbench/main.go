@@ -138,6 +138,15 @@ func run(o options) error {
 	if o.campaign && o.fleet != "" {
 		return fmt.Errorf("-campaign and -fleet are exclusive modes")
 	}
+	if o.only != "" && o.campaign {
+		return fmt.Errorf("-only works only in suite mode, not with -campaign")
+	}
+	if o.only != "" && o.fleet != "" {
+		return fmt.Errorf("-only works only in suite mode, not with -fleet")
+	}
+	if o.plan != "" && !o.campaign {
+		return fmt.Errorf("-plan works only with -campaign")
+	}
 	pool := harness.NewPool(o.parallel)
 	if o.cpuprofile != "" {
 		f, err := os.Create(o.cpuprofile)

@@ -245,6 +245,32 @@ func TestRunRejectsFleetSizes(t *testing.T) {
 	}
 }
 
+// TestRunRejectsDroppedFlags pins that a flag the selected mode would
+// ignore is a usage error naming both flags, never silently dropped.
+func TestRunRejectsDroppedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		o     options
+		flags []string
+	}{
+		{"-fleet 4 -only E3", options{seed: 7, fleet: "4", only: "E3"}, []string{"-only", "-fleet"}},
+		{"-campaign -only E3", options{seed: 7, campaign: true, shards: 1, only: "E3"}, []string{"-only", "-campaign"}},
+		{"-only E2 -plan implant-persist", options{seed: 7, quick: true, only: "E2", plan: "implant-persist"}, []string{"-plan", "-campaign"}},
+		{"-fleet 4 -plan none", options{seed: 7, fleet: "4", plan: "none"}, []string{"-plan", "-campaign"}},
+	} {
+		err := run(tc.o)
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+			continue
+		}
+		for _, flag := range tc.flags {
+			if !strings.Contains(err.Error(), flag) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, flag)
+			}
+		}
+	}
+}
+
 // TestRunRejectsNegativeParallel pins that -parallel below zero is a
 // usage error in every mode, while 0 keeps meaning GOMAXPROCS.
 func TestRunRejectsNegativeParallel(t *testing.T) {

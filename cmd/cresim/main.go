@@ -114,6 +114,9 @@ func run(o options) error {
 	if o.fleet < 0 {
 		return fmt.Errorf("-fleet %d, want a positive device count", o.fleet)
 	}
+	if err := checkMode(o); err != nil {
+		return err
+	}
 	if o.list {
 		for _, sc := range attack.All() {
 			fmt.Printf("%-22s %s\n", sc.Name(), sc.Description())
@@ -157,6 +160,48 @@ func run(o options) error {
 		}
 	}
 	return nil
+}
+
+// checkMode rejects a flag the selected mode would drop: cresim runs
+// one mode, and only the topology mode takes -faults and -recover.
+func checkMode(o options) error {
+	var modes []string
+	if o.fleet > 0 {
+		modes = append(modes, "-fleet")
+	}
+	if o.tree != "" {
+		modes = append(modes, "-tree")
+	}
+	if o.topology != "" {
+		modes = append(modes, "-topology")
+	}
+	switch {
+	case o.scenario != "":
+		modes = append(modes, "-scenario")
+	case o.plan != "":
+		modes = append(modes, "-plan")
+	case o.all:
+		modes = append(modes, "-all")
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("%s and %s are exclusive modes", modes[0], modes[1])
+	}
+	if o.topology != "" {
+		return nil
+	}
+	var dropped string
+	switch {
+	case o.faults != "" && o.faults != "none":
+		dropped = "-faults"
+	case o.recoverLoop:
+		dropped = "-recover"
+	default:
+		return nil
+	}
+	if len(modes) == 0 {
+		return fmt.Errorf("%s works only with -topology", dropped)
+	}
+	return fmt.Errorf("%s works only with -topology, not with %s", dropped, modes[0])
 }
 
 // selectAttacks resolves the -all/-scenario/-plan flags into launchable

@@ -114,6 +114,39 @@ func TestNothingSelected(t *testing.T) {
 	}
 }
 
+// TestRunRejectsDroppedFlags pins that a flag the selected mode would
+// ignore is a usage error naming both flags, never silently dropped:
+// cresim runs one mode, and only the topology mode takes -faults and
+// -recover.
+func TestRunRejectsDroppedFlags(t *testing.T) {
+	topologyAll := topologyOptions()
+	topologyAll.all = true
+	for _, tc := range []struct {
+		name  string
+		o     options
+		flags []string
+	}{
+		{"-fleet 4 -topology ring:6", options{fleet: 4, topology: "ring:6", seed: 7}, []string{"-fleet", "-topology"}},
+		{"-tree 2:2 -scenario secure-probe", options{tree: "2:2", scenario: "secure-probe", arch: "cres", seed: 7}, []string{"-tree", "-scenario"}},
+		{"-topology ring:6 -all", topologyAll, []string{"-topology", "-all"}},
+		{"-fleet 4 -plan implant-persist", options{fleet: 4, plan: "implant-persist", seed: 7}, []string{"-fleet", "-plan"}},
+		{"-scenario secure-probe -faults high -recover", options{scenario: "secure-probe", arch: "cres", faults: "high", recoverLoop: true, seed: 7}, []string{"-faults", "-topology", "-scenario"}},
+		{"-plan implant-persist -recover", options{plan: "implant-persist", arch: "cres", recoverLoop: true, seed: 7}, []string{"-recover", "-topology", "-plan"}},
+		{"-fleet 4 -faults low", options{fleet: 4, faults: "low", seed: 7}, []string{"-faults", "-topology", "-fleet"}},
+	} {
+		err := run(tc.o)
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+			continue
+		}
+		for _, flag := range tc.flags {
+			if !strings.Contains(err.Error(), flag) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, flag)
+			}
+		}
+	}
+}
+
 // topologyOptions is the topology mode as main's flag defaults set it;
 // run takes no defaults of its own.
 func topologyOptions() options {

@@ -112,7 +112,7 @@ func NewDevice(spec scenario.DeviceSpec, engine *sim.Engine, net *m2m.Network) (
 		SoC:       soc,
 		TPM:       tp,
 		Chain:     boot.NewChain(vendor.Public(), s.Boot),
-		TEE:       tee.New(engine, soc, tee.Config{}),
+		TEE:       tee.New(engine, soc),
 		Vendor:    vendor,
 		Actuators: make(map[string]*hw.Actuator),
 		spec:      compiled,
@@ -161,34 +161,28 @@ func NewDevice(spec scenario.DeviceSpec, engine *sim.Engine, net *m2m.Network) (
 		}
 	} else {
 		d.PlainLog = &baseline.PlainLog{}
-		d.Baseline = baseline.NewController(engine, baseline.Config{RebootDuration: s.RebootTime}, d.PlainLog, d.Degrader)
+		d.Baseline = baseline.NewController(engine, d.PlainLog, d.Degrader)
 	}
 	return d, nil
 }
 
 // buildCRES wires the architecture's three characteristics in fixed
-// order: the isolated SSM core and response manager first, then each
-// runtime monitor the compiled spec enables. The order is part of the
-// output contract — engine callbacks register as monitors construct,
-// so the experiment tables are byte-identical only while it holds.
+// order: the isolated SSM core and response manager first, then the
+// five runtime monitors. The order is part of the output contract —
+// engine callbacks register as monitors construct, so the experiment
+// tables are byte-identical only while it holds.
 func (d *Device) buildCRES() error {
 	if err := d.buildSSM(); err != nil {
 		return err
 	}
-	for _, build := range []struct {
-		monitor string
-		fn      func() error
-	}{
-		{scenario.MonitorBus, d.buildBusMonitor},
-		{scenario.MonitorCFI, d.buildCFIMonitor},
-		{scenario.MonitorTiming, d.buildTimingMonitor},
-		{scenario.MonitorEnv, d.buildEnvMonitor},
-		{scenario.MonitorNet, d.buildNetMonitor},
+	for _, build := range []func() error{
+		d.buildBusMonitor,
+		d.buildCFIMonitor,
+		d.buildTimingMonitor,
+		d.buildEnvMonitor,
+		d.buildNetMonitor,
 	} {
-		if !d.spec.MonitorOn(build.monitor) {
-			continue
-		}
-		if err := build.fn(); err != nil {
+		if err := build(); err != nil {
 			return err
 		}
 	}

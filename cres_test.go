@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cres/internal/attack"
+	"cres/internal/baseline"
 	"cres/internal/boot"
 	"cres/internal/core"
 	"cres/internal/hw"
@@ -181,7 +182,7 @@ func TestCovertChannelClosedByPartitioning(t *testing.T) {
 	}
 	runHealthy(t, d, 15*time.Millisecond)
 
-	if err := Launch(d, attack.CacheCovertChannel{Trustlet: "keymaster", Bits: 64}); err != nil {
+	if err := Launch(d, attack.CacheCovertChannel{}); err != nil {
 		t.Fatal(err)
 	}
 	d.RunFor(10 * time.Millisecond)
@@ -199,7 +200,7 @@ func TestEnvGlitchLocksActuator(t *testing.T) {
 	d.AddActuator(breaker)
 	runHealthy(t, d, 15*time.Millisecond)
 
-	Launch(d, attack.VoltageGlitch{Offset: 0.5, Duration: 3 * time.Millisecond})
+	Launch(d, attack.VoltageGlitch{})
 	d.RunFor(5 * time.Millisecond)
 	if !breaker.Locked() {
 		t.Fatal("actuator not locked during physical tamper")
@@ -236,7 +237,7 @@ func TestBaselineDeviceHasNoDetection(t *testing.T) {
 
 func TestBaselineRebootDropsAllServices(t *testing.T) {
 	d, err := NewDevice(scenario.DeviceSpec{
-		Name: "legacy", Arch: scenario.ArchBaseline, Seed: 1, RebootTime: 100 * time.Millisecond,
+		Name: "legacy", Arch: scenario.ArchBaseline, Seed: 1,
 	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +249,7 @@ func TestBaselineRebootDropsAllServices(t *testing.T) {
 	if d.Degrader.CriticalUp() {
 		t.Fatal("critical service survived baseline reboot")
 	}
-	d.RunFor(150 * time.Millisecond)
+	d.RunFor(baseline.RebootDuration + 50*time.Millisecond)
 	if !d.Degrader.CriticalUp() {
 		t.Fatal("services not back after reboot")
 	}
@@ -318,26 +319,6 @@ func TestNewDeviceSpec(t *testing.T) {
 	}
 	if _, err := NewDevice(scenario.DeviceSpec{Name: "d", Arch: "riscv"}, nil, nil); err == nil {
 		t.Fatal("invalid spec accepted")
-	}
-}
-
-// TestWithMonitorsSubset checks the monitor set is honored: a device
-// restricted to bus+env gets no CFI, timing or network monitor.
-func TestWithMonitorsSubset(t *testing.T) {
-	dev, err := NewDevice(scenario.DeviceSpec{
-		Name: "subset", Seed: 1, Monitors: []string{scenario.MonitorBus, scenario.MonitorEnv},
-	}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev.BusMon == nil || dev.EnvMon == nil {
-		t.Fatal("requested monitors missing")
-	}
-	if dev.CFIMon != nil || dev.TimingMon != nil || dev.NetMon != nil {
-		t.Fatal("unrequested monitors built")
-	}
-	if _, err := NewDevice(scenario.DeviceSpec{Name: "bad", Monitors: []string{"seismic"}}, nil, nil); err == nil {
-		t.Fatal("unknown monitor name accepted")
 	}
 }
 

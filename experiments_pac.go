@@ -48,13 +48,13 @@ func (s *plainStack) pop() uint64 {
 	return a
 }
 
-// RunE11PointerAuth runs `trials` call/corrupt/return rounds against a
+// e11Trials is how many call/corrupt/return rounds each stack runs.
+const e11Trials = 500
+
+// RunE11PointerAuth runs e11Trials call/corrupt/return rounds against a
 // plain return stack and a PAC-protected one. The two configurations
 // run on independent shards with their own derived RNG streams.
-func RunE11PointerAuth(seed int64, trials int, pool *harness.Pool) (*E11Result, error) {
-	if trials <= 0 {
-		trials = 500
-	}
+func RunE11PointerAuth(seed int64, pool *harness.Pool) (*E11Result, error) {
 	const gadget = 0x6666_0000
 
 	rows, err := harness.Map(pool, 2, seed, func(sh harness.Shard) (E11Row, error) {
@@ -62,8 +62,8 @@ func RunE11PointerAuth(seed int64, trials int, pool *harness.Pool) (*E11Result, 
 		if sh.Index == 0 {
 			// Plain stack: every corruption becomes a silent gadget
 			// execution.
-			row := E11Row{Config: "plain return stack", Corruptions: trials}
-			for i := 0; i < trials; i++ {
+			row := E11Row{Config: "plain return stack", Corruptions: e11Trials}
+			for i := 0; i < e11Trials; i++ {
 				var st plainStack
 				depth := rng.Intn(6) + 1
 				for d := 0; d < depth; d++ {
@@ -80,9 +80,9 @@ func RunE11PointerAuth(seed int64, trials int, pool *harness.Pool) (*E11Result, 
 		}
 
 		// PAC-protected stack: corruption trips authentication.
-		row := E11Row{Config: "PAC-protected return stack", Corruptions: trials}
+		row := E11Row{Config: "PAC-protected return stack", Corruptions: e11Trials}
 		key := ptrauth.NewKey([]byte("device-root"), "ia")
-		for i := 0; i < trials; i++ {
+		for i := 0; i < e11Trials; i++ {
 			st := ptrauth.NewReturnStack(key)
 			depth := rng.Intn(6) + 1
 			for d := 0; d < depth; d++ {

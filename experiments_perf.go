@@ -298,7 +298,7 @@ func runCovertChannelOnce(seed int64, periodUS int, partitioned bool) (*E10Row, 
 	if partitioned {
 		soc.Cache.SetPartitioned(true)
 	}
-	te := tee.New(e, soc, tee.Config{})
+	te := tee.New(e, soc)
 	vendor, err := deriveVendor("e10")
 	if err != nil {
 		return nil, err

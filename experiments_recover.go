@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cres/internal/attack"
+	"cres/internal/baseline"
 	"cres/internal/boot"
 	"cres/internal/harness"
 	"cres/internal/report"
@@ -158,7 +159,7 @@ func e6BaselineReboot(sh harness.Shard) (E6Row, error) {
 	return E6Row{
 		Strategy:          "baseline-reboot",
 		TimeToHealthy:     tb.dev.Now().Sub(compromise),
-		CriticalOutage:    500 * time.Millisecond,
+		CriticalOutage:    baseline.RebootDuration,
 		RemovesCompromise: false, // same vulnerable firmware boots again
 	}, nil
 }

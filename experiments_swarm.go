@@ -53,16 +53,6 @@ type E13Config struct {
 	// RootSeed seeds the sweep; every cell derives its own engine seed
 	// and every random wiring derives from its topology's position.
 	RootSeed int64
-	// Topologies are the wirings under test, each of at least 3
-	// devices so saving anyone is possible. Nil selects the default
-	// sweep: ring (fanout 1 and 2), star, mesh, random (fanout 1 and
-	// 2), all of e13FleetSize devices.
-	Topologies []scenario.TopologySpec
-	// Dwells are the worm's infection-to-propagation delays (default
-	// 2ms and 6ms — one the gossip handily beats, one it beats asleep).
-	Dwells []time.Duration
-	// Modes are the response modes (default all three).
-	Modes []string
 	// Quick trims the sweep for smoke runs: three wirings, one dwell.
 	Quick bool
 }
@@ -112,10 +102,12 @@ type E13Result struct {
 // sweep that injects faults.
 const e13Payload = "secure-probe"
 
-// e13FleetSize is the device count of the default sweep's wirings.
+// e13FleetSize is the device count of every wiring the sweep runs.
 const e13FleetSize = 10
 
-// defaultTopologies builds the sweep's wiring axis.
+// defaultTopologies builds the sweep's wiring axis: ring (fanout 1 and
+// 2), star, mesh and random (fanout 1 and 2), or three of them for a
+// quick sweep.
 func defaultTopologies(n int, quick bool) []scenario.TopologySpec {
 	if quick {
 		return []scenario.TopologySpec{
@@ -156,32 +148,25 @@ func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error)
 	if !ok {
 		return nil, fmt.Errorf("e13: unknown worm payload %q", e13Payload)
 	}
-	if cfg.Topologies == nil {
-		cfg.Topologies = defaultTopologies(e13FleetSize, cfg.Quick)
+	// The worm's infection-to-propagation delays: one the gossip
+	// handily beats, one it beats asleep. A quick sweep runs the first.
+	dwells := []time.Duration{2 * time.Millisecond, 6 * time.Millisecond}
+	if cfg.Quick {
+		dwells = dwells[:1]
 	}
-	if cfg.Dwells == nil {
-		cfg.Dwells = []time.Duration{2 * time.Millisecond, 6 * time.Millisecond}
-		if cfg.Quick {
-			cfg.Dwells = cfg.Dwells[:1]
-		}
-	}
-	if cfg.Modes == nil {
-		cfg.Modes = SwarmModes()
-	}
+	modes := SwarmModes()
 
 	// Compile each wiring once, seeded by its position: the modes and
 	// dwells of one row must fight over the same graph.
-	topos := make([]*scenario.CompiledTopology, len(cfg.Topologies))
-	for i, ts := range cfg.Topologies {
-		if ts.Kind == scenario.TopologyRandom && ts.Seed == 0 {
+	wirings := defaultTopologies(e13FleetSize, cfg.Quick)
+	topos := make([]*scenario.CompiledTopology, len(wirings))
+	for i, ts := range wirings {
+		if ts.Kind == scenario.TopologyRandom {
 			ts.Seed = harness.ShardSeed(cfg.RootSeed, i)
 		}
 		ct, err := ts.Compile()
 		if err != nil {
 			return nil, fmt.Errorf("e13: topology %d: %w", i, err)
-		}
-		if ct.Size() < 3 {
-			return nil, fmt.Errorf("e13: topology %d: fleet of %d cannot demonstrate saving anyone (want >= 3)", i, ct.Size())
 		}
 		topos[i] = ct
 	}
@@ -193,8 +178,8 @@ func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error)
 	}
 	var specs []cellSpec
 	for _, t := range topos {
-		for _, d := range cfg.Dwells {
-			for _, m := range cfg.Modes {
+		for _, d := range dwells {
+			for _, m := range modes {
 				specs = append(specs, cellSpec{topo: t, dwell: d, mode: m})
 			}
 		}
@@ -221,23 +206,17 @@ func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error)
 
 	res := &E13Result{Cells: cells, CoopDominatesIsolated: true}
 	// Rows group the modes of one (wiring, dwell) pair. Key by the
-	// cell's position — modes are the innermost enumeration axis — not
-	// by (kind, fanout, dwell) strings, which collide for user-supplied
-	// specs differing only in seed or size.
+	// cell's position — modes are the innermost enumeration axis.
 	saved := make(map[int]map[string]int) // row index -> mode -> saved
 	for _, c := range cells {
-		row := c.Index / len(cfg.Modes)
+		row := c.Index / len(modes)
 		if saved[row] == nil {
 			saved[row] = make(map[string]int)
 		}
 		saved[row][c.Mode] = c.Saved
 	}
 	for _, byMode := range saved {
-		coop, hasCoop := byMode[SwarmCooperative]
-		iso, hasIso := byMode[SwarmIsolated]
-		if !hasCoop || !hasIso {
-			continue
-		}
+		coop, iso := byMode[SwarmCooperative], byMode[SwarmIsolated]
 		res.SavedByGossip += coop - iso
 		if coop <= iso {
 			res.CoopDominatesIsolated = false
@@ -245,8 +224,8 @@ func RunE13WormResilience(cfg E13Config, pool *harness.Pool) (*E13Result, error)
 	}
 
 	t := report.NewTable(
-		fmt.Sprintf("E13 — Networked-fleet resilience: %q worm over %s-device fleets (root seed %d)",
-			e13Payload, fleetSizes(topos), cfg.RootSeed),
+		fmt.Sprintf("E13 — Networked-fleet resilience: %q worm over %d-device fleets (root seed %d)",
+			e13Payload, e13FleetSize, cfg.RootSeed),
 		"Topology", "Fanout", "Dwell", "Mode", "Infected", "Saved", "Blocked", "Links cut", "Containment", "Informed")
 	for _, c := range cells {
 		fanout := "-"

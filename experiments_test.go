@@ -285,7 +285,7 @@ func TestE3bCombinedDominates(t *testing.T) {
 }
 
 func TestE11PACCatchesROP(t *testing.T) {
-	res, err := RunE11PointerAuth(7, 500, nil)
+	res, err := RunE11PointerAuth(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestSignatureOnlyDeviceMissesCovertChannel(t *testing.T) {
 	if tb.dev.TimingMon != nil {
 		t.Fatal("signature-only device has a timing monitor")
 	}
-	if err := (attack.CacheCovertChannel{Trustlet: "keymaster"}).Launch(tb.tgt); err != nil {
+	if err := (attack.CacheCovertChannel{}).Launch(tb.tgt); err != nil {
 		t.Fatal(err)
 	}
 	tb.dev.RunFor(20 * time.Millisecond)

@@ -222,11 +222,7 @@ func (CodeInjection) Launch(tgt *Target) error {
 
 // ControlFlowHijack takes illegal edges between legitimate blocks —
 // return-oriented programming, caught by the CFI monitor.
-type ControlFlowHijack struct {
-	// Blocks are legitimate block IDs of the running program; the
-	// hijack jumps between them against the CFG. Defaults to {1, 4}.
-	Blocks []hw.BlockID
-}
+type ControlFlowHijack struct{}
 
 // Name implements Scenario.
 func (ControlFlowHijack) Name() string { return "control-flow-hijack" }
@@ -240,14 +236,13 @@ func (ControlFlowHijack) Description() string {
 func (ControlFlowHijack) ExpectedSignatures() []string { return []string{"cfi.invalid-edge"} }
 
 // Launch implements Scenario.
-func (c ControlFlowHijack) Launch(tgt *Target) error {
+func (ControlFlowHijack) Launch(tgt *Target) error {
 	if tgt.SoC == nil {
 		return fmt.Errorf("%w: SoC", ErrTargetIncomplete)
 	}
-	blocks := c.Blocks
-	if len(blocks) == 0 {
-		blocks = []hw.BlockID{1, 4}
-	}
+	// Blocks 1 and 4 are legitimate blocks of the reference program,
+	// whose control-flow graph has no 1->4 edge.
+	blocks := [...]hw.BlockID{1, 4}
 	repeat(tgt.Engine, 20*time.Microsecond, 15, func(i int) {
 		tgt.SoC.AppCore.ExecBlock(blocks[i%len(blocks)]) //nolint:errcheck
 	})
@@ -259,12 +254,14 @@ func (c ControlFlowHijack) Launch(tgt *Target) error {
 // bit; the normal-world receiver primes and probes. This is the
 // Spectre/Meltdown-class shared-microarchitecture channel of Section IV
 // in its architecturally honest form.
-type CacheCovertChannel struct {
-	// Trustlet is the secure-world sender (must be loaded in the TEE).
-	Trustlet string
-	// Bits is the number of secret bits to transmit (default 32).
-	Bits int
-}
+type CacheCovertChannel struct{}
+
+// The channel's sender is covertTrustlet, the trustlet the attack
+// testbed loads into the TEE, and it transmits covertBits secret bits.
+const (
+	covertTrustlet = "keymaster"
+	covertBits     = 32
+)
 
 // Name implements Scenario.
 func (CacheCovertChannel) Name() string { return "cache-covert-channel" }
@@ -280,17 +277,13 @@ func (CacheCovertChannel) ExpectedSignatures() []string {
 }
 
 // Launch implements Scenario.
-func (c CacheCovertChannel) Launch(tgt *Target) error {
-	if tgt.SoC == nil || tgt.TEE == nil || c.Trustlet == "" {
-		return fmt.Errorf("%w: SoC, TEE and Trustlet", ErrTargetIncomplete)
-	}
-	bits := c.Bits
-	if bits == 0 {
-		bits = 32
+func (CacheCovertChannel) Launch(tgt *Target) error {
+	if tgt.SoC == nil || tgt.TEE == nil {
+		return fmt.Errorf("%w: SoC and TEE", ErrTargetIncomplete)
 	}
 	const set0, set1 = 11, 29
 	ways := 4
-	repeat(tgt.Engine, 50*time.Microsecond, bits, func(i int) {
+	repeat(tgt.Engine, 50*time.Microsecond, covertBits, func(i int) {
 		// Receiver primes both sets.
 		tgt.SoC.Cache.ProbeSet(set0, hw.WorldNormal, ways)
 		tgt.SoC.Cache.ProbeSet(set1, hw.WorldNormal, ways)
@@ -300,7 +293,7 @@ func (c CacheCovertChannel) Launch(tgt *Target) error {
 		if bit == 1 {
 			set = set1
 		}
-		tgt.TEE.InvokeTrustlet(c.Trustlet, []int{set}, ways) //nolint:errcheck
+		tgt.TEE.InvokeTrustlet(covertTrustlet, []int{set}, ways) //nolint:errcheck
 		// Receiver probes; misses on one set reveal the bit.
 		tgt.SoC.Cache.ProbeSet(set0, hw.WorldNormal, ways)
 		tgt.SoC.Cache.ProbeSet(set1, hw.WorldNormal, ways)
@@ -310,12 +303,14 @@ func (c CacheCovertChannel) Launch(tgt *Target) error {
 
 // VoltageGlitch injects a supply-voltage disturbance — fault-injection
 // preparation, caught by the environmental monitor.
-type VoltageGlitch struct {
-	// Offset is the injected deviation in volts (default +0.4).
-	Offset float64
-	// Duration is how long the glitch lasts (default 2ms).
-	Duration time.Duration
-}
+type VoltageGlitch struct{}
+
+// The glitch offsets the supply by glitchOffset volts for
+// glitchDuration.
+const (
+	glitchOffset   = 0.4
+	glitchDuration = 2 * time.Millisecond
+)
 
 // Name implements Scenario.
 func (VoltageGlitch) Name() string { return "voltage-glitch" }
@@ -329,20 +324,12 @@ func (VoltageGlitch) Description() string {
 func (VoltageGlitch) ExpectedSignatures() []string { return []string{"env.out-of-band"} }
 
 // Launch implements Scenario.
-func (v VoltageGlitch) Launch(tgt *Target) error {
+func (VoltageGlitch) Launch(tgt *Target) error {
 	if tgt.SoC == nil {
 		return fmt.Errorf("%w: SoC", ErrTargetIncomplete)
 	}
-	off := v.Offset
-	if off == 0 {
-		off = 0.4
-	}
-	dur := v.Duration
-	if dur == 0 {
-		dur = 2 * time.Millisecond
-	}
-	tgt.SoC.Voltage.InjectOffset(off)
-	tgt.Engine.MustSchedule(dur, func() { tgt.SoC.Voltage.InjectOffset(0) })
+	tgt.SoC.Voltage.InjectOffset(glitchOffset)
+	tgt.Engine.MustSchedule(glitchDuration, func() { tgt.SoC.Voltage.InjectOffset(0) })
 	return nil
 }
 
@@ -394,10 +381,10 @@ func (m M2MMITM) Launch(tgt *Target) error {
 // BusFlood saturates the interconnect from the application core —
 // resource exhaustion / denial of service, caught by rate anomaly
 // detection.
-type BusFlood struct {
-	// Transactions is the flood volume (default 3000).
-	Transactions int
-}
+type BusFlood struct{}
+
+// floodTransactions is the flood's volume, one read per microsecond.
+const floodTransactions = 3000
 
 // Name implements Scenario.
 func (BusFlood) Name() string { return "bus-flood" }
@@ -411,16 +398,12 @@ func (BusFlood) Description() string {
 func (BusFlood) ExpectedSignatures() []string { return []string{"bus.rate.anomaly"} }
 
 // Launch implements Scenario.
-func (b BusFlood) Launch(tgt *Target) error {
+func (BusFlood) Launch(tgt *Target) error {
 	if tgt.SoC == nil {
 		return fmt.Errorf("%w: SoC", ErrTargetIncomplete)
 	}
-	n := b.Transactions
-	if n == 0 {
-		n = 3000
-	}
 	var buf [8]byte
-	repeat(tgt.Engine, time.Microsecond, n, func(i int) {
+	repeat(tgt.Engine, time.Microsecond, floodTransactions, func(i int) {
 		tgt.SoC.AppCore.ReadInto(hw.AddrSRAM+hw.Addr((i*64)%4096), buf[:]) //nolint:errcheck
 	})
 	return nil

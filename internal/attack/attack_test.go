@@ -84,7 +84,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	te := tee.New(e, soc, tee.Config{})
+	te := tee.New(e, soc)
 	if err := te.StoreSecret("m2m-key", []byte("super secret key")); err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +225,13 @@ func TestDowngradeWritesOldImageToSlot(t *testing.T) {
 
 func TestVoltageGlitchIsTransient(t *testing.T) {
 	r := newRig(t)
-	if err := (VoltageGlitch{Offset: 0.4, Duration: time.Millisecond}).Launch(r.target); err != nil {
+	if err := (VoltageGlitch{}).Launch(r.target); err != nil {
 		t.Fatal(err)
 	}
-	if r.target.SoC.Voltage.Offset() != 0.4 {
+	if r.target.SoC.Voltage.Offset() != glitchOffset {
 		t.Fatal("offset not applied")
 	}
-	r.engine.RunFor(2 * time.Millisecond)
+	r.engine.RunFor(glitchDuration + time.Millisecond)
 	if r.target.SoC.Voltage.Offset() != 0 {
 		t.Fatal("glitch not withdrawn")
 	}

@@ -81,7 +81,7 @@ func init() {
 	Register(BusAttributeTamper{})
 	Register(CodeInjection{})
 	Register(ControlFlowHijack{})
-	Register(CacheCovertChannel{Trustlet: "keymaster"})
+	Register(CacheCovertChannel{})
 	Register(VoltageGlitch{})
 	Register(M2MMITM{})
 	Register(BusFlood{})

@@ -68,8 +68,6 @@ type Worm struct {
 	// propagation attempt on each of its neighbours (default
 	// DefaultWormDwell).
 	Dwell time.Duration
-	// MaxInfections bounds the outbreak (default: the whole fleet).
-	MaxInfections int
 }
 
 // dwell returns the effective propagation delay.
@@ -100,15 +98,10 @@ func (w Worm) LaunchFleet(f Fleet, patient int, obs FleetObserver) (*Outbreak, e
 	if tgt == nil || tgt.Engine == nil {
 		return nil, fmt.Errorf("%w: patient zero has no engine", ErrWormFleet)
 	}
-	max := w.MaxInfections
-	if max <= 0 {
-		max = f.Size()
-	}
 	o := &Outbreak{
 		worm:     w,
 		fleet:    f,
 		obs:      obs,
-		max:      max,
 		launch:   tgt.Engine.Now(),
 		infected: make([]bool, f.Size()),
 		ever:     make([]bool, f.Size()),
@@ -129,7 +122,6 @@ type Outbreak struct {
 	worm  Worm
 	fleet Fleet
 	obs   FleetObserver
-	max   int
 
 	launch sim.VirtualTime
 	// infected marks devices currently compromised; ever marks devices
@@ -154,9 +146,7 @@ type Outbreak struct {
 // assembled without a component the payload needs — a harness bug, so
 // it panics exactly as a deferred Staged stage would.
 func (o *Outbreak) infect(i, hop int) error {
-	// The outbreak bound counts distinct victims, so a recovered device
-	// being re-infected never re-opens an exhausted budget.
-	if o.infected[i] || (!o.ever[i] && o.numEver >= o.max) {
+	if o.infected[i] {
 		return nil
 	}
 	o.infected[i] = true
@@ -193,7 +183,7 @@ func (o *Outbreak) spread(i int) {
 			if !o.infected[i] {
 				return
 			}
-			if o.infected[j] || (!o.ever[j] && o.numEver >= o.max) {
+			if o.infected[j] {
 				return
 			}
 			if !o.fleet.LinkUp(i, j) {

@@ -18,7 +18,8 @@ const (
 	MsgQuote     = "attest.quote"
 )
 
-// PCRSelection is the default set of registers appraised.
+// PCRSelection is the default set of registers a verifier challenges
+// for, and the set every quote must cover to pass appraisal.
 var PCRSelection = []int{tpm.PCRBootROM, tpm.PCRFirmware, tpm.PCRPolicy}
 
 // challengePayload is the verifier -> device request. A non-nil
@@ -165,9 +166,6 @@ type Policy struct {
 	// AllowedMeasurements is the allowlist of known-good measurement
 	// digests (firmware releases, boot ROM, policies).
 	AllowedMeasurements map[cryptoutil.Digest]bool
-	// RequiredPCRs must appear in the quote selection (defaults to
-	// PCRSelection).
-	RequiredPCRs []int
 }
 
 // ErrPolicy reports an appraisal-policy failure.
@@ -204,15 +202,11 @@ func (p *Policy) AppraiseKey(aik cryptoutil.PublicKey, q *tpm.Quote, log []tpm.L
 // session channel MAC — converge here, so the two paths cannot drift
 // in verdict or error text.
 func (p *Policy) appraiseChecks(q *tpm.Quote, log []tpm.LogEntry) error {
-	required := p.RequiredPCRs
-	if len(required) == 0 {
-		required = PCRSelection
-	}
 	quoted := make(map[int]cryptoutil.Digest, len(q.Selection))
 	for i, pcr := range q.Selection {
 		quoted[pcr] = q.Values[i]
 	}
-	for _, pcr := range required {
+	for _, pcr := range PCRSelection {
 		if _, ok := quoted[pcr]; !ok {
 			return fmt.Errorf("%w: quote missing required PCR %d", ErrPolicy, pcr)
 		}

@@ -65,11 +65,7 @@ func (p *Policy) CompileAppraisal(log []tpm.LogEntry, selection []int, nonceLen 
 	// replay-match check cannot fail here: the quoted values ARE the
 	// replay.)
 	var verdict error
-	required := p.RequiredPCRs
-	if len(required) == 0 {
-		required = PCRSelection
-	}
-	for _, pcr := range required {
+	for _, pcr := range PCRSelection {
 		if !containsInt(sel, pcr) {
 			verdict = fmt.Errorf("%w: quote missing required PCR %d", ErrPolicy, pcr)
 			break

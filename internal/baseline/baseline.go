@@ -59,19 +59,15 @@ func (l *PlainLog) Window(from, to sim.VirtualTime) []PlainLogEntry {
 	return out
 }
 
-// Config parameterises the baseline controller.
-type Config struct {
-	// RebootDuration is how long a reboot keeps all services down
-	// (default 500ms of virtual time — embedded-class cold boot).
-	RebootDuration time.Duration
-}
+// RebootDuration is how long a reboot keeps all services down: 500ms
+// of virtual time, an embedded-class cold boot.
+const RebootDuration = 500 * time.Millisecond
 
 // Controller is the baseline's entire "response plane": when something
 // trips the watchdog (or an operator notices), it reboots, taking every
 // service down for the boot duration, and logs to the plain log.
 type Controller struct {
 	engine   *sim.Engine
-	cfg      Config
 	log      *PlainLog
 	degrader *response.Degrader
 
@@ -84,11 +80,8 @@ var ErrRebootInProgress = errors.New("baseline: reboot already in progress")
 
 // NewController creates the baseline controller. degrader tracks the
 // device's services (all of which a reboot takes down).
-func NewController(engine *sim.Engine, cfg Config, log *PlainLog, degrader *response.Degrader) *Controller {
-	if cfg.RebootDuration <= 0 {
-		cfg.RebootDuration = 500 * time.Millisecond
-	}
-	return &Controller{engine: engine, cfg: cfg, log: log, degrader: degrader}
+func NewController(engine *sim.Engine, log *PlainLog, degrader *response.Degrader) *Controller {
+	return &Controller{engine: engine, log: log, degrader: degrader}
 }
 
 // Reboots returns how many reboots have occurred.
@@ -108,7 +101,7 @@ func (c *Controller) Reboot(reason string, onComplete func()) error {
 	c.reboots++
 	c.log.Append(c.engine.Now(), fmt.Sprintf("reboot: %s", reason))
 	c.degrader.StopAll()
-	c.engine.MustSchedule(c.cfg.RebootDuration, func() {
+	c.engine.MustSchedule(RebootDuration, func() {
 		c.rebooting = false
 		c.degrader.StartAll()
 		c.log.Append(c.engine.Now(), "reboot complete")

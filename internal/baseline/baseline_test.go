@@ -20,7 +20,7 @@ func newController(t *testing.T) (*sim.Engine, *Controller, *response.Degrader, 
 		t.Fatal(err)
 	}
 	log := &PlainLog{}
-	return e, NewController(e, Config{RebootDuration: 100 * time.Millisecond}, log, d), d, log
+	return e, NewController(e, log, d), d, log
 }
 
 func TestPlainLogAppendErase(t *testing.T) {
@@ -73,11 +73,11 @@ func TestRebootTakesEverythingDown(t *testing.T) {
 	if d.CriticalUp() {
 		t.Fatal("critical service survived reboot (baseline can't do that)")
 	}
-	e.RunFor(50 * time.Millisecond)
+	e.RunFor(RebootDuration / 2)
 	if completed {
 		t.Fatal("completed too early")
 	}
-	e.RunFor(60 * time.Millisecond)
+	e.RunFor(RebootDuration/2 + time.Millisecond)
 	if !completed {
 		t.Fatal("reboot never completed")
 	}
@@ -100,7 +100,7 @@ func TestOverlappingRebootRejected(t *testing.T) {
 	if err := c.Reboot("second", nil); !errors.Is(err, ErrRebootInProgress) {
 		t.Fatalf("err = %v", err)
 	}
-	e.RunFor(200 * time.Millisecond)
+	e.RunFor(2 * RebootDuration)
 	if err := c.Reboot("third", nil); err != nil {
 		t.Fatalf("reboot after completion rejected: %v", err)
 	}
@@ -109,15 +109,15 @@ func TestOverlappingRebootRejected(t *testing.T) {
 func TestDefaultRebootDuration(t *testing.T) {
 	e := sim.New(1)
 	d, _ := response.NewDegrader(nil)
-	c := NewController(e, Config{}, &PlainLog{}, d)
+	c := NewController(e, &PlainLog{}, d)
 	done := false
 	c.Reboot("x", func() { done = true })
 	e.RunFor(499 * time.Millisecond)
 	if done {
-		t.Fatal("default reboot too fast")
+		t.Fatal("reboot faster than 500ms")
 	}
 	e.RunFor(2 * time.Millisecond)
 	if !done {
-		t.Fatal("default reboot never finished")
+		t.Fatal("reboot not finished after 500ms")
 	}
 }

@@ -60,12 +60,6 @@ type Config struct {
 	// AnchorPeriod is how often the evidence head is signed (default
 	// 10ms).
 	AnchorPeriod time.Duration
-	// CompromiseThreshold is the score at which the device is considered
-	// compromised even without a single critical alert (default 5.0).
-	CompromiseThreshold float64
-	// ScoreDecay multiplies every resource score each observation tick,
-	// so stale suspicion fades (default 0.9).
-	ScoreDecay float64
 	// DeviceName identifies this device in gossiped alert digests
 	// (default "device"). Only used when a digest publisher is set.
 	DeviceName string
@@ -74,10 +68,15 @@ type Config struct {
 // A device turns suspicious when one resource's accumulated threat
 // score reaches suspicionThreshold, or, by neighbour evidence alone
 // (see IngestPeerDigest), when one peer's reaches
-// peerSuspicionThreshold.
+// peerSuspicionThreshold. It turns compromised when one resource's
+// score reaches compromiseThreshold, even without a single critical
+// alert. Every observation tick multiplies each score by scoreDecay, so
+// stale suspicion fades.
 const (
 	suspicionThreshold     = 1.0
 	peerSuspicionThreshold = 1.0
+	compromiseThreshold    = 5.0
+	scoreDecay             = 0.9
 )
 
 func (c *Config) fillDefaults() {
@@ -86,12 +85,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.AnchorPeriod <= 0 {
 		c.AnchorPeriod = 10 * time.Millisecond
-	}
-	if c.CompromiseThreshold == 0 {
-		c.CompromiseThreshold = 5.0
-	}
-	if c.ScoreDecay == 0 {
-		c.ScoreDecay = 0.9
 	}
 	if c.DeviceName == "" {
 		c.DeviceName = "device"
@@ -350,7 +343,7 @@ func (s *SSM) updateState(a monitor.Alert) {
 		if s.state == StateHealthy || s.state == StateSuspicious {
 			s.setState(StateCompromised)
 		}
-	case s.scores[a.Resource] >= s.cfg.CompromiseThreshold:
+	case s.scores[a.Resource] >= compromiseThreshold:
 		if s.state == StateHealthy || s.state == StateSuspicious {
 			s.setState(StateCompromised)
 		}
@@ -400,13 +393,13 @@ func (s *SSM) observe(at sim.VirtualTime) {
 	// scores alike, so a pre-emptively raised posture fades once the
 	// neighbourhood goes quiet.
 	for r := range s.scores {
-		s.scores[r] *= s.cfg.ScoreDecay
+		s.scores[r] *= scoreDecay
 		if s.scores[r] < 0.01 {
 			delete(s.scores, r)
 		}
 	}
 	for p := range s.peerScores {
-		s.peerScores[p] *= s.cfg.ScoreDecay
+		s.peerScores[p] *= scoreDecay
 		if s.peerScores[p] < 0.01 {
 			delete(s.peerScores, p)
 		}

@@ -89,8 +89,8 @@ func TestHealthStateTransitions(t *testing.T) {
 }
 
 func TestWarningsAccumulateToCompromise(t *testing.T) {
-	_, s := newSSM(t, Config{CompromiseThreshold: 3})
-	for i := 0; i < 3; i++ {
+	_, s := newSSM(t, Config{})
+	for i := 0; i < compromiseThreshold; i++ {
 		s.HandleAlert(alert(time.Duration(i)*time.Millisecond, "net.rate.anomaly", "peer-1", monitor.Warning))
 	}
 	if s.State() != StateCompromised {
@@ -99,12 +99,13 @@ func TestWarningsAccumulateToCompromise(t *testing.T) {
 }
 
 func TestSuspicionDecays(t *testing.T) {
-	e, s := newSSM(t, Config{ObservationPeriod: time.Millisecond, ScoreDecay: 0.5})
+	e, s := newSSM(t, Config{ObservationPeriod: time.Millisecond})
 	s.HandleAlert(alert(0, "bus.rate.anomaly", "dma0", monitor.Warning))
 	if s.State() != StateSuspicious {
 		t.Fatal("not suspicious")
 	}
-	e.RunFor(20 * time.Millisecond)
+	// 0.9^44 < 0.01: a Warning's score of 1 decays away in 44 ticks.
+	e.RunFor(50 * time.Millisecond)
 	if s.State() != StateHealthy {
 		t.Fatalf("state = %v, suspicion did not decay", s.State())
 	}

@@ -19,6 +19,23 @@ const (
 	purposeBackoff = 1<<20 + 3
 )
 
+// The fault timing every plan shares. A reordered or duplicated copy
+// arrives up to reorderDelay late. A crashing device goes dark at an
+// instant drawn from the campaign's first crashWindow and rejoins
+// rebootOutage later. Verifier outage k, counting from 1, starts at
+// k*outageEvery and lasts outageLen, which is shorter than outageEvery
+// so the verifier is up between outages. A retry waits backoffBase,
+// doubling per attempt up to backoffCap.
+const (
+	reorderDelay = time.Millisecond
+	crashWindow  = 30 * time.Millisecond
+	rebootOutage = 5 * time.Millisecond
+	outageEvery  = 20 * time.Millisecond
+	outageLen    = 5 * time.Millisecond
+	backoffBase  = time.Millisecond
+	backoffCap   = 8 * time.Millisecond
+)
+
 // LinkRates are the per-delivery fault probabilities of one fabric link.
 // Each message crossing a link draws independently; the draws are keyed
 // by the link's canonical name and a per-link counter, so one link's
@@ -27,35 +44,11 @@ type LinkRates struct {
 	// Drop is the probability in [0,1) that a delivery vanishes.
 	Drop float64
 	// Duplicate is the probability in [0,1) that a delivery arrives
-	// twice (the copy delayed within ReorderDelay).
+	// twice (the copy delayed within reorderDelay).
 	Duplicate float64
 	// Reorder is the probability in [0,1) that a delivery is held back
-	// by up to ReorderDelay, letting later sends overtake it.
+	// by up to reorderDelay, letting later sends overtake it.
 	Reorder float64
-	// ReorderDelay bounds the extra delay of reordered and duplicated
-	// copies.
-	ReorderDelay time.Duration
-}
-
-// ChurnPlan describes mid-campaign device churn: a seeded fraction of
-// the fleet crashes once, stays dark for the reboot outage, and rejoins.
-type ChurnPlan struct {
-	// CrashFraction is the probability in [0,1] that a device crashes.
-	CrashFraction float64
-	// CrashWindow is the interval (from campaign start) the crash
-	// instants are drawn from.
-	CrashWindow time.Duration
-	// RebootOutage is how long a crashed device stays off the network.
-	RebootOutage time.Duration
-}
-
-// Outage is one verifier unavailability window, relative to campaign
-// start.
-type Outage struct {
-	// Start is when the outage begins.
-	Start time.Duration
-	// Len is how long it lasts.
-	Len time.Duration
 }
 
 // Crash is one entry of a churn schedule: device Device leaves the
@@ -74,20 +67,17 @@ type Plan struct {
 	Seed int64
 	// Link is the fabric fault model.
 	Link LinkRates
-	// Churn is the device crash-and-reboot model.
-	Churn ChurnPlan
-	// Outages are the verifier unavailability windows.
-	Outages []Outage
-	// BackoffBase is the first retry delay (default 1ms).
-	BackoffBase time.Duration
-	// BackoffCap bounds the exponential growth (default 8ms).
-	BackoffCap time.Duration
+	// CrashFraction is the probability in [0,1] that a device crashes
+	// once mid-campaign, stays dark for the reboot outage, and rejoins.
+	CrashFraction float64
+	// Outages is how many times the verifier goes dark.
+	Outages int
 }
 
 // Enabled reports whether the plan injects any fault at all.
 func (p *Plan) Enabled() bool {
 	return p.Link.Drop > 0 || p.Link.Duplicate > 0 || p.Link.Reorder > 0 ||
-		p.Churn.CrashFraction > 0 || len(p.Outages) > 0
+		p.CrashFraction > 0 || p.Outages > 0
 }
 
 // root derives the purpose's seed root.
@@ -127,18 +117,17 @@ func fnv64(s string) uint64 {
 // Whether device i crashes, and when, is a pure function of (Seed, i):
 // the schedule is identical however the fleet is simulated.
 func (p *Plan) CrashSchedule(n int) []Crash {
-	c := p.Churn
-	if c.CrashFraction <= 0 || c.CrashWindow <= 0 || n <= 0 {
+	if p.CrashFraction <= 0 || n <= 0 {
 		return nil
 	}
 	stream := p.root(purposeChurn)
 	var out []Crash
 	for i := 0; i < n; i++ {
-		if u01(stream, uint64(i), 0) >= c.CrashFraction {
+		if u01(stream, uint64(i), 0) >= p.CrashFraction {
 			continue
 		}
-		at := time.Duration(u01(stream, uint64(i), 1) * float64(c.CrashWindow))
-		out = append(out, Crash{Device: i, At: at, Back: at + c.RebootOutage})
+		at := time.Duration(u01(stream, uint64(i), 1) * float64(crashWindow))
+		out = append(out, Crash{Device: i, At: at, Back: at + rebootOutage})
 	}
 	return out
 }
@@ -146,36 +135,24 @@ func (p *Plan) CrashSchedule(n int) []Crash {
 // VerifierDown reports whether the verifier is inside an outage window
 // at the given instant (relative to campaign start).
 func (p *Plan) VerifierDown(since time.Duration) bool {
-	for _, o := range p.Outages {
-		if since >= o.Start && since < o.Start+o.Len {
-			return true
-		}
-	}
-	return false
+	k := since / outageEvery
+	return k >= 1 && k <= time.Duration(p.Outages) && since-k*outageEvery < outageLen
 }
 
 // Backoff returns the deterministic retry delay before attempt+1 on the
-// named stream: exponential from BackoffBase, capped at BackoffCap,
+// named stream: exponential from backoffBase, capped at backoffCap,
 // plus up to 25% seeded jitter so retriers sharing a cap do not
 // synchronise. attempt counts from 1.
 func (p *Plan) Backoff(stream string, attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	base := p.BackoffBase
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	cap := p.BackoffCap
-	if cap <= 0 {
-		cap = 8 * time.Millisecond
-	}
-	d := base
-	for i := 1; i < attempt && d < cap; i++ {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	jitter := time.Duration(u01(p.root(purposeBackoff)^fnv64(stream), uint64(attempt), 0) * float64(d) / 4)
 	return d + jitter
@@ -226,12 +203,12 @@ func (in *Injector) Fate(from, to string) m2m.Fate {
 	}
 	var first time.Duration
 	if u01(stream, n, 1) < r.Reorder {
-		first = time.Duration((0.25 + 0.75*u01(stream, n, 2)) * float64(r.ReorderDelay))
+		first = time.Duration((0.25 + 0.75*u01(stream, n, 2)) * float64(reorderDelay))
 	}
 	f := m2m.Fate{Deliveries: []time.Duration{first}}
 	if u01(stream, n, 3) < r.Duplicate {
 		f.Deliveries = append(f.Deliveries,
-			first+time.Duration((0.25+0.75*u01(stream, n, 4))*float64(r.ReorderDelay)))
+			first+time.Duration((0.25+0.75*u01(stream, n, 4))*float64(reorderDelay)))
 	}
 	return f
 }

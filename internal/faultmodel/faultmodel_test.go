@@ -26,7 +26,7 @@ func TestZeroPlanIsIdentity(t *testing.T) {
 }
 
 func TestFateDeterminismAndLinkIndependence(t *testing.T) {
-	p := &Plan{Seed: 11, Link: LinkRates{Drop: 0.3, Duplicate: 0.2, Reorder: 0.3, ReorderDelay: time.Millisecond}}
+	p := &Plan{Seed: 11, Link: LinkRates{Drop: 0.3, Duplicate: 0.2, Reorder: 0.3}}
 	if !p.Enabled() {
 		t.Fatal("plan with rates reports disabled")
 	}
@@ -64,7 +64,7 @@ func TestFateDeterminismAndLinkIndependence(t *testing.T) {
 }
 
 func TestFateRates(t *testing.T) {
-	p := &Plan{Seed: 3, Link: LinkRates{Drop: 0.25, Duplicate: 0.2, Reorder: 0.4, ReorderDelay: 2 * time.Millisecond}}
+	p := &Plan{Seed: 3, Link: LinkRates{Drop: 0.25, Duplicate: 0.2, Reorder: 0.4}}
 	in := p.NewInjector()
 	const n = 20000
 	var dropped, duplicated, delayed int
@@ -78,12 +78,12 @@ func TestFateRates(t *testing.T) {
 		}
 		if len(f.Deliveries) > 0 && f.Deliveries[0] > 0 {
 			delayed++
-			if f.Deliveries[0] > p.Link.ReorderDelay {
-				t.Fatalf("delay %v beyond bound %v", f.Deliveries[0], p.Link.ReorderDelay)
+			if f.Deliveries[0] > reorderDelay {
+				t.Fatalf("delay %v beyond bound %v", f.Deliveries[0], reorderDelay)
 			}
 		}
-		if len(f.Deliveries) == 2 && f.Deliveries[1] <= f.Deliveries[0] {
-			t.Fatalf("duplicate copy not after the original: %v", f.Deliveries)
+		if len(f.Deliveries) == 2 && (f.Deliveries[1] <= f.Deliveries[0] || f.Deliveries[1] > 2*reorderDelay) {
+			t.Fatalf("duplicate copy not after the original or beyond bound %v: %v", 2*reorderDelay, f.Deliveries)
 		}
 	}
 	near := func(got int, want float64) bool {
@@ -103,7 +103,7 @@ func TestFateRates(t *testing.T) {
 }
 
 func TestCrashScheduleIsPurePerDevice(t *testing.T) {
-	p := &Plan{Seed: 5, Churn: ChurnPlan{CrashFraction: 0.4, CrashWindow: 30 * time.Millisecond, RebootOutage: 5 * time.Millisecond}}
+	p := &Plan{Seed: 5, CrashFraction: 0.4}
 	small, large := p.CrashSchedule(10), p.CrashSchedule(100)
 	if len(small) == 0 {
 		t.Fatal("no crashes at fraction 0.4 over 10 devices")
@@ -117,11 +117,11 @@ func TestCrashScheduleIsPurePerDevice(t *testing.T) {
 		if byDev[c.Device] != c {
 			t.Fatalf("device %d crash differs by fleet size: %+v vs %+v", c.Device, c, byDev[c.Device])
 		}
-		if c.At < 0 || c.At >= p.Churn.CrashWindow {
+		if c.At < 0 || c.At >= crashWindow {
 			t.Fatalf("crash at %v outside window", c.At)
 		}
-		if c.Back != c.At+p.Churn.RebootOutage {
-			t.Fatalf("reboot at %v, want %v", c.Back, c.At+p.Churn.RebootOutage)
+		if c.Back != c.At+rebootOutage {
+			t.Fatalf("reboot at %v, want %v", c.Back, c.At+rebootOutage)
 		}
 	}
 	frac := float64(len(large)) / 100
@@ -131,7 +131,7 @@ func TestCrashScheduleIsPurePerDevice(t *testing.T) {
 }
 
 func TestVerifierDownWindows(t *testing.T) {
-	p := &Plan{Outages: []Outage{{Start: 10 * time.Millisecond, Len: 5 * time.Millisecond}}}
+	p := &Plan{Outages: 2}
 	if !p.Enabled() {
 		t.Fatal("plan with outages reports disabled")
 	}
@@ -139,10 +139,15 @@ func TestVerifierDownWindows(t *testing.T) {
 		at   time.Duration
 		down bool
 	}{
-		{9 * time.Millisecond, false},
-		{10 * time.Millisecond, true},
-		{14 * time.Millisecond, true},
-		{15 * time.Millisecond, false},
+		{-outageEvery, false},
+		{0, false},
+		{outageEvery - 1, false},
+		{outageEvery, true},
+		{outageEvery + outageLen - 1, true},
+		{outageEvery + outageLen, false},
+		{2 * outageEvery, true},
+		{2*outageEvery + outageLen, false},
+		{3 * outageEvery, false},
 	}
 	for _, c := range cases {
 		if p.VerifierDown(c.at) != c.down {
@@ -159,14 +164,14 @@ func TestBackoffDeterministicBoundedExponential(t *testing.T) {
 		if d != p.Backoff("attest|node-03", attempt) {
 			t.Fatal("backoff not deterministic")
 		}
-		exp := time.Millisecond << uint(attempt-1)
-		if exp > 8*time.Millisecond {
-			exp = 8 * time.Millisecond
+		exp := backoffBase << uint(attempt-1)
+		if exp > backoffCap {
+			exp = backoffCap
 		}
 		if d < exp || d > exp+exp/4 {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, exp, exp+exp/4)
 		}
-		if attempt > 1 && d <= prev && exp < 8*time.Millisecond {
+		if attempt > 1 && d <= prev && exp < backoffCap {
 			t.Fatalf("attempt %d: backoff %v did not grow past %v", attempt, d, prev)
 		}
 		prev = d

@@ -46,8 +46,9 @@ type CacheStats struct {
 	CrossWorldEvictions uint64
 }
 
-// CacheConfig parameterises NewCache.
-type CacheConfig struct {
+// cacheConfig parameterises newCache. Every SoC builds
+// defaultCacheConfig; tests build smaller geometries.
+type cacheConfig struct {
 	Sets        int
 	Ways        int
 	LineSize    uint64
@@ -55,14 +56,14 @@ type CacheConfig struct {
 	MissLatency time.Duration
 }
 
-// DefaultCacheConfig returns a small embedded-class last-level cache:
+// defaultCacheConfig returns a small embedded-class last-level cache:
 // 64 sets, 4 ways, 64-byte lines, 2ns hit, 60ns miss.
-func DefaultCacheConfig() CacheConfig {
-	return CacheConfig{Sets: 64, Ways: 4, LineSize: 64, HitLatency: 2 * time.Nanosecond, MissLatency: 60 * time.Nanosecond}
+func defaultCacheConfig() cacheConfig {
+	return cacheConfig{Sets: 64, Ways: 4, LineSize: 64, HitLatency: 2 * time.Nanosecond, MissLatency: 60 * time.Nanosecond}
 }
 
-// NewCache creates a cache.
-func NewCache(cfg CacheConfig) (*Cache, error) {
+// newCache creates a cache.
+func newCache(cfg cacheConfig) (*Cache, error) {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.LineSize == 0 {
 		return nil, fmt.Errorf("hw: invalid cache geometry %+v", cfg)
 	}

@@ -59,7 +59,7 @@ func TestCoreHalt(t *testing.T) {
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c, err := NewCache(CacheConfig{Sets: 4, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
+	c, err := newCache(cacheConfig{Sets: 4, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// 1 set, 2 ways: third distinct line evicts the least recently used.
-	c, err := NewCache(CacheConfig{Sets: 1, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
+	c, err := newCache(cacheConfig{Sets: 1, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheCrossWorldEvictionObservable(t *testing.T) {
 	// The covert channel medium: secure-world accesses evict
 	// normal-world lines, which the normal world measures via timing.
-	c, err := NewCache(CacheConfig{Sets: 2, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
+	c, err := newCache(cacheConfig{Sets: 2, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCacheCrossWorldEvictionObservable(t *testing.T) {
 }
 
 func TestCachePartitioningClosesChannel(t *testing.T) {
-	c, err := NewCache(CacheConfig{Sets: 2, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
+	c, err := newCache(cacheConfig{Sets: 2, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCachePartitioningClosesChannel(t *testing.T) {
 }
 
 func TestCacheFlush(t *testing.T) {
-	c, err := NewCache(CacheConfig{Sets: 2, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
+	c, err := newCache(cacheConfig{Sets: 2, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCacheFlush(t *testing.T) {
 }
 
 func TestCacheProbeSet(t *testing.T) {
-	c, err := NewCache(CacheConfig{Sets: 4, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
+	c, err := newCache(cacheConfig{Sets: 4, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCacheProbeSet(t *testing.T) {
 }
 
 func TestCacheInvalidGeometry(t *testing.T) {
-	if _, err := NewCache(CacheConfig{Sets: 0, Ways: 1, LineSize: 64}); err == nil {
+	if _, err := newCache(cacheConfig{Sets: 0, Ways: 1, LineSize: 64}); err == nil {
 		t.Fatal("zero sets accepted")
 	}
 }

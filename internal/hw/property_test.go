@@ -12,7 +12,7 @@ import (
 // never evicts within the working-set bound.
 func TestPropertyCacheLRUWorkingSet(t *testing.T) {
 	f := func(setSel uint8, tags [4]uint16) bool {
-		c, err := NewCache(CacheConfig{Sets: 16, Ways: 4, LineSize: 64, HitLatency: 1, MissLatency: 10})
+		c, err := newCache(cacheConfig{Sets: 16, Ways: 4, LineSize: 64, HitLatency: 1, MissLatency: 10})
 		if err != nil {
 			return false
 		}
@@ -47,7 +47,7 @@ func TestPropertyCacheLRUWorkingSet(t *testing.T) {
 // Property: cache statistics are consistent: hits + misses == accesses.
 func TestPropertyCacheStatsConsistent(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c, err := NewCache(CacheConfig{Sets: 8, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
+		c, err := newCache(cacheConfig{Sets: 8, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
 		if err != nil {
 			return false
 		}
@@ -70,7 +70,7 @@ func TestPropertyCacheStatsConsistent(t *testing.T) {
 // any interleaving of worlds and addresses.
 func TestPropertyPartitionIsolation(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c, err := NewCache(CacheConfig{Sets: 4, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
+		c, err := newCache(cacheConfig{Sets: 4, Ways: 2, LineSize: 64, HitLatency: 1, MissLatency: 10})
 		if err != nil {
 			return false
 		}

@@ -49,8 +49,9 @@ const (
 	dmaPerChunk = 200 * time.Nanosecond
 )
 
-// SoCConfig parameterises NewSoC. Every SoC has the DefaultCacheConfig
-// last-level cache and a DMA engine moving 256-byte bursts every 200ns.
+// SoCConfig parameterises NewSoC. Every SoC has a 64-set, 4-way
+// last-level cache with 64-byte lines and a DMA engine moving 256-byte
+// bursts every 200ns.
 type SoCConfig struct {
 	// WithSSMCore adds the physically isolated security-manager core and
 	// its private memory (the paper's Characteristic 1). The baseline
@@ -113,7 +114,7 @@ func NewSoC(engine *sim.Engine, cfg SoCConfig) (*SoC, error) {
 	}
 
 	bus := NewBus(engine, mem)
-	cache, err := NewCache(DefaultCacheConfig())
+	cache, err := newCache(defaultCacheConfig())
 	if err != nil {
 		return nil, fmt.Errorf("hw: build soc: %w", err)
 	}

@@ -48,6 +48,10 @@ func (w *Watchpoint) initiatorAllowed(name string) bool {
 	return false
 }
 
+// busRateThreshold is the z-score at which an initiator's transaction
+// rate is anomalous.
+const busRateThreshold = 6
+
 // BusConfig configures a BusMonitor.
 type BusConfig struct {
 	// ProvisionedWorlds maps initiator names to their legitimate
@@ -60,8 +64,6 @@ type BusConfig struct {
 	// RateWindow is the sampling window for per-initiator transaction
 	// rate anomaly detection. Zero disables rate detection.
 	RateWindow time.Duration
-	// RateThreshold is the z-score threshold (default 6).
-	RateThreshold float64
 	// RateWarmup is the number of windows used to learn the baseline
 	// (default 16).
 	RateWarmup int
@@ -107,9 +109,6 @@ var _ Monitor = (*BusMonitor)(nil)
 func NewBusMonitor(engine *sim.Engine, cfg BusConfig, sink Sink) (*BusMonitor, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("monitor: bus monitor needs a sink")
-	}
-	if cfg.RateThreshold == 0 {
-		cfg.RateThreshold = 6
 	}
 	if cfg.RateWarmup == 0 {
 		cfg.RateWarmup = 16
@@ -238,7 +237,7 @@ func (m *BusMonitor) sampleRates(at sim.VirtualTime) {
 		n := ln.count
 		ln.count = 0
 		if ln.det == nil {
-			det, err := NewAnomaly(0.2, m.cfg.RateThreshold, m.cfg.RateWarmup)
+			det, err := NewAnomaly(0.2, busRateThreshold, m.cfg.RateWarmup)
 			if err != nil {
 				// Config validated in NewBusMonitor; unreachable.
 				continue

@@ -132,9 +132,8 @@ func TestBusMonitorWatchpoint(t *testing.T) {
 func TestBusMonitorRateAnomaly(t *testing.T) {
 	e, soc, sink := newMonitoredSoC(t)
 	m, err := NewBusMonitor(e, BusConfig{
-		RateWindow:    time.Millisecond,
-		RateThreshold: 5,
-		RateWarmup:    8,
+		RateWindow: time.Millisecond,
+		RateWarmup: 8,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -439,21 +438,18 @@ func TestNetMonitorReplay(t *testing.T) {
 func TestNetMonitorRateAnomaly(t *testing.T) {
 	e := sim.New(1)
 	sink := &collector{}
-	m, err := NewNetMonitor(e, NetConfig{
-		RateWindow: time.Millisecond,
-		RateWarmup: 8,
-	}, sink)
+	m, err := NewNetMonitor(e, NetConfig{RateWindow: time.Millisecond}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Healthy: ~10 msgs/window for 15 windows.
+	// Healthy: ~10 msgs/window through the warm-up and beyond.
 	tk, err := sim.NewTicker(e, 100*time.Microsecond, func(sim.VirtualTime) {
 		m.ObserveMessage("peer-a")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(15 * time.Millisecond)
+	e.RunFor((netRateWarmup + 8) * time.Millisecond)
 	tk.Stop()
 	if n := len(sink.bySignature(SigNetRateAnomaly)); n != 0 {
 		t.Fatalf("healthy rate flagged %d times", n)

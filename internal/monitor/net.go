@@ -14,18 +14,18 @@ const (
 	SigNetRateAnomaly = "net.rate.anomaly"
 )
 
-// netRateThreshold is the z-score at which a peer's message rate is
-// anomalous.
-const netRateThreshold = 6
+// A peer's message rate is anomalous at z-score netRateThreshold, once
+// netRateWarmup windows have taught its baseline.
+const (
+	netRateThreshold = 6
+	netRateWarmup    = 16
+)
 
 // NetConfig configures a NetMonitor.
 type NetConfig struct {
 	// RateWindow is the per-peer message-rate sampling window. Zero
 	// disables rate anomaly detection.
 	RateWindow time.Duration
-	// RateWarmup is the number of windows for baseline learning
-	// (default 16).
-	RateWarmup int
 	// AuthFailureEscalation is the number of authentication failures
 	// from one peer after which severity escalates from Warning to
 	// Critical (default 3).
@@ -59,9 +59,6 @@ var _ Monitor = (*NetMonitor)(nil)
 func NewNetMonitor(engine *sim.Engine, cfg NetConfig, sink Sink) (*NetMonitor, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("monitor: net monitor needs a sink")
-	}
-	if cfg.RateWarmup == 0 {
-		cfg.RateWarmup = 16
 	}
 	if cfg.AuthFailureEscalation == 0 {
 		cfg.AuthFailureEscalation = 3
@@ -137,7 +134,7 @@ func (m *NetMonitor) sampleRates(at sim.VirtualTime) {
 		det, ok := m.detectors[peer]
 		if !ok {
 			var err error
-			det, err = NewAnomaly(0.2, netRateThreshold, m.cfg.RateWarmup)
+			det, err = NewAnomaly(0.2, netRateThreshold, netRateWarmup)
 			if err != nil {
 				continue
 			}

@@ -6,7 +6,7 @@
 // The spec types mirror the axes of the scenario space:
 //
 //   - DeviceSpec describes a device's shape (architecture, detection
-//     mode, monitor set, firmware, boot options, reboot time);
+//     mode, firmware, boot options);
 //   - AttackPlan composes registered attack scenarios into an ordered,
 //     timed intrusion (probe → escalate → destroy evidence);
 //   - CampaignSpec crosses the reference CRES/baseline device pair ×

@@ -3,49 +3,30 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"cres/internal/faultmodel"
 )
 
-// Bounds the fault compiler enforces, mirroring the plan layer's
-// horizon cap: a spec whose durations exceed them is a typo, not a
-// campaign.
-const (
-	// MaxFaultDelay bounds ReorderDelay and RebootOutage.
-	MaxFaultDelay = time.Second
-	// MaxFaultWindow bounds CrashWindow and the verifier outage layout.
-	MaxFaultWindow = time.Hour
-	// MaxVerifierOutages bounds the outage count.
-	MaxVerifierOutages = 1000
-)
+// MaxVerifierOutages bounds the outage count, mirroring the plan
+// layer's horizon cap: a spec past it is a typo, not a campaign.
+const MaxVerifierOutages = 1000
 
 // FaultSpec declaratively describes a deterministic fault campaign over
 // a fleet: fabric-level message faults, device churn, and verifier
 // outages. It compiles to a faultmodel.Plan the same way DeviceSpec and
 // TopologySpec compile — validation here, pure seeded expansion there.
-// The zero spec compiles to a plan that injects nothing.
+// How late a fault's copy arrives and when crashes and outages fall is
+// faultmodel's fixed timing. The zero spec compiles to a plan that
+// injects nothing.
 type FaultSpec struct {
 	// Drop, Duplicate and Reorder are per-delivery probabilities in
 	// [0,1); see faultmodel.LinkRates.
 	Drop, Duplicate, Reorder float64
-	// ReorderDelay bounds the extra delay of reordered and duplicated
-	// copies (default 1ms whenever Duplicate or Reorder is set).
-	ReorderDelay time.Duration
 	// CrashFraction is the fraction of the fleet that crashes and
 	// reboots mid-campaign, in [0,1].
 	CrashFraction float64
-	// CrashWindow is the interval crashes are drawn from (default 30ms
-	// when CrashFraction is set); RebootOutage how long a crashed
-	// device stays dark (default 5ms).
-	CrashWindow  time.Duration
-	RebootOutage time.Duration
-	// VerifierOutages is how many times the fleet verifier goes dark;
-	// outage k starts at (k+1)*VerifierOutageEvery (default 20ms) and
-	// lasts VerifierOutageLen (default 5ms).
-	VerifierOutages     int
-	VerifierOutageEvery time.Duration
-	VerifierOutageLen   time.Duration
+	// VerifierOutages is how many times the fleet verifier goes dark.
+	VerifierOutages int
 	// Seed roots every derived fault stream. Used as given.
 	Seed int64
 }
@@ -61,19 +42,8 @@ func rate(name string, v float64, max float64) error {
 	return nil
 }
 
-// window validates one duration field against a cap.
-func window(name string, v, max time.Duration) error {
-	if v < 0 {
-		return fmt.Errorf("scenario: fault %s %v is negative", name, v)
-	}
-	if v > max {
-		return fmt.Errorf("scenario: fault %s %v exceeds %v", name, v, max)
-	}
-	return nil
-}
-
-// Compile validates the spec, fills defaults and expands it into an
-// immutable fault plan.
+// Compile validates the spec and expands it into an immutable fault
+// plan.
 func (s FaultSpec) Compile() (*faultmodel.Plan, error) {
 	// Probabilities: drop/duplicate/reorder are per-delivery, so 1.0
 	// would erase every message — cap just below, like Config.Loss.
@@ -91,69 +61,17 @@ func (s FaultSpec) Compile() (*faultmodel.Plan, error) {
 			return nil, err
 		}
 	}
-	for _, w := range []struct {
-		name string
-		v    time.Duration
-		max  time.Duration
-	}{
-		{"reorder-delay", s.ReorderDelay, MaxFaultDelay},
-		{"reboot-outage", s.RebootOutage, MaxFaultDelay},
-		{"crash-window", s.CrashWindow, MaxFaultWindow},
-		{"verifier-outage-every", s.VerifierOutageEvery, MaxFaultWindow},
-		{"verifier-outage-len", s.VerifierOutageLen, MaxFaultWindow},
-	} {
-		if err := window(w.name, w.v, w.max); err != nil {
-			return nil, err
-		}
-	}
 	if s.VerifierOutages < 0 || s.VerifierOutages > MaxVerifierOutages {
 		return nil, fmt.Errorf("scenario: %d verifier outages outside [0, %d]", s.VerifierOutages, MaxVerifierOutages)
 	}
-
-	// Defaults, only where the corresponding fault is actually on.
-	if (s.Duplicate > 0 || s.Reorder > 0) && s.ReorderDelay == 0 {
-		s.ReorderDelay = time.Millisecond
-	}
-	if s.CrashFraction > 0 {
-		if s.CrashWindow == 0 {
-			s.CrashWindow = 30 * time.Millisecond
-		}
-		if s.RebootOutage == 0 {
-			s.RebootOutage = 5 * time.Millisecond
-		}
-	}
-	if s.VerifierOutages > 0 {
-		if s.VerifierOutageEvery == 0 {
-			s.VerifierOutageEvery = 20 * time.Millisecond
-		}
-		if s.VerifierOutageLen == 0 {
-			s.VerifierOutageLen = 5 * time.Millisecond
-		}
-		if s.VerifierOutageLen >= s.VerifierOutageEvery {
-			return nil, fmt.Errorf("scenario: verifier outage %v not shorter than its period %v — the verifier would never be up",
-				s.VerifierOutageLen, s.VerifierOutageEvery)
-		}
-	}
-
-	p := &faultmodel.Plan{
+	return &faultmodel.Plan{
 		Seed: s.Seed,
 		Link: faultmodel.LinkRates{
-			Drop:         s.Drop,
-			Duplicate:    s.Duplicate,
-			Reorder:      s.Reorder,
-			ReorderDelay: s.ReorderDelay,
+			Drop:      s.Drop,
+			Duplicate: s.Duplicate,
+			Reorder:   s.Reorder,
 		},
-		Churn: faultmodel.ChurnPlan{
-			CrashFraction: s.CrashFraction,
-			CrashWindow:   s.CrashWindow,
-			RebootOutage:  s.RebootOutage,
-		},
-	}
-	for k := 0; k < s.VerifierOutages; k++ {
-		p.Outages = append(p.Outages, faultmodel.Outage{
-			Start: time.Duration(k+1) * s.VerifierOutageEvery,
-			Len:   s.VerifierOutageLen,
-		})
-	}
-	return p, nil
+		CrashFraction: s.CrashFraction,
+		Outages:       s.VerifierOutages,
+	}, nil
 }

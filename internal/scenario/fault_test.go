@@ -3,7 +3,8 @@ package scenario
 import (
 	"math"
 	"testing"
-	"time"
+
+	"cres/internal/faultmodel"
 )
 
 func TestFaultSpecZeroCompilesToDisabledPlan(t *testing.T) {
@@ -16,6 +17,9 @@ func TestFaultSpecZeroCompilesToDisabledPlan(t *testing.T) {
 	}
 }
 
+// TestFaultSpecDefaults pins that compiling fills nothing in: the plan
+// carries the spec's rates, crash fraction, outage count and seed as
+// given, and every fault's timing is faultmodel's own.
 func TestFaultSpecDefaults(t *testing.T) {
 	p, err := FaultSpec{
 		Drop: 0.1, Duplicate: 0.1, Reorder: 0.2,
@@ -26,23 +30,14 @@ func TestFaultSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Link.ReorderDelay != time.Millisecond {
-		t.Fatalf("reorder delay default = %v", p.Link.ReorderDelay)
+	want := faultmodel.Plan{
+		Seed:          9,
+		Link:          faultmodel.LinkRates{Drop: 0.1, Duplicate: 0.1, Reorder: 0.2},
+		CrashFraction: 0.3,
+		Outages:       2,
 	}
-	if p.Churn.CrashWindow != 30*time.Millisecond || p.Churn.RebootOutage != 5*time.Millisecond {
-		t.Fatalf("churn defaults = %+v", p.Churn)
-	}
-	if len(p.Outages) != 2 {
-		t.Fatalf("outages = %+v", p.Outages)
-	}
-	if p.Outages[0].Start != 20*time.Millisecond || p.Outages[0].Len != 5*time.Millisecond {
-		t.Fatalf("outage layout = %+v", p.Outages[0])
-	}
-	if p.Outages[1].Start != 40*time.Millisecond {
-		t.Fatalf("outage layout = %+v", p.Outages[1])
-	}
-	if p.Seed != 9 || !p.Enabled() {
-		t.Fatalf("plan = %+v", p)
+	if *p != want || !p.Enabled() {
+		t.Fatalf("plan = %+v, want %+v", *p, want)
 	}
 }
 
@@ -55,14 +50,8 @@ func TestFaultSpecValidation(t *testing.T) {
 		{Duplicate: 1.5},
 		{CrashFraction: 2},
 		{CrashFraction: math.NaN()},
-		{ReorderDelay: -time.Millisecond},
-		{ReorderDelay: 2 * MaxFaultDelay},
-		{RebootOutage: -1},
-		{CrashWindow: 2 * MaxFaultWindow},
 		{VerifierOutages: -1},
 		{VerifierOutages: MaxVerifierOutages + 1},
-		{VerifierOutages: 1, VerifierOutageEvery: time.Millisecond, VerifierOutageLen: time.Millisecond},
-		{VerifierOutageEvery: -time.Second},
 	}
 	for i, s := range bad {
 		if _, err := s.Compile(); err == nil {

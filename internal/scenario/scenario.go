@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"cres/internal/boot"
@@ -23,31 +22,6 @@ const (
 	DetectSignatureOnly = "signature-only"
 	DetectAnomalyOnly   = "anomaly-only"
 )
-
-// Monitor names a DeviceSpec may enable. An empty Monitors list enables
-// all of them — the paper's full CRES architecture.
-const (
-	MonitorBus    = "bus"
-	MonitorCFI    = "cfi"
-	MonitorTiming = "timing"
-	MonitorEnv    = "env"
-	MonitorNet    = "net"
-)
-
-// monitorNames lists every known monitor in presentation order. A
-// compiled device keeps its enabled monitors as a bitmask over it.
-var monitorNames = [...]string{MonitorBus, MonitorCFI, MonitorTiming, MonitorEnv, MonitorNet}
-
-// monitorBit returns a monitor's bit in the enabled-monitor mask, or 0
-// for an unknown name.
-func monitorBit(name string) uint8 {
-	for i, m := range monitorNames {
-		if m == name {
-			return 1 << i
-		}
-	}
-	return 0
-}
 
 // DefaultServices returns the reference service set of a critical-
 // infrastructure field device: one critical protection function with a
@@ -85,9 +59,11 @@ const (
 
 // DeviceSpec declaratively describes a device's shape. The zero value
 // of every field except Name selects the reference configuration: CRES
-// architecture, combined detection, every monitor, firmware v1 and a
-// hardened boot chain. Every device has a hardened TEE, the
-// DefaultServices set and the DefaultCFG control-flow graph.
+// architecture, combined detection, firmware v1 and a hardened boot
+// chain. Every device has a hardened TEE, the DefaultServices set and
+// the DefaultCFG control-flow graph; every CRES device builds all five
+// monitors (bus, CFI, timing, env, net), and every baseline device
+// reboots in the baseline package's fixed RebootDuration.
 type DeviceSpec struct {
 	// Name is the device name (required).
 	Name string
@@ -96,9 +72,6 @@ type DeviceSpec struct {
 	// Detection is "combined" (default), "signature-only" or
 	// "anomaly-only".
 	Detection string
-	// Monitors lists the monitors to build on a CRES device; empty
-	// means all of them. See MonitorNames.
-	Monitors []string
 	// Seed seeds the device's private engine when the assembler creates
 	// one (ignored when an engine is shared).
 	Seed int64
@@ -108,8 +81,6 @@ type DeviceSpec struct {
 	FirmwarePayload []byte
 	// Boot configures the boot chain (zero value = hardened).
 	Boot boot.Options
-	// RebootTime is the baseline architecture's reboot outage duration.
-	RebootTime time.Duration
 }
 
 // CompiledDevice is a validated DeviceSpec with defaults filled, ready
@@ -117,8 +88,6 @@ type DeviceSpec struct {
 type CompiledDevice struct {
 	// Spec is the normalized spec: every defaultable field populated.
 	Spec DeviceSpec
-
-	monitors uint8 // enabled monitors, bit i for monitorNames[i]
 }
 
 // Compile validates the spec and fills defaults.
@@ -140,38 +109,17 @@ func (s DeviceSpec) Compile() (*CompiledDevice, error) {
 	default:
 		return nil, fmt.Errorf("scenario: device %q: unknown detection mode %q", s.Name, s.Detection)
 	}
-	monitors := uint8(1)<<len(monitorNames) - 1 // an empty list enables every monitor
-	if len(s.Monitors) > 0 {
-		monitors = 0
-		for _, m := range s.Monitors {
-			bit := monitorBit(m)
-			if bit == 0 {
-				return nil, fmt.Errorf("scenario: device %q: unknown monitor %q (known: %s)", s.Name, m, strings.Join(monitorNames[:], ", "))
-			}
-			if monitors&bit != 0 {
-				return nil, fmt.Errorf("scenario: device %q: monitor %q listed twice", s.Name, m)
-			}
-			monitors |= bit
-		}
-	}
 	if s.FirmwareVersion == 0 {
 		s.FirmwareVersion = 1
 	}
 	if s.FirmwarePayload == nil {
 		s.FirmwarePayload = []byte("reference firmware")
 	}
-	if s.RebootTime < 0 {
-		return nil, fmt.Errorf("scenario: device %q: negative reboot time %v", s.Name, s.RebootTime)
-	}
-	return &CompiledDevice{Spec: s, monitors: monitors}, nil
+	return &CompiledDevice{Spec: s}, nil
 }
 
 // IsCRES reports whether the compiled device is the CRES architecture.
 func (c *CompiledDevice) IsCRES() bool { return c.Spec.Arch == ArchCRES }
-
-// MonitorOn reports whether the named monitor is enabled. Unknown names
-// are off (Compile rejects them in specs).
-func (c *CompiledDevice) MonitorOn(name string) bool { return c.monitors&monitorBit(name) != 0 }
 
 // SignatureDetection reports whether the compiled detection mode runs
 // the signature-based method family.

@@ -31,11 +31,6 @@ func TestDeviceSpecDefaults(t *testing.T) {
 	if !cd.IsCRES() || !cd.SignatureDetection() || !cd.AnomalyDetection() {
 		t.Fatal("compiled predicates wrong for the reference device")
 	}
-	for _, m := range monitorNames {
-		if !cd.MonitorOn(m) {
-			t.Errorf("monitor %s off by default", m)
-		}
-	}
 }
 
 func TestDeviceSpecValidation(t *testing.T) {
@@ -47,27 +42,11 @@ func TestDeviceSpecValidation(t *testing.T) {
 		{"no name", DeviceSpec{}, "needs a name"},
 		{"bad arch", DeviceSpec{Name: "d", Arch: "riscv"}, "unknown architecture"},
 		{"bad detection", DeviceSpec{Name: "d", Detection: "psychic"}, "unknown detection mode"},
-		{"bad monitor", DeviceSpec{Name: "d", Monitors: []string{"bus", "seismic"}}, "unknown monitor"},
-		{"dup monitor", DeviceSpec{Name: "d", Monitors: []string{"bus", "bus"}}, "listed twice"},
-		{"negative reboot time", DeviceSpec{Name: "d", Arch: ArchBaseline, RebootTime: -time.Millisecond}, "negative reboot time"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.Compile(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-func TestDeviceSpecMonitorSubset(t *testing.T) {
-	cd, err := (DeviceSpec{Name: "d", Monitors: []string{MonitorBus, MonitorEnv}}).Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cd.MonitorOn(MonitorBus) || !cd.MonitorOn(MonitorEnv) {
-		t.Fatal("listed monitors off")
-	}
-	if cd.MonitorOn(MonitorCFI) || cd.MonitorOn(MonitorTiming) || cd.MonitorOn(MonitorNet) {
-		t.Fatal("unlisted monitors on")
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"net/url"
 	"testing"
 
 	"cres"
@@ -34,6 +35,32 @@ func TestBuiltinScenarioDigestsPinned(t *testing.T) {
 		}
 		if len(got) != store.DigestLen {
 			t.Errorf("digest length %d, want %d", len(got), store.DigestLen)
+		}
+	}
+}
+
+// TestCampaignDigestsPinned pins the store digests /campaign cells are
+// stored and resumed under, for the built-in plans and for one custom
+// plan. The digest hashes the JSON of the request's
+// []scenario.AttackPlan, so renaming, adding or removing a field of
+// AttackPlan or PlanStage moves it and orphans every stored campaign,
+// as TestBuiltinScenarioDigestsPinned describes for the fleet cells.
+func TestCampaignDigestsPinned(t *testing.T) {
+	var s Server // parseCampaign reads no server state
+	for query, want := range map[string]string{
+		"seeds=3":                             "6e53964fd102b3c003cbb85f1f9af48a",
+		"plan=secure-probe@0,log-wipe@10ms*3": "8b4b671c830d2594deb4f69c16ccd908",
+	} {
+		q, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := s.parseCampaign(nil, q)
+		if err != nil {
+			t.Fatalf("/campaign?%s: %v", query, err)
+		}
+		if got := req.cells[0].digest; got != want {
+			t.Errorf("/campaign?%s digest = %s, want pinned %s — the plan encoding changed and existing stores are orphaned", query, got, want)
 		}
 	}
 }

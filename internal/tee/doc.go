@@ -11,8 +11,10 @@
 //     the shared cache (the covert channel of experiment E10); and
 //  2. trustlet verification historically lacked rollback protection
 //     ("the system was using the same digital signature to verify the
-//     application"), enabling downgrade attacks — reproduced behind the
-//     WeakTrustletRollback option.
+//     application"), enabling downgrade attacks — this TEE always
+//     enforces it: LoadTrustlet rejects a version below the installed
+//     one, and experiment E7 shows the same downgrade against the boot
+//     chain.
 //
 // Determinism contract: trustlet scheduling and cache effects advance
 // through the shared sim.Engine; secure-world activity perturbs the

@@ -20,13 +20,6 @@ var (
 	ErrStoreFull         = errors.New("tee: secure storage full")
 )
 
-// Config parameterises the TEE.
-type Config struct {
-	// WeakTrustletRollback disables trustlet anti-rollback, reproducing
-	// the TEE downgrade attack surface of Section IV.
-	WeakTrustletRollback bool
-}
-
 // TEE is the secure world of the application processor. Create with New.
 type TEE struct {
 	engine *sim.Engine
@@ -34,7 +27,6 @@ type TEE struct {
 	// init is the secure-world face of the *same* physical core the
 	// normal world runs on: it shares the bus path and the cache.
 	init *hw.Initiator
-	cfg  Config
 
 	secrets     map[string]secretSlot
 	nextOffset  uint64
@@ -56,12 +48,11 @@ type trustlet struct {
 }
 
 // New creates the TEE on the SoC.
-func New(engine *sim.Engine, soc *hw.SoC, cfg Config) *TEE {
+func New(engine *sim.Engine, soc *hw.SoC) *TEE {
 	return &TEE{
 		engine:    engine,
 		soc:       soc,
 		init:      soc.Bus.Attach("tee", hw.WorldSecure),
-		cfg:       cfg,
 		secrets:   make(map[string]secretSlot),
 		trustlets: make(map[string]*trustlet),
 	}
@@ -113,13 +104,13 @@ func (t *TEE) SecretAddr(name string) (hw.Addr, uint64, bool) {
 }
 
 // LoadTrustlet verifies and installs a trustlet image signed by vendor.
-// With rollback protection (the default), a trustlet version below the
-// highest previously loaded version for that name is rejected.
+// A trustlet version below the highest previously loaded version for
+// that name is rejected (anti-rollback).
 func (t *TEE) LoadTrustlet(im *boot.Image, vendor cryptoutil.PublicKey) error {
 	if err := im.Verify(vendor); err != nil {
 		return fmt.Errorf("%w: %v", ErrTrustletSignature, err)
 	}
-	if prev, ok := t.trustlets[im.Name]; ok && !t.cfg.WeakTrustletRollback {
+	if prev, ok := t.trustlets[im.Name]; ok {
 		if im.Version < prev.image.Version {
 			return fmt.Errorf("%w: %s v%d < installed v%d", ErrTrustletRollback, im.Name, im.Version, prev.image.Version)
 		}

@@ -11,14 +11,14 @@ import (
 	"cres/internal/sim"
 )
 
-func newTEE(t *testing.T, cfg Config) (*sim.Engine, *hw.SoC, *TEE) {
+func newTEE(t *testing.T) (*sim.Engine, *hw.SoC, *TEE) {
 	t.Helper()
 	e := sim.New(1)
 	soc, err := hw.NewSoC(e, hw.SoCConfig{WithSSMCore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, soc, New(e, soc, cfg)
+	return e, soc, New(e, soc)
 }
 
 func vendorKey(t *testing.T) *cryptoutil.KeyPair {
@@ -31,7 +31,7 @@ func vendorKey(t *testing.T) *cryptoutil.KeyPair {
 }
 
 func TestSecretRoundTrip(t *testing.T) {
-	_, _, te := newTEE(t, Config{})
+	_, _, te := newTEE(t)
 	secret := []byte("m2m session key")
 	if err := te.StoreSecret("m2m-key", secret); err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestSecretRoundTrip(t *testing.T) {
 }
 
 func TestSecretDuplicateAndUnknown(t *testing.T) {
-	_, _, te := newTEE(t, Config{})
+	_, _, te := newTEE(t)
 	te.StoreSecret("k", []byte("v"))
 	if err := te.StoreSecret("k", []byte("v2")); !errors.Is(err, ErrSecretExists) {
 		t.Fatalf("err = %v", err)
@@ -60,14 +60,14 @@ func TestSecretDuplicateAndUnknown(t *testing.T) {
 }
 
 func TestSecretStoreFull(t *testing.T) {
-	_, _, te := newTEE(t, Config{})
+	_, _, te := newTEE(t)
 	if err := te.StoreSecret("big", make([]byte, hw.SizeSecureSRAM+1)); !errors.Is(err, ErrStoreFull) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestNormalWorldCannotReadSecret(t *testing.T) {
-	_, soc, te := newTEE(t, Config{})
+	_, soc, te := newTEE(t)
 	te.StoreSecret("k", []byte("super secret"))
 	addr, size, ok := te.SecretAddr("k")
 	if !ok {
@@ -83,7 +83,7 @@ func TestNormalWorldCannotReadSecret(t *testing.T) {
 func TestBusTamperLeaksSecret(t *testing.T) {
 	// The Section IV hardware attack end-to-end: with the NS bit flipped
 	// in flight, the normal world reads secure SRAM contents.
-	_, soc, te := newTEE(t, Config{})
+	_, soc, te := newTEE(t)
 	secret := []byte("super secret")
 	te.StoreSecret("k", secret)
 	addr, size, _ := te.SecretAddr("k")
@@ -103,7 +103,7 @@ func TestBusTamperLeaksSecret(t *testing.T) {
 }
 
 func TestLoadTrustletVerifiesSignature(t *testing.T) {
-	_, _, te := newTEE(t, Config{})
+	_, _, te := newTEE(t)
 	vendor := vendorKey(t)
 	good := boot.BuildSigned("keymaster", 2, []byte("ta"), vendor)
 	if err := te.LoadTrustlet(good, vendor.Public()); err != nil {
@@ -121,7 +121,7 @@ func TestLoadTrustletVerifiesSignature(t *testing.T) {
 }
 
 func TestTrustletRollbackProtection(t *testing.T) {
-	_, _, te := newTEE(t, Config{})
+	_, _, te := newTEE(t)
 	vendor := vendorKey(t)
 	te.LoadTrustlet(boot.BuildSigned("keymaster", 5, []byte("v5"), vendor), vendor.Public())
 	// Downgrade attack: genuine old vulnerable trustlet.
@@ -135,22 +135,8 @@ func TestTrustletRollbackProtection(t *testing.T) {
 	}
 }
 
-func TestWeakTEEAcceptsDowngrade(t *testing.T) {
-	_, _, te := newTEE(t, Config{WeakTrustletRollback: true})
-	vendor := vendorKey(t)
-	te.LoadTrustlet(boot.BuildSigned("keymaster", 5, []byte("v5"), vendor), vendor.Public())
-	old := boot.BuildSigned("keymaster", 2, []byte("v2-vulnerable"), vendor)
-	if err := te.LoadTrustlet(old, vendor.Public()); err != nil {
-		t.Fatalf("weak TEE rejected downgrade: %v", err)
-	}
-	v, _ := te.TrustletVersion("keymaster")
-	if v != 2 {
-		t.Fatalf("version = %d, want downgraded 2", v)
-	}
-}
-
 func TestInvokeTrustletTouchesSharedCache(t *testing.T) {
-	_, soc, te := newTEE(t, Config{})
+	_, soc, te := newTEE(t)
 	vendor := vendorKey(t)
 	te.LoadTrustlet(boot.BuildSigned("signer", 1, []byte("ta"), vendor), vendor.Public())
 
@@ -173,7 +159,7 @@ func TestInvokeTrustletLeaksFootprint(t *testing.T) {
 	// trustlet touches only the secret-dependent one, the probe sees
 	// exactly that set evicted. This is the E10 covert channel receiver
 	// logic in miniature.
-	_, soc, te := newTEE(t, Config{})
+	_, soc, te := newTEE(t)
 	vendor := vendorKey(t)
 	te.LoadTrustlet(boot.BuildSigned("victim", 1, []byte("ta"), vendor), vendor.Public())
 
@@ -196,7 +182,7 @@ func TestInvokeTrustletLeaksFootprint(t *testing.T) {
 }
 
 func TestInvokeUnknownTrustlet(t *testing.T) {
-	_, _, te := newTEE(t, Config{})
+	_, _, te := newTEE(t)
 	if err := te.InvokeTrustlet("ghost", []int{1}, 1); !errors.Is(err, ErrTrustletUnknown) {
 		t.Fatalf("err = %v", err)
 	}

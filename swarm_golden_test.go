@@ -3,7 +3,6 @@ package cres
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -99,24 +98,14 @@ func TestE13CooperationDominatesIsolation(t *testing.T) {
 // cooperative response, a connected wiring lets the worm take the
 // whole fleet — which is exactly why the isolated rows save nobody.
 func TestE13WormSpreadsWithoutCooperation(t *testing.T) {
-	res, err := RunE13WormResilience(E13Config{
-		RootSeed:   11,
-		Topologies: []scenario.TopologySpec{{Kind: scenario.TopologyRing, Size: 6}},
-		Dwells:     []time.Duration{time.Millisecond},
-		Modes:      []string{SwarmBaseline, SwarmIsolated},
-	}, harness.NewPool(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if title, _, _ := strings.Cut(res.Table.Render(), "\n"); !strings.Contains(title, "6-device fleets") {
-		t.Errorf("title %q, want it to name the 6-device ring that ran", title)
-	}
-	for _, c := range res.Cells {
-		if c.Infected != 6 {
-			t.Errorf("%s: %d/6 infected, want full spread", c.Mode, c.Infected)
+	ring := scenario.TopologySpec{Kind: scenario.TopologyRing, Size: 6}
+	for i, mode := range []string{SwarmBaseline, SwarmIsolated} {
+		out, err := RunSwarmUnderFaults(ring, time.Millisecond, mode, e13Payload, harness.ShardSeed(11, i), scenario.FaultSpec{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.Saved != 0 || c.LinksCut != 0 {
-			t.Errorf("%s: saved=%d links cut=%d, want zeros", c.Mode, c.Saved, c.LinksCut)
+		if c := out.Cell; c.Infected != 6 || c.Saved != 0 || c.LinksCut != 0 {
+			t.Errorf("%s: infected=%d saved=%d links cut=%d, want full spread over 6 and zeros", mode, c.Infected, c.Saved, c.LinksCut)
 		}
 	}
 }
