@@ -67,6 +67,10 @@ type options struct {
 	only       string
 	stable     bool
 	cpuprofile string
+	// given names the flags set on the command line, so a flag that
+	// carries a default (-shards) can still be told apart from one the
+	// user gave.
+	given map[string]bool
 }
 
 // parseFlags defines the CLI flags on fs and parses args into options.
@@ -84,6 +88,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.BoolVar(&o.stable, "stable", false, "mask host-clock readings so output is byte-identical across runs")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
 	err := fs.Parse(args)
+	o.given = make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { o.given[f.Name] = true })
 	return o, err
 }
 
@@ -138,14 +144,24 @@ func run(o options) error {
 	if o.campaign && o.fleet != "" {
 		return fmt.Errorf("-campaign and -fleet are exclusive modes")
 	}
-	if o.only != "" && o.campaign {
-		return fmt.Errorf("-only works only in suite mode, not with -campaign")
+	var mode string // "" is suite mode
+	switch {
+	case o.campaign:
+		mode = "-campaign"
+	case o.fleet != "":
+		mode = "-fleet"
 	}
-	if o.only != "" && o.fleet != "" {
-		return fmt.Errorf("-only works only in suite mode, not with -fleet")
-	}
-	if o.plan != "" && !o.campaign {
+	switch {
+	case o.only != "" && mode != "":
+		return fmt.Errorf("-only works only in suite mode, not with %s", mode)
+	case o.quick && mode != "":
+		return fmt.Errorf("-quick works only in suite mode, not with %s", mode)
+	case o.stable && o.campaign:
+		return fmt.Errorf("-stable works only in suite mode and with -fleet, not with -campaign (its table holds no host-clock reading)")
+	case o.plan != "" && !o.campaign:
 		return fmt.Errorf("-plan works only with -campaign")
+	case o.given["shards"] && !o.campaign:
+		return fmt.Errorf("-shards works only with -campaign")
 	}
 	pool := harness.NewPool(o.parallel)
 	if o.cpuprofile != "" {

@@ -246,8 +246,16 @@ func TestRunRejectsFleetSizes(t *testing.T) {
 }
 
 // TestRunRejectsDroppedFlags pins that a flag the selected mode would
-// ignore is a usage error naming both flags, never silently dropped.
+// ignore is a usage error naming both flags, never silently dropped —
+// -shards even when given at its default.
 func TestRunRejectsDroppedFlags(t *testing.T) {
+	parse := func(args ...string) options {
+		o, err := parseFlags(flag.NewFlagSet("cresbench", flag.ContinueOnError), args)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return o
+	}
 	for _, tc := range []struct {
 		name  string
 		o     options
@@ -257,6 +265,11 @@ func TestRunRejectsDroppedFlags(t *testing.T) {
 		{"-campaign -only E3", options{seed: 7, campaign: true, shards: 1, only: "E3"}, []string{"-only", "-campaign"}},
 		{"-only E2 -plan implant-persist", options{seed: 7, quick: true, only: "E2", plan: "implant-persist"}, []string{"-plan", "-campaign"}},
 		{"-fleet 4 -plan none", options{seed: 7, fleet: "4", plan: "none"}, []string{"-plan", "-campaign"}},
+		{"-fleet 4 -shards 9", parse("-fleet", "4", "-shards", "9"), []string{"-shards", "-campaign"}},
+		{"-only E2 -shards 3", parse("-only", "E2", "-shards", "3"), []string{"-shards", "-campaign"}},
+		{"-fleet 4 -quick", options{seed: 7, fleet: "4", quick: true}, []string{"-quick", "-fleet"}},
+		{"-campaign -shards 1 -quick", options{seed: 7, campaign: true, shards: 1, quick: true}, []string{"-quick", "-campaign"}},
+		{"-campaign -stable", options{seed: 7, campaign: true, shards: 3, stable: true}, []string{"-stable", "-campaign"}},
 	} {
 		err := run(tc.o)
 		if err == nil {

@@ -80,6 +80,9 @@ type options struct {
 	// recoverLoop is the -recover flag ("recover" itself would shadow
 	// the builtin in any local rebinding).
 	recoverLoop bool
+	// given names the flags set on the command line, so a flag that
+	// carries a default can still be told apart from one the user gave.
+	given map[string]bool
 }
 
 func main() {
@@ -100,6 +103,8 @@ func main() {
 	flag.StringVar(&o.faults, "faults", "none", "fault campaign on the fabric: none, low or high (topology mode)")
 	flag.BoolVar(&o.recoverLoop, "recover", false, "run the cell through E14's contain vs recover modes and print the comparison (topology mode)")
 	flag.Parse()
+	o.given = make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { o.given[f.Name] = true })
 
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "cresim:", err)
@@ -163,7 +168,9 @@ func run(o options) error {
 }
 
 // checkMode rejects a flag the selected mode would drop: cresim runs
-// one mode, and only the topology mode takes -faults and -recover.
+// one mode, only the scenario mode (-scenario, -plan or -all) takes
+// -arch, and only the topology mode takes -faults, -recover, -dwell,
+// -mode and -worm.
 func checkMode(o options) error {
 	var modes []string
 	if o.fleet > 0 {
@@ -186,6 +193,9 @@ func checkMode(o options) error {
 	if len(modes) > 1 {
 		return fmt.Errorf("%s and %s are exclusive modes", modes[0], modes[1])
 	}
+	if o.given["arch"] && (o.fleet > 0 || o.tree != "" || o.topology != "") {
+		return fmt.Errorf("-arch works only with -scenario, -plan or -all, not with %s", modes[0])
+	}
 	if o.topology != "" {
 		return nil
 	}
@@ -195,6 +205,12 @@ func checkMode(o options) error {
 		dropped = "-faults"
 	case o.recoverLoop:
 		dropped = "-recover"
+	case o.given["dwell"]:
+		dropped = "-dwell"
+	case o.given["mode"]:
+		dropped = "-mode"
+	case o.given["worm"]:
+		dropped = "-worm"
 	default:
 		return nil
 	}
@@ -473,31 +489,18 @@ func runOne(sc attack.Scenario, arch string, seed int64) error {
 	fmt.Printf("=== scenario %s on %s architecture ===\n", sc.Name(), arch)
 	fmt.Printf("    %s\n\n", sc.Description())
 
-	tb, err := cres.NewAttackTestbed(scenario.DeviceSpec{Name: "dut", Arch: arch, Seed: seed})
+	r, err := cres.RunAttack(scenario.DeviceSpec{Name: "dut", Arch: arch, Seed: seed}, sc)
 	if err != nil {
 		return err
 	}
-	dev := tb.Device()
-	if err := tb.Warm(15 * time.Millisecond); err != nil {
-		return err
-	}
-	attackStart := dev.Now()
-	if err := sc.Launch(tb.AttackTarget()); err != nil {
-		return err
-	}
-	window := 30 * time.Millisecond
-	if staged, ok := sc.(attack.Staged); ok {
-		// A plan's later stages must run inside the observation window.
-		window += staged.Horizon()
-	}
-	dev.RunFor(window)
+	dev := r.Device()
 
 	if dev.SSM != nil {
 		fmt.Printf("health state: %s\n", dev.SSM.State())
 		fmt.Printf("alerts handled: %d, responses fired: %d\n", dev.SSM.AlertsHandled(), dev.SSM.ResponsesFired())
 		crit, up, total := dev.Degrader.UpCount()
 		fmt.Printf("services: %d/%d up (critical up: %d), isolated: %v\n\n", up, total, crit, dev.Responder.Isolated())
-		rep := dev.ForensicReport(attackStart, dev.Now())
+		rep := dev.ForensicReport(r.LaunchAt, dev.Now())
 		fmt.Println(rep.Render())
 	} else {
 		fmt.Printf("baseline architecture: no monitors, no security manager\n")

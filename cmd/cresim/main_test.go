@@ -1,12 +1,17 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"cres"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with current output")
 
 func TestList(t *testing.T) {
 	if err := run(options{list: true}); err != nil {
@@ -86,6 +91,68 @@ func TestRunCustomPlanSyntax(t *testing.T) {
 	}
 }
 
+// TestScenarioModeGolden pins what the scenario mode prints — health
+// state, the security manager's counters, services and the forensic
+// report, or the baseline's plain log — for two single scenarios, a
+// built-in plan, and a plan whose only stage fires after the base
+// observation window. Regenerate with:
+//
+//	go test ./cmd/cresim -run TestScenarioModeGolden -update-golden
+func TestScenarioModeGolden(t *testing.T) {
+	var got strings.Builder
+	for _, tc := range []struct {
+		args string
+		o    options
+	}{
+		{"-scenario secure-probe,code-injection -arch both", options{scenario: "secure-probe,code-injection", arch: "both", seed: 7}},
+		{"-plan network-takeover", options{plan: "network-takeover", arch: "cres", seed: 7}},
+		{`-plan "secure-probe@40ms" -arch both`, options{plan: "secure-probe@40ms", arch: "both", seed: 7}},
+	} {
+		got.WriteString("$ cresim " + tc.args + "\n")
+		got.WriteString(captureStdout(t, func() error { return run(tc.o) }))
+	}
+
+	golden := filepath.Join("testdata", "scenario_golden.txt")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update-golden to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("scenario-mode output drifted from %s (re-run with -update-golden if intended):\n--- got ---\n%s\n--- want ---\n%s", golden, got.String(), want)
+	}
+}
+
+// captureStdout runs fn with standard output sent to a file and
+// returns what it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 func TestUnknownScenario(t *testing.T) {
 	if err := run(options{scenario: "nope", arch: "cres", seed: 7}); err == nil {
 		t.Fatal("unknown scenario accepted")
@@ -116,11 +183,14 @@ func TestNothingSelected(t *testing.T) {
 
 // TestRunRejectsDroppedFlags pins that a flag the selected mode would
 // ignore is a usage error naming both flags, never silently dropped:
-// cresim runs one mode, and only the topology mode takes -faults and
-// -recover.
+// cresim runs one mode, only the scenario mode takes -arch, and only
+// the topology mode takes -faults, -recover, -dwell, -mode and -worm.
+// A row without flags must run.
 func TestRunRejectsDroppedFlags(t *testing.T) {
 	topologyAll := topologyOptions()
 	topologyAll.all = true
+	topologyArch := topologyOptions()
+	topologyArch.arch, topologyArch.given = "both", map[string]bool{"arch": true}
 	for _, tc := range []struct {
 		name  string
 		o     options
@@ -133,8 +203,23 @@ func TestRunRejectsDroppedFlags(t *testing.T) {
 		{"-scenario secure-probe -faults high -recover", options{scenario: "secure-probe", arch: "cres", faults: "high", recoverLoop: true, seed: 7}, []string{"-faults", "-topology", "-scenario"}},
 		{"-plan implant-persist -recover", options{plan: "implant-persist", arch: "cres", recoverLoop: true, seed: 7}, []string{"-recover", "-topology", "-plan"}},
 		{"-fleet 4 -faults low", options{fleet: 4, faults: "low", seed: 7}, []string{"-faults", "-topology", "-fleet"}},
+		{"-fleet 4 -arch riscv", options{fleet: 4, arch: "riscv", seed: 7, given: map[string]bool{"fleet": true, "arch": true}}, []string{"-arch", "-fleet"}},
+		{"-tree 2:2 -arch cres", options{tree: "2:2", arch: "cres", seed: 7, given: map[string]bool{"tree": true, "arch": true}}, []string{"-arch", "-tree"}},
+		{"-topology ring:6 -arch both", topologyArch, []string{"-arch", "-topology"}},
+		{"-scenario secure-probe -mode sideways -worm nope", options{scenario: "secure-probe", arch: "cres", mode: "sideways", worm: "nope", seed: 7,
+			given: map[string]bool{"scenario": true, "mode": true, "worm": true}}, []string{"-mode", "-topology", "-scenario"}},
+		{"-all -worm secure-probe", options{all: true, arch: "cres", worm: "secure-probe", seed: 7, given: map[string]bool{"all": true, "worm": true}}, []string{"-worm", "-topology", "-all"}},
+		{"-fleet 4 -dwell 1ms", options{fleet: 4, dwell: time.Millisecond, seed: 7, given: map[string]bool{"fleet": true, "dwell": true}}, []string{"-dwell", "-topology", "-fleet"}},
+		{"-scenario secure-probe -arch both -seed 3 -parallel 2", options{scenario: "secure-probe", arch: "both", seed: 3, parallel: 2,
+			given: map[string]bool{"scenario": true, "arch": true, "seed": true, "parallel": true}}, nil},
 	} {
 		err := run(tc.o)
+		if tc.flags == nil {
+			if err != nil {
+				t.Errorf("%s rejected: %v", tc.name, err)
+			}
+			continue
+		}
 		if err == nil {
 			t.Errorf("%s accepted", tc.name)
 			continue

@@ -1,8 +1,6 @@
 package cres
 
 import (
-	"time"
-
 	"cres/internal/attack"
 	"cres/internal/harness"
 	"cres/internal/report"
@@ -45,21 +43,14 @@ func RunE3bDetectionAblation(seed int64, pool *harness.Pool) (*E3bResult, error)
 		spec := devices[sh.Index/len(suite)]
 		sc := suite[sh.Index%len(suite)]
 		spec.Seed = sh.Seed
-		tb, err := NewAttackTestbed(spec)
+		r, err := RunAttack(spec, sc)
 		if err != nil {
 			return false, err
 		}
-		if err := tb.Warm(15 * time.Millisecond); err != nil {
-			return false, err
-		}
-		if err := sc.Launch(tb.tgt); err != nil {
-			return false, err
-		}
-		tb.dev.RunFor(30 * time.Millisecond)
 		// Under ablation, ANY alert attributable to the attack counts as
 		// detection — the expected signature may be disabled while
 		// another family still catches the activity.
-		return tb.dev.SSM.AlertsHandled() > 0, nil
+		return r.Device().SSM.AlertsHandled() > 0, nil
 	})
 	if err != nil {
 		return nil, err

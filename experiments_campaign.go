@@ -8,20 +8,19 @@ import (
 	"cres/internal/harness"
 	"cres/internal/report"
 	"cres/internal/scenario"
-	"cres/internal/sim"
 )
 
 // This file implements E12, the scenario campaign: the full cross
 // product of every attack — the registered single scenarios plus the
 // staged multi-phase plans — × {cres, baseline} × N seeds, each cell
-// an independent device run on its own shard. Where E3 answers "does
-// CRES detect scenario X at one seed", the campaign answers the
-// paper's stronger claim — detection, response AND recovery hold
-// across the whole scenario space regardless of the simulation's
-// random stream. The matrix itself is data: a scenario.CampaignSpec
-// compiled into cells and fanned over the harness pool, so growing the
-// campaign means declaring a new scenario or plan, not editing this
-// file.
+// an independent device run on its own shard. E3 is this campaign at
+// one seed without plans; where E3 answers "does CRES detect scenario
+// X at one seed", the campaign answers the paper's stronger claim —
+// detection, response AND recovery hold across the whole scenario
+// space regardless of the simulation's random stream. The matrix
+// itself is data: a scenario.CampaignSpec compiled into cells and
+// fanned over the harness pool, so growing the campaign means
+// declaring a new scenario or plan, not editing this file.
 
 // E12Cell is one campaign run: one attack on one architecture at one
 // derived seed.
@@ -171,9 +170,9 @@ func RunE12Campaign(spec scenario.CampaignSpec, pool *harness.Pool) (*E12Result,
 	return res, nil
 }
 
-// runCampaignCell executes one compiled campaign cell: build the
-// device the cell's spec describes, warm, attack, observe, then — on
-// CRES — the operator recovery flow.
+// runCampaignCell executes one compiled campaign cell: the attack cell
+// (RunAttack) on the device the cell's spec describes, then — on CRES —
+// the operator recovery flow.
 func runCampaignCell(cell scenario.Cell) (E12Cell, error) {
 	out := E12Cell{
 		Scenario:  cell.Attack.Name,
@@ -184,60 +183,29 @@ func runCampaignCell(cell scenario.Cell) (E12Cell, error) {
 	}
 	spec := cell.Device.Spec
 	spec.Seed = cell.Seed
-	tb, err := NewAttackTestbed(spec)
+	r, err := RunAttack(spec, cell.Attack.Scenario)
 	if err != nil {
 		return out, err
 	}
-	if err := tb.Warm(scenario.CampaignWarm); err != nil {
-		return out, err
-	}
-
-	sc := cell.Attack.Scenario
-	logBefore := 0
-	if tb.dev.PlainLog != nil {
-		logBefore = tb.dev.PlainLog.Len()
-	}
-	launchAt := tb.dev.Now()
-	if err := sc.Launch(tb.tgt); err != nil {
-		return out, err
-	}
-	tb.dev.RunFor(cell.Window)
-
-	if tb.dev.SSM == nil {
-		out.Detected = tb.dev.PlainLog.Len() > logBefore
+	out.Detected, out.Latency = r.Detected()
+	dev := r.Device()
+	if dev.SSM == nil {
 		return out, nil
 	}
-
-	all := true
-	var firstAt sim.VirtualTime
-	for _, sig := range sc.ExpectedSignatures() {
-		d, ok := tb.dev.SSM.FirstDetection(sig)
-		if !ok {
-			all = false
-			break
-		}
-		if firstAt == 0 || d.At < firstAt {
-			firstAt = d.At
-		}
-	}
-	out.Detected = all
-	if all {
-		out.Latency = firstAt.Sub(launchAt)
-	}
-	out.Responded = tb.dev.SSM.ResponsesFired() > 0
+	out.Responded = dev.SSM.ResponsesFired() > 0
 
 	// Operator recovery: restore whatever the playbook isolated, then
 	// declare the application core verified clean. Recovery counts only
 	// if the device ends healthy with its critical service up.
-	for _, resource := range tb.dev.Responder.Isolated() {
-		if err := tb.dev.Recover(resource, "campaign: operator verified and restored"); err != nil {
+	for _, resource := range dev.Responder.Isolated() {
+		if err := dev.Recover(resource, "campaign: operator verified and restored"); err != nil {
 			return out, err
 		}
 	}
-	if err := tb.dev.Recover(tb.dev.SoC.AppCore.Name(), "campaign: post-incident health check"); err != nil {
+	if err := dev.Recover(dev.SoC.AppCore.Name(), "campaign: post-incident health check"); err != nil {
 		return out, err
 	}
-	tb.dev.RunFor(5 * time.Millisecond)
-	out.Recovered = tb.dev.SSM.State() == core.StateHealthy && tb.dev.Degrader.CriticalUp()
+	dev.RunFor(5 * time.Millisecond)
+	out.Recovered = dev.SSM.State() == core.StateHealthy && dev.Degrader.CriticalUp()
 	return out, nil
 }

@@ -3,6 +3,7 @@ package cres
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"cres/internal/attack"
 	"cres/internal/harness"
@@ -126,5 +127,25 @@ func TestE12CampaignHonorsSeedZero(t *testing.T) {
 		if aliased := harness.ShardSeed(7, i); cell.Seed == aliased {
 			t.Errorf("cell %d: seed 0 campaign aliases the seed-7 stream", i)
 		}
+	}
+}
+
+// TestRunAttackExtendsWindowByHorizon pins the window rule where it
+// lives: a plan whose only stage fires after the base observation
+// window is still seen, because RunAttack extends the window by the
+// plan's horizon. Every built-in plan ends by 16ms, so no campaign
+// golden would notice the extension gone.
+func TestRunAttackExtendsWindowByHorizon(t *testing.T) {
+	late := scenario.AttackPlan{Name: "late", Stages: []scenario.PlanStage{{Scenario: "secure-probe", Delay: 40 * time.Millisecond}}}
+	cp, err := late.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunAttack(scenario.DeviceSpec{Name: "dut", Arch: scenario.ArchCRES, Seed: 7}, cp.Scenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, lat := r.Detected(); !ok || lat < 40*time.Millisecond {
+		t.Fatalf("secure-probe@40ms: detected %v after %v, want detected at or after 40ms", ok, lat)
 	}
 }

@@ -1,7 +1,6 @@
 package cres
 
 import (
-	"fmt"
 	"time"
 
 	"cres/internal/attack"
@@ -35,87 +34,25 @@ type E3Result struct {
 	CRESRate, BaselineRate float64
 }
 
-// RunE3DetectionMatrix runs every registered attack scenario against a
-// fresh device per compiled device spec — the reference CRES shape and
-// the passive baseline — and reports who detected what. Each
-// (scenario, device) cell is an independent shard.
+// RunE3DetectionMatrix runs every registered attack scenario against
+// the reference CRES device and the passive baseline, and reports who
+// detected what. It is the E12 campaign at one seed without plans:
+// cell 2i is scenario i on CRES, cell 2i+1 the same scenario on the
+// baseline.
 func RunE3DetectionMatrix(seed int64, pool *harness.Pool) (*E3Result, error) {
-	suite := attack.All()
-	devices := []scenario.DeviceSpec{
-		{Name: "dut", Arch: scenario.ArchCRES},
-		{Name: "dut", Arch: scenario.ArchBaseline},
-	}
-
-	// Even shards are CRES cells, odd shards the matching baseline cell.
-	type e3cell struct {
-		row              E3Row
-		baselineDetected bool
-	}
-	cells, err := harness.Map(pool, len(suite)*len(devices), seed, func(sh harness.Shard) (e3cell, error) {
-		sc := suite[sh.Index/len(devices)]
-		spec := devices[sh.Index%len(devices)]
-		spec.Seed = sh.Seed
-		if spec.Arch == scenario.ArchCRES {
-			// CRES run.
-			row := E3Row{Scenario: sc.Name(), ExpectedSig: sc.ExpectedSignatures()[0]}
-			tb, err := NewAttackTestbed(spec)
-			if err != nil {
-				return e3cell{}, fmt.Errorf("e3 %s: %w", sc.Name(), err)
-			}
-			if err := tb.Warm(15 * time.Millisecond); err != nil {
-				return e3cell{}, err
-			}
-			launchAt := tb.dev.Now()
-			if err := sc.Launch(tb.tgt); err != nil {
-				return e3cell{}, fmt.Errorf("e3 launch %s: %w", sc.Name(), err)
-			}
-			tb.dev.RunFor(30 * time.Millisecond)
-			all := true
-			var firstAt sim.VirtualTime
-			for _, sig := range sc.ExpectedSignatures() {
-				d, ok := tb.dev.SSM.FirstDetection(sig)
-				if !ok {
-					all = false
-					break
-				}
-				if firstAt == 0 || d.At < firstAt {
-					firstAt = d.At
-				}
-			}
-			row.CRESDetected = all
-			if all {
-				row.DetectionLatency = firstAt.Sub(launchAt)
-			}
-			row.CRESResponded = tb.dev.SSM.ResponsesFired() > 0
-			return e3cell{row: row}, nil
-		}
-
-		// Baseline run: no monitors exist, so detection is structurally
-		// impossible; we still run the attack to confirm it proceeds
-		// unobserved (no log records beyond boot).
-		bb, err := NewAttackTestbed(spec)
-		if err != nil {
-			return e3cell{}, err
-		}
-		if err := bb.Warm(15 * time.Millisecond); err != nil {
-			return e3cell{}, err
-		}
-		before := bb.dev.PlainLog.Len()
-		if err := sc.Launch(bb.tgt); err != nil {
-			return e3cell{}, err
-		}
-		bb.dev.RunFor(30 * time.Millisecond)
-		return e3cell{baselineDetected: bb.dev.PlainLog.Len() > before}, nil
-	})
+	camp, err := RunE12Campaign(scenario.CampaignSpec{RootSeed: seed, Seeds: 1, Plans: []scenario.AttackPlan{}}, pool)
 	if err != nil {
 		return nil, err
 	}
-
 	res := &E3Result{}
 	detected, bdet := 0, 0
-	for i := range suite {
-		row := cells[2*i].row
-		row.BaselineDetected = cells[2*i+1].baselineDetected
+	for i, sc := range attack.All() {
+		c, b := camp.Cells[2*i], camp.Cells[2*i+1]
+		row := E3Row{
+			Scenario: sc.Name(), ExpectedSig: sc.ExpectedSignatures()[0],
+			CRESDetected: c.Detected, DetectionLatency: c.Latency, CRESResponded: c.Responded,
+			BaselineDetected: b.Detected,
+		}
 		if row.CRESDetected {
 			detected++
 		}

@@ -1,6 +1,8 @@
 package cres
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"cres/internal/harness"
@@ -10,18 +12,42 @@ import (
 // experiment across workers must not change a byte of its output, and
 // sharded fleets must merge to the same totals as unsharded ones.
 
+// TestE3DeterministicAcrossParallelism pins the detection tables, E3
+// and E3b, two ways: byte-identical between -parallel 1 and 8, and
+// byte-identical to the committed golden file, so a moved latency or
+// row shows up as a readable diff. Regenerate with:
+//
+//	go test -run TestE3DeterministicAcrossParallelism -update-golden .
 func TestE3DeterministicAcrossParallelism(t *testing.T) {
-	serial, err := RunE3DetectionMatrix(7, harness.NewPool(1))
-	if err != nil {
-		t.Fatal(err)
+	render := func(workers int) string {
+		pool := harness.NewPool(workers)
+		e3, err := RunE3DetectionMatrix(7, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e3b, err := RunE3bDetectionAblation(7, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e3.Table.Render() + "\n" + e3b.Table.Render()
 	}
-	parallel, err := RunE3DetectionMatrix(7, harness.NewPool(8))
-	if err != nil {
-		t.Fatal(err)
+	got := render(1)
+	if p := render(8); got != p {
+		t.Fatalf("detection tables depend on parallelism:\n--- p1 ---\n%s\n--- p8 ---\n%s", got, p)
 	}
-	a, b := serial.Table.Render(), parallel.Table.Render()
-	if a != b {
-		t.Fatalf("E3 output depends on parallelism:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
+
+	golden := filepath.Join("testdata", "detect_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update-golden to create): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("detection tables drifted from %s (re-run with -update-golden if intended):\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }
 

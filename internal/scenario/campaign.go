@@ -15,9 +15,9 @@ const (
 	KindPlan     = "plan"
 )
 
-// Every campaign cell warms its device for CampaignWarm before the
-// attack and observes it for CampaignWindow after launch, extended by
-// the attack's horizon.
+// The attack cell, cres.RunAttack, warms its device for CampaignWarm
+// before the attack and observes it for CampaignWindow after launch,
+// extended by a staged plan's horizon.
 const (
 	CampaignWarm   = 15 * time.Millisecond
 	CampaignWindow = 30 * time.Millisecond
@@ -60,9 +60,6 @@ type CompiledAttack struct {
 	Kind string
 	// Scenario is the launchable attack.
 	Scenario attack.Scenario
-	// Horizon is the delay of the attack's last scheduled injection
-	// (zero for single scenarios): observation windows extend by it.
-	Horizon time.Duration
 }
 
 // Cell is one campaign run: one attack against one device shape at one
@@ -80,9 +77,6 @@ type Cell struct {
 	// Seed is harness.ShardSeed(RootSeed, Index) — the engine seed for
 	// this cell's private simulation.
 	Seed int64
-	// Window is the cell's observation period: CampaignWindow extended
-	// by the attack's horizon.
-	Window time.Duration
 }
 
 // CompiledCampaign is a validated campaign: the full cell enumeration
@@ -142,9 +136,7 @@ func (c CampaignSpec) Compile() (*CompiledCampaign, error) {
 			return nil, fmt.Errorf("scenario: campaign: attack %q listed twice", p.Name)
 		}
 		seen[p.Name] = true
-		cc.Attacks = append(cc.Attacks, CompiledAttack{
-			Name: p.Name, Kind: KindPlan, Scenario: cp.Scenario(), Horizon: cp.Horizon(),
-		})
+		cc.Attacks = append(cc.Attacks, CompiledAttack{Name: p.Name, Kind: KindPlan, Scenario: cp.Scenario()})
 	}
 	return cc, nil
 }
@@ -172,7 +164,6 @@ func (c *CompiledCampaign) Cells() []Cell {
 					Device:    dev,
 					SeedIndex: s,
 					Seed:      harness.ShardSeed(c.Spec.RootSeed, idx),
-					Window:    CampaignWindow + att.Horizon,
 				})
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"cres/internal/attack"
 )
 
 // Native go-fuzz targets for the declarative layer's two parser/
@@ -74,7 +76,7 @@ func compileAndCheckPlan(t *testing.T, input string, p AttackPlan) {
 	if err != nil {
 		return
 	}
-	if h := cp.Horizon(); h < 0 || h > MaxPlanHorizon {
+	if h := cp.Scenario().(attack.Staged).Horizon(); h < 0 || h > MaxPlanHorizon {
 		t.Fatalf("input %q: compiled plan %q has horizon %v outside [0, %v]", input, p.Name, h, MaxPlanHorizon)
 	}
 	for i, st := range cp.Plan.Stages {

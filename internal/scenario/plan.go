@@ -99,9 +99,6 @@ func (p AttackPlan) Compile() (*CompiledPlan, error) {
 // Scenario returns the plan as a launchable attack scenario.
 func (c *CompiledPlan) Scenario() attack.Scenario { return c.staged }
 
-// Horizon is the delay of the plan's last scheduled injection.
-func (c *CompiledPlan) Horizon() time.Duration { return c.staged.Horizon() }
-
 // ExpectedSignatures is the union of the stages' expected alert
 // signatures in first-occurrence order.
 func (c *CompiledPlan) ExpectedSignatures() []string { return c.staged.ExpectedSignatures() }

@@ -95,3 +95,69 @@ func (t *AttackTestbed) Warm(dur time.Duration) error {
 	tk.Stop()
 	return sendErr
 }
+
+// AttackRun is one attack cell after its observation window: the
+// device a spec describes, warmed for scenario.CampaignWarm, attacked,
+// then observed for scenario.CampaignWindow — extended by a staged
+// plan's horizon so its last stage runs inside the window. E3, E3b,
+// E12 and cresim's scenario mode all run this one cell and read what
+// they need off it.
+type AttackRun struct {
+	// LaunchAt is the virtual time the attack launched.
+	LaunchAt sim.VirtualTime
+
+	dev *Device
+	sc  attack.Scenario
+	// logBefore is the plain log's length at launch (baseline only).
+	logBefore int
+}
+
+// RunAttack runs sc against a fresh testbed around the device that
+// spec describes, on a private engine seeded from spec.Seed.
+func RunAttack(spec scenario.DeviceSpec, sc attack.Scenario) (*AttackRun, error) {
+	tb, err := NewAttackTestbed(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := tb.Warm(scenario.CampaignWarm); err != nil {
+		return nil, err
+	}
+	r := &AttackRun{LaunchAt: tb.dev.Now(), dev: tb.dev, sc: sc}
+	if tb.dev.PlainLog != nil {
+		r.logBefore = tb.dev.PlainLog.Len()
+	}
+	if err := sc.Launch(tb.tgt); err != nil {
+		return nil, err
+	}
+	window := scenario.CampaignWindow
+	if staged, ok := sc.(attack.Staged); ok {
+		window += staged.Horizon()
+	}
+	tb.dev.RunFor(window)
+	return r, nil
+}
+
+// Device returns the attacked device.
+func (r *AttackRun) Device() *Device { return r.dev }
+
+// Detected reports whether the device saw the attack, and the virtual
+// time from launch to the detection. A CRES device detects when its
+// security manager raised every expected signature; the latency runs
+// to the first of them. A baseline device has no monitors, so it
+// detects when its plain log grew after launch, with zero latency.
+func (r *AttackRun) Detected() (bool, time.Duration) {
+	if r.dev.SSM == nil {
+		return r.dev.PlainLog.Len() > r.logBefore, 0
+	}
+	var firstAt sim.VirtualTime
+	for _, sig := range r.sc.ExpectedSignatures() {
+		d, ok := r.dev.SSM.FirstDetection(sig)
+		if !ok {
+			return false, 0
+		}
+		if firstAt == 0 || d.At < firstAt {
+			firstAt = d.At
+		}
+	}
+	return true, firstAt.Sub(r.LaunchAt)
+}
