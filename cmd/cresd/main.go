@@ -1,8 +1,7 @@
-// Command cresd is the resident attestation service: it keeps
-// compiled fleet engines warm in memory and answers appraisal, sweep,
-// campaign and topology requests over local HTTP+JSON — the
-// interactive front end to the same engines and the same experiment
-// registry the batch tools run.
+// Command cresd is the resident attestation service: it answers
+// appraisal, sweep, campaign and topology requests over local
+// HTTP+JSON — the interactive front end to the same engines and the
+// same experiment registry the batch tools run.
 //
 // Responses are deterministic: identical requests return
 // byte-identical bodies, whatever the -parallel setting, however often

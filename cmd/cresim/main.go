@@ -169,10 +169,14 @@ func run(o options) error {
 
 // checkMode rejects a flag the selected mode would drop: cresim runs
 // one mode, only the scenario mode (-scenario, -plan or -all) takes
-// -arch, and only the topology mode takes -faults, -recover, -dwell,
-// -mode and -worm.
+// -arch, only the topology mode takes -faults, -recover, -dwell, -mode
+// and -worm, and -recover, which runs both of E14's modes, takes no
+// -mode.
 func checkMode(o options) error {
 	var modes []string
+	if o.list {
+		modes = append(modes, "-list")
+	}
 	if o.fleet > 0 {
 		modes = append(modes, "-fleet")
 	}
@@ -193,15 +197,18 @@ func checkMode(o options) error {
 	if len(modes) > 1 {
 		return fmt.Errorf("%s and %s are exclusive modes", modes[0], modes[1])
 	}
-	if o.given["arch"] && (o.fleet > 0 || o.tree != "" || o.topology != "") {
+	if o.given["arch"] && (o.list || o.fleet > 0 || o.tree != "" || o.topology != "") {
 		return fmt.Errorf("-arch works only with -scenario, -plan or -all, not with %s", modes[0])
 	}
 	if o.topology != "" {
+		if o.recoverLoop && o.given["mode"] {
+			return fmt.Errorf("-mode does not work with -recover: E14 runs its own contain and recover modes")
+		}
 		return nil
 	}
 	var dropped string
 	switch {
-	case o.faults != "" && o.faults != "none":
+	case o.given["faults"]:
 		dropped = "-faults"
 	case o.recoverLoop:
 		dropped = "-recover"
@@ -291,20 +298,6 @@ func oneOf(flagName, val string, valid []string) error {
 	return fmt.Errorf("%s: unknown value %q (valid: %s)", flagName, val, strings.Join(valid, ", "))
 }
 
-// faultLevel resolves the -faults flag against the named E14 fault
-// levels.
-func faultLevel(name string) (cres.FaultLevel, error) {
-	levels := cres.DefaultFaultLevels()
-	names := make([]string, len(levels))
-	for i, lv := range levels {
-		if lv.Name == name {
-			return lv, nil
-		}
-		names[i] = lv.Name
-	}
-	return cres.FaultLevel{}, fmt.Errorf("-faults: unknown value %q (valid: %s)", name, strings.Join(names, ", "))
-}
-
 // runSwarm is the worm-over-fleet mode: one topology, one dwell, one
 // response mode, with the full event timeline printed — the
 // interactive view of one E13 cell. With -faults the fabric is lossy;
@@ -328,9 +321,9 @@ func runSwarm(o options) error {
 	if o.dwell <= 0 {
 		return fmt.Errorf("-dwell %v, want a positive duration (e.g. 2ms)", o.dwell)
 	}
-	level, err := faultLevel(o.faults)
+	level, err := cres.LookupFaultLevel(o.faults)
 	if err != nil {
-		return err
+		return fmt.Errorf("-faults: %w", err)
 	}
 	spec.Seed = o.seed
 	if o.recoverLoop {

@@ -183,14 +183,20 @@ func TestNothingSelected(t *testing.T) {
 
 // TestRunRejectsDroppedFlags pins that a flag the selected mode would
 // ignore is a usage error naming both flags, never silently dropped:
-// cresim runs one mode, only the scenario mode takes -arch, and only
-// the topology mode takes -faults, -recover, -dwell, -mode and -worm.
-// A row without flags must run.
+// cresim runs one mode (-list is one), only the scenario mode takes
+// -arch, only the topology mode takes -faults, -recover, -dwell, -mode
+// and -worm, and -recover takes no -mode. A row without flags must run.
 func TestRunRejectsDroppedFlags(t *testing.T) {
 	topologyAll := topologyOptions()
 	topologyAll.all = true
 	topologyArch := topologyOptions()
 	topologyArch.arch, topologyArch.given = "both", map[string]bool{"arch": true}
+	recoverMode := func(mode string) options {
+		o := topologyOptions()
+		o.recoverLoop, o.mode = true, mode
+		o.given = map[string]bool{"topology": true, "recover": true, "mode": true}
+		return o
+	}
 	for _, tc := range []struct {
 		name  string
 		o     options
@@ -200,9 +206,16 @@ func TestRunRejectsDroppedFlags(t *testing.T) {
 		{"-tree 2:2 -scenario secure-probe", options{tree: "2:2", scenario: "secure-probe", arch: "cres", seed: 7}, []string{"-tree", "-scenario"}},
 		{"-topology ring:6 -all", topologyAll, []string{"-topology", "-all"}},
 		{"-fleet 4 -plan implant-persist", options{fleet: 4, plan: "implant-persist", seed: 7}, []string{"-fleet", "-plan"}},
-		{"-scenario secure-probe -faults high -recover", options{scenario: "secure-probe", arch: "cres", faults: "high", recoverLoop: true, seed: 7}, []string{"-faults", "-topology", "-scenario"}},
+		{"-scenario secure-probe -faults high -recover", options{scenario: "secure-probe", arch: "cres", faults: "high", recoverLoop: true, seed: 7,
+			given: map[string]bool{"scenario": true, "faults": true, "recover": true}}, []string{"-faults", "-topology", "-scenario"}},
 		{"-plan implant-persist -recover", options{plan: "implant-persist", arch: "cres", recoverLoop: true, seed: 7}, []string{"-recover", "-topology", "-plan"}},
-		{"-fleet 4 -faults low", options{fleet: 4, faults: "low", seed: 7}, []string{"-faults", "-topology", "-fleet"}},
+		{"-fleet 4 -faults low", options{fleet: 4, faults: "low", seed: 7, given: map[string]bool{"fleet": true, "faults": true}}, []string{"-faults", "-topology", "-fleet"}},
+		{"-fleet 4 -faults none", options{fleet: 4, faults: "none", seed: 7, given: map[string]bool{"fleet": true, "faults": true}}, []string{"-faults", "-topology", "-fleet"}},
+		{"-list -fleet 4", options{list: true, fleet: 4, seed: 7, given: map[string]bool{"list": true, "fleet": true}}, []string{"-list", "-fleet"}},
+		{"-list -scenario nope", options{list: true, scenario: "nope", arch: "cres", seed: 7, given: map[string]bool{"list": true, "scenario": true}}, []string{"-list", "-scenario"}},
+		{"-list -arch riscv", options{list: true, arch: "riscv", seed: 7, given: map[string]bool{"list": true, "arch": true}}, []string{"-arch", "-list"}},
+		{"-topology ring:6 -recover -mode baseline", recoverMode(cres.SwarmBaseline), []string{"-mode", "-recover"}},
+		{"-topology ring:6 -recover -mode cres-coop", recoverMode(cres.SwarmCooperative), []string{"-mode", "-recover"}},
 		{"-fleet 4 -arch riscv", options{fleet: 4, arch: "riscv", seed: 7, given: map[string]bool{"fleet": true, "arch": true}}, []string{"-arch", "-fleet"}},
 		{"-tree 2:2 -arch cres", options{tree: "2:2", arch: "cres", seed: 7, given: map[string]bool{"tree": true, "arch": true}}, []string{"-arch", "-tree"}},
 		{"-topology ring:6 -arch both", topologyArch, []string{"-arch", "-topology"}},

@@ -2,6 +2,7 @@ package cres
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"cres/internal/attack"
@@ -66,6 +67,20 @@ func DefaultFaultLevels() []FaultLevel {
 			CrashFraction: 0.4, VerifierOutages: 3,
 		}},
 	}
+}
+
+// LookupFaultLevel returns the DefaultFaultLevels entry called name, or
+// an error naming the valid levels.
+func LookupFaultLevel(name string) (FaultLevel, error) {
+	levels := DefaultFaultLevels()
+	names := make([]string, len(levels))
+	for i, lv := range levels {
+		if lv.Name == name {
+			return lv, nil
+		}
+		names[i] = lv.Name
+	}
+	return FaultLevel{}, fmt.Errorf("unknown value %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // E14Config parameterises RunE14FaultRecovery.

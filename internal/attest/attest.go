@@ -22,23 +22,16 @@ const (
 // for, and the set every quote must cover to pass appraisal.
 var PCRSelection = []int{tpm.PCRBootROM, tpm.PCRFirmware, tpm.PCRPolicy}
 
-// challengePayload is the verifier -> device request. A non-nil
-// SessionID invites the device to answer under that established
-// re-attestation session (see session.go); devices that don't hold the
-// session ignore the invitation and send a full signed quote.
+// challengePayload is the verifier -> device request.
 type challengePayload struct {
 	Nonce     []byte
 	Selection []int
-	SessionID []byte
 }
 
-// quotePayload is the device -> verifier response. A non-nil MAC marks
-// a session quote: Quote.Signature is empty and MAC authenticates the
-// canonical quote body under the session channel key instead.
+// quotePayload is the device -> verifier response.
 type quotePayload struct {
 	Quote tpm.Quote
 	Log   []tpm.LogEntry
-	MAC   []byte
 }
 
 func encode(v any) ([]byte, error) {
@@ -60,22 +53,15 @@ func decode(data []byte, v any) error {
 type Attester struct {
 	tpm *tpm.TPM
 	ep  *m2m.Endpoint
-
-	sessions        map[string]*Session // per-verifier re-attestation sessions
-	sessionAnswered uint64
 }
 
 // NewAttester wires a device TPM to its network endpoint. It registers
 // the challenge handler.
 func NewAttester(t *tpm.TPM, ep *m2m.Endpoint) *Attester {
-	a := &Attester{tpm: t, ep: ep, sessions: make(map[string]*Session)}
+	a := &Attester{tpm: t, ep: ep}
 	ep.Handle(MsgChallenge, a.onChallenge)
 	return a
 }
-
-// SessionAnswers returns how many challenges were answered sign-free
-// under an established re-attestation session.
-func (a *Attester) SessionAnswers() uint64 { return a.sessionAnswered }
 
 func (a *Attester) onChallenge(msg m2m.Message) {
 	var ch challengePayload
@@ -86,24 +72,6 @@ func (a *Attester) onChallenge(msg m2m.Message) {
 	if len(sel) == 0 {
 		sel = PCRSelection
 	}
-	// Session fast path: if the verifier invited re-attestation under a
-	// session this device holds, answer with a MAC-authenticated quote
-	// and skip the AIK signature entirely.
-	if s := a.sessions[msg.From]; s != nil && ch.SessionID != nil && bytes.Equal(ch.SessionID, s.id[:]) {
-		q, tag, err := sessionQuote(s, a.tpm, ch.Nonce, sel)
-		if err != nil {
-			return
-		}
-		payload, err := encode(quotePayload{Quote: *q, Log: a.tpm.EventLog(), MAC: tag[:]})
-		if err != nil {
-			return
-		}
-		if err := a.ep.Send(msg.From, MsgQuote, payload); err != nil {
-			return
-		}
-		a.sessionAnswered++
-		return
-	}
 	q, err := a.tpm.GenerateQuote(ch.Nonce, sel)
 	if err != nil {
 		return
@@ -112,14 +80,9 @@ func (a *Attester) onChallenge(msg m2m.Message) {
 	if err != nil {
 		return
 	}
-	if err := a.ep.Send(msg.From, MsgQuote, payload); err != nil {
-		return
-	}
-	// Optimistically establish the session this quote's signature seeds.
-	// The verifier only mirrors it after the appraisal comes back
-	// trusted, and only a challenge carrying the matching ID activates
-	// it, so a rejected quote leaves this entry inert.
-	a.sessions[msg.From] = newSession(q.Signature)
+	// Send fails only for an unknown node, and the network has just
+	// delivered a message from msg.From.
+	_ = a.ep.Send(msg.From, MsgQuote, payload)
 }
 
 // Verdict is the outcome of appraising one device.
@@ -193,15 +156,6 @@ func (p *Policy) AppraiseKey(aik cryptoutil.PublicKey, q *tpm.Quote, log []tpm.L
 	if err := tpm.VerifyQuote(aik, q, nonce); err != nil {
 		return fmt.Errorf("%w: %w", ErrPolicy, err)
 	}
-	return p.appraiseChecks(q, log)
-}
-
-// appraiseChecks is the authentication-independent tail of AppraiseKey:
-// required-PCR presence, log replay consistency and the measurement
-// allowlist. Both quote authenticators — the AIK signature and the
-// session channel MAC — converge here, so the two paths cannot drift
-// in verdict or error text.
-func (p *Policy) appraiseChecks(q *tpm.Quote, log []tpm.LogEntry) error {
 	quoted := make(map[int]cryptoutil.Digest, len(q.Selection))
 	for i, pcr := range q.Selection {
 		quoted[pcr] = q.Values[i]
@@ -237,12 +191,10 @@ type Verifier struct {
 	policy  *Policy
 	entropy *cryptoutil.DeterministicEntropy
 
-	pending     map[string][]byte   // device -> outstanding nonce
-	sessions    map[string]*Session // device -> established session (see session.go)
-	retries     uint64              // re-challenges sent (see retry.go)
-	sessionHits uint64              // quotes verified under a session MAC
-	onResult    func(Appraisal)
-	appraisals  []Appraisal
+	pending    map[string][]byte // device -> outstanding nonce
+	retries    uint64            // re-challenges sent (see retry.go)
+	onResult   func(Appraisal)
+	appraisals []Appraisal
 }
 
 // NewVerifier creates a verifier on the given endpoint. onResult (may be
@@ -254,28 +206,19 @@ func NewVerifier(engine *sim.Engine, ep *m2m.Endpoint, policy *Policy, onResult 
 		policy:   policy,
 		entropy:  cryptoutil.NewDeterministicEntropy([]byte("verifier-nonce-seed")),
 		pending:  make(map[string][]byte),
-		sessions: make(map[string]*Session),
 		onResult: onResult,
 	}
 	ep.Handle(MsgQuote, v.onQuote)
 	return v
 }
 
-// Challenge sends a fresh-nonce challenge to a device. When the
-// verifier holds an established session for the device, the challenge
-// invites sign-free re-attestation under it; the device may still
-// answer with a full signed quote (e.g. after losing its session
-// state), which is always accepted.
+// Challenge sends a fresh-nonce challenge to a device.
 func (v *Verifier) Challenge(device string) error {
 	nonce := make([]byte, 16)
 	if _, err := v.entropy.Read(nonce); err != nil {
 		return fmt.Errorf("attest: nonce: %w", err)
 	}
-	var sid []byte
-	if s := v.sessions[device]; s != nil {
-		sid = s.id[:]
-	}
-	payload, err := encode(challengePayload{Nonce: nonce, Selection: PCRSelection, SessionID: sid})
+	payload, err := encode(challengePayload{Nonce: nonce, Selection: PCRSelection})
 	if err != nil {
 		return err
 	}
@@ -326,47 +269,12 @@ func (v *Verifier) onQuote(msg m2m.Message) {
 		return
 	}
 	delete(v.pending, msg.From)
-	if err := v.appraisePayload(msg.From, &qp, nonce); err != nil {
-		// Fail closed: whatever authenticated this device before, it
-		// must present a full signed quote to be trusted again.
-		delete(v.sessions, msg.From)
+	if err := v.policy.appraiseNamed(msg.From, &qp.Quote, qp.Log, nonce); err != nil {
 		v.conclude(Appraisal{Device: msg.From, At: v.engine.Now(), Verdict: VerdictUntrusted, Reason: err.Error()})
 		return
 	}
-	if qp.MAC == nil {
-		// A trusted full quote (re-)establishes the re-attestation
-		// session seeded by its verified signature; the device derived
-		// the same session when it answered.
-		v.sessions[msg.From] = newSession(qp.Quote.Signature)
-	}
 	v.conclude(Appraisal{Device: msg.From, At: v.engine.Now(), Verdict: VerdictTrusted, Reason: "quote verified; all measurements known good"})
 }
-
-// appraisePayload routes one quote payload to its authenticator: the
-// session MAC path when the device answered under a session, the full
-// AIK-signature path otherwise. Both end in the same policy checks.
-func (v *Verifier) appraisePayload(device string, qp *quotePayload, nonce []byte) error {
-	if qp.MAC == nil {
-		return v.policy.appraiseNamed(device, &qp.Quote, qp.Log, nonce)
-	}
-	s := v.sessions[device]
-	var tag cryptoutil.Digest
-	if s == nil || len(qp.MAC) != len(tag) {
-		// A MAC-tagged quote with no live session (or a malformed tag)
-		// fails exactly like a bad signature.
-		return fmt.Errorf("%w: %w", ErrPolicy, tpm.ErrQuoteInvalid)
-	}
-	copy(tag[:], qp.MAC)
-	if err := v.policy.appraiseSession(s, &qp.Quote, qp.Log, nonce, tag); err != nil {
-		return err
-	}
-	v.sessionHits++
-	return nil
-}
-
-// SessionHits returns how many quotes the verifier authenticated under
-// a re-attestation session MAC instead of an AIK signature.
-func (v *Verifier) SessionHits() uint64 { return v.sessionHits }
 
 func (v *Verifier) conclude(a Appraisal) {
 	v.appraisals = append(v.appraisals, a)

@@ -124,6 +124,42 @@ func TestTamperedFirmwareUntrusted(t *testing.T) {
 	}
 }
 
+// challenge drives one full challenge/response exchange and returns the
+// appraisal it concluded.
+func (f *fixture) challenge(t *testing.T, device string) Appraisal {
+	t.Helper()
+	before := len(f.results)
+	if err := f.verifier.Challenge(device); err != nil {
+		t.Fatal(err)
+	}
+	f.engine.RunFor(5 * time.Millisecond)
+	if len(f.results) != before+1 {
+		t.Fatalf("challenge of %s concluded %d appraisals, want 1", device, len(f.results)-before)
+	}
+	return f.results[len(f.results)-1]
+}
+
+// TestSessionReportsTamperHonestly re-attests a device the verifier
+// already trusts after it reboots into evil firmware: the second quote
+// reports the tampered PCR state, and the appraisal must not inherit
+// the first verdict.
+func TestSessionReportsTamperHonestly(t *testing.T) {
+	f := newFixture(t, 1)
+	if a := f.challenge(t, "device-0"); a.Verdict != VerdictTrusted {
+		t.Fatalf("healthy verdict = %v: %s", a.Verdict, a.Reason)
+	}
+
+	tp := f.tpms["device-0"]
+	tp.Reboot()
+	tp.Extend(tpm.PCRBootROM, mROM, "boot rom")
+	tp.Extend(tpm.PCRFirmware, mEvil, "firmware ???")
+	tp.Extend(tpm.PCRPolicy, mPolicy, "policy")
+
+	if a := f.challenge(t, "device-0"); a.Verdict != VerdictUntrusted {
+		t.Fatalf("tampered re-attestation verdict = %v: %s", a.Verdict, a.Reason)
+	}
+}
+
 func TestSilentDeviceTimesOut(t *testing.T) {
 	f := newFixture(t, 1)
 	// Device vanishes: drop all traffic to it.

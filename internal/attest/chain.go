@@ -23,7 +23,7 @@ import (
 // settled by the policy appraisal.
 
 // chainLabel domain-separates the hierarchy's signed messages from
-// every other signature in the system (device quotes, session MACs).
+// every other signature in the system (device quotes).
 const chainLabel = "attest-chain-v1"
 
 // ChainDigest folds the signatures of a node's direct children into

@@ -10,16 +10,6 @@
 // checks the signature, replays the log against the quoted PCRs, and
 // appraises every firmware measurement against an allowlist.
 //
-// On top of that sits session re-attestation (see Session): a device's
-// first verified full quote establishes a shared channel key on both
-// sides, derived from the quote's AIK signature. Subsequent
-// re-attestations answer with a MACed quote body — no signature on the
-// device, one constant-time HMAC verify on the verifier — while policy
-// appraisal runs unchanged. Sessions fail closed (any untrusted
-// appraisal drops them) and self-heal (a full quote is always accepted
-// and re-establishes), so they are a pure fast path: verdicts, reasons
-// and summaries are identical with or without them.
-//
 // For bulk appraisal, BatchAppraiser compiles a policy into queueable
 // form and settles whole signature batches through
 // cryptoutil.BatchVerifier, with per-verdict parity to the one-shot

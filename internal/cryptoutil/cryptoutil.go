@@ -128,12 +128,6 @@ func MAC(key, msg []byte) Digest {
 	return d
 }
 
-// VerifyMAC checks an HMAC-SHA256 tag in constant time.
-func VerifyMAC(key, msg []byte, tag Digest) bool {
-	want := MAC(key, msg)
-	return hmac.Equal(want[:], tag[:])
-}
-
 // ErrCounterRollback is returned by MonotonicCounter.Advance for a
 // backwards move.
 var ErrCounterRollback = errors.New("cryptoutil: monotonic counter rollback")

@@ -2,6 +2,7 @@ package cryptoutil
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -119,17 +120,18 @@ func TestDeriveKey(t *testing.T) {
 }
 
 func TestMAC(t *testing.T) {
-	key := []byte("k")
-	msg := []byte("m")
+	// RFC 4231, test case 2.
+	key := []byte("Jefe")
+	msg := []byte("what do ya want for nothing?")
 	tag := MAC(key, msg)
-	if !VerifyMAC(key, msg, tag) {
-		t.Fatal("valid MAC rejected")
+	if got := hex.EncodeToString(tag[:]); got != "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" {
+		t.Fatalf("MAC = %s", got)
 	}
-	if VerifyMAC([]byte("other"), msg, tag) {
-		t.Fatal("wrong key accepted")
+	if MAC([]byte("other"), msg) == tag {
+		t.Fatal("key does not change the tag")
 	}
-	if VerifyMAC(key, []byte("tampered"), tag) {
-		t.Fatal("tampered message accepted")
+	if MAC(key, []byte("tampered")) == tag {
+		t.Fatal("message does not change the tag")
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package service is the resident attestation service: the concurrent
-// HTTP+JSON shell that keeps compiled fleets, campaign matrices and
-// the experiment registry warm in memory and answers appraisal,
-// fleet-sweep, campaign and topology requests without rebuilding the
-// world per invocation — the long-lived fleet-verifier face of the
+// HTTP+JSON shell around the fleet engine, the campaign matrix and the
+// experiment registry that answers appraisal, fleet-sweep, campaign
+// and topology requests — the long-lived fleet-verifier face of the
 // paper's architecture, served by cmd/cresd.
 //
 // # Model

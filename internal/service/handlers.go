@@ -471,10 +471,10 @@ func (s *Server) appraiseCell(spec scenario.FleetSpec) (cell, error) {
 	}}, nil
 }
 
-// computeAppraise runs one fleet appraisal on the warm engine cache
+// computeAppraise builds the fleet engine for one appraisal, runs it
 // and renders the envelope.
 func (s *Server) computeAppraise(cf *scenario.CompiledFleet, key store.Key) ([]byte, error) {
-	eng, err := s.engine(key, func() (*fleet.Engine, error) { return cf.Engine(key.Seed) })
+	eng, err := cf.Engine(key.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -689,9 +689,13 @@ func (s *Server) parseTopology(r *http.Request, q url.Values) (cellRequest, erro
 	if err := oneOfParam("worm", worm, attack.Names()); err != nil {
 		return cellRequest{}, err
 	}
-	level, err := faultLevel(q.Get("faults"))
+	faults := q.Get("faults")
+	if faults == "" {
+		faults = "none"
+	}
+	level, err := cres.LookupFaultLevel(faults)
 	if err != nil {
-		return cellRequest{}, err
+		return cellRequest{}, errf(http.StatusBadRequest, "faults: %v", err)
 	}
 	dwell := 2 * time.Millisecond
 	if v := q.Get("dwell"); v != "" {
@@ -750,23 +754,6 @@ func oneOfParam(name, val string, valid []string) error {
 		return nil
 	}
 	return errf(http.StatusBadRequest, "%s: unknown value %q (valid: %s)", name, val, strings.Join(valid, ", "))
-}
-
-// faultLevel resolves a fault-level name ("" = none) against the E14
-// levels.
-func faultLevel(name string) (cres.FaultLevel, error) {
-	if name == "" {
-		name = "none"
-	}
-	levels := cres.DefaultFaultLevels()
-	names := make([]string, len(levels))
-	for i, lv := range levels {
-		if lv.Name == name {
-			return lv, nil
-		}
-		names[i] = lv.Name
-	}
-	return cres.FaultLevel{}, errf(http.StatusBadRequest, "faults: unknown value %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // resultEntry is one stored record in a /results listing.
@@ -870,9 +857,6 @@ func (s *Server) handleStatz(r *http.Request) (*response, error) {
 		return nil, err
 	}
 	st := s.Stats()
-	s.engMu.Lock()
-	engines := len(s.engines)
-	s.engMu.Unlock()
 	out := struct {
 		Schema      string `json:"schema"`
 		Endpoint    string `json:"endpoint"`
@@ -880,7 +864,6 @@ func (s *Server) handleStatz(r *http.Request) (*response, error) {
 		Computed    uint64 `json:"computed"`
 		CacheHits   uint64 `json:"cache_hits"`
 		Errors      uint64 `json:"errors"`
-		WarmEngines int    `json:"warm_engines"`
 		Draining    bool   `json:"draining"`
 		Store       string `json:"store,omitempty"`
 		StoredCells int    `json:"stored_cells,omitempty"`
@@ -888,7 +871,7 @@ func (s *Server) handleStatz(r *http.Request) (*response, error) {
 		Schema: BodySchema, Endpoint: "statz",
 		Requests: st.Requests, Computed: st.Computed,
 		CacheHits: st.CacheHits, Errors: st.Errors,
-		WarmEngines: engines, Draining: s.Draining(),
+		Draining: s.Draining(),
 	}
 	if s.cfg.Store != nil {
 		out.Store = s.cfg.Store.Dir()

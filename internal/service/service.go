@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cres/internal/fleet"
 	"cres/internal/harness"
 	"cres/internal/store"
 )
@@ -38,8 +37,6 @@ const (
 	// DefaultSeed is the root seed of a request that omits seed, unless
 	// Config.DefaultSeed chooses another.
 	DefaultSeed = 7
-	// engineCacheCap bounds the warm compiled-engine cache.
-	engineCacheCap = 64
 	// drainTimeout bounds how long a graceful shutdown waits for
 	// in-flight requests.
 	drainTimeout = 30 * time.Second
@@ -92,10 +89,6 @@ type Server struct {
 	// allowed is the /run experiment allowlist in registry order.
 	allowed []string
 
-	engMu    sync.Mutex
-	engines  map[store.Key]*fleet.Engine
-	engOrder []store.Key
-
 	// flights holds the computes in progress for store-backed cells, so
 	// identical concurrent requests compute once.
 	flightMu sync.Mutex
@@ -126,7 +119,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		allowed: allowed,
-		engines: make(map[store.Key]*fleet.Engine),
 		flights: make(map[store.Key]*flight),
 		quitCh:  make(chan struct{}),
 	}
@@ -233,40 +225,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // regroups exact curve sums), and no request's fan-out can starve
 // another's.
 func (s *Server) requestPool() *harness.Pool { return harness.NewPool(s.cfg.Parallel) }
-
-// engine returns the warm compiled engine for a cell key, building and
-// caching it on first use. Engines are immutable after construction
-// and safe for concurrent runs, so one warm engine serves any number
-// of concurrent identical requests.
-func (s *Server) engine(key store.Key, build func() (*fleet.Engine, error)) (*fleet.Engine, error) {
-	s.engMu.Lock()
-	if eng, ok := s.engines[key]; ok {
-		s.engMu.Unlock()
-		return eng, nil
-	}
-	s.engMu.Unlock()
-
-	// Build outside the lock: compilation is pure and idempotent, and
-	// a slow compile must not serialize unrelated requests.
-	eng, err := build()
-	if err != nil {
-		return nil, err
-	}
-
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	if prior, ok := s.engines[key]; ok {
-		return prior, nil
-	}
-	if len(s.engOrder) >= engineCacheCap {
-		oldest := s.engOrder[0]
-		s.engOrder = s.engOrder[1:]
-		delete(s.engines, oldest)
-	}
-	s.engines[key] = eng
-	s.engOrder = append(s.engOrder, key)
-	return eng, nil
-}
 
 // flight is one in-flight compute of a store-backed cell. done closes
 // once body and err are set.

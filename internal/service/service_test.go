@@ -477,13 +477,12 @@ func TestStatzAndErrorCounters(t *testing.T) {
 		Computed    uint64 `json:"computed"`
 		CacheHits   uint64 `json:"cache_hits"`
 		Errors      uint64 `json:"errors"`
-		WarmEngines int    `json:"warm_engines"`
 		StoredCells int    `json:"stored_cells"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Computed != 1 || out.CacheHits != 1 || out.Errors != 1 || out.WarmEngines != 1 || out.StoredCells != 1 {
+	if out.Computed != 1 || out.CacheHits != 1 || out.Errors != 1 || out.StoredCells != 1 {
 		t.Fatalf("statz = %+v", out)
 	}
 	if st := srv.Stats(); st.Computed != 1 || st.CacheHits != 1 {

@@ -208,21 +208,6 @@ func dedupInts(sorted []int) []int {
 // the challenge. It does not appraise the PCR values; that is the
 // verifier policy's job (package attest).
 func VerifyQuote(aik cryptoutil.PublicKey, q *Quote, nonce []byte) error {
-	if err := VerifyQuoteShape(q, nonce); err != nil {
-		return err
-	}
-	if !aik.Verify(quoteBody(q.Nonce, q.Selection, q.Values), q.Signature) {
-		return ErrQuoteInvalid
-	}
-	return nil
-}
-
-// VerifyQuoteShape runs VerifyQuote's structural checks — nil quote,
-// nonce freshness, selection/values consistency — without the
-// signature. Session re-attestation (package attest) authenticates the
-// body with a channel MAC instead of an AIK signature but still needs
-// the identical shape verdicts, error for error.
-func VerifyQuoteShape(q *Quote, nonce []byte) error {
 	if q == nil {
 		return fmt.Errorf("%w: nil quote", ErrQuoteInvalid)
 	}
@@ -231,6 +216,9 @@ func VerifyQuoteShape(q *Quote, nonce []byte) error {
 	}
 	if len(q.Selection) != len(q.Values) {
 		return fmt.Errorf("%w: selection/values length mismatch", ErrQuoteInvalid)
+	}
+	if !aik.Verify(quoteBody(q.Nonce, q.Selection, q.Values), q.Signature) {
+		return ErrQuoteInvalid
 	}
 	return nil
 }
