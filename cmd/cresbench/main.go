@@ -154,9 +154,9 @@ func run(o options) error {
 	switch {
 	case o.only != "" && mode != "":
 		return fmt.Errorf("-only works only in suite mode, not with %s", mode)
-	case o.quick && mode != "":
+	case o.given["quick"] && mode != "":
 		return fmt.Errorf("-quick works only in suite mode, not with %s", mode)
-	case o.stable && o.campaign:
+	case o.given["stable"] && o.campaign:
 		return fmt.Errorf("-stable works only in suite mode and with -fleet, not with -campaign (its table holds no host-clock reading)")
 	case o.plan != "" && !o.campaign:
 		return fmt.Errorf("-plan works only with -campaign")

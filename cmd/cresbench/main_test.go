@@ -247,7 +247,7 @@ func TestRunRejectsFleetSizes(t *testing.T) {
 
 // TestRunRejectsDroppedFlags pins that a flag the selected mode would
 // ignore is a usage error naming both flags, never silently dropped —
-// -shards even when given at its default.
+// -shards, -quick and -stable even when given at their defaults.
 func TestRunRejectsDroppedFlags(t *testing.T) {
 	parse := func(args ...string) options {
 		o, err := parseFlags(flag.NewFlagSet("cresbench", flag.ContinueOnError), args)
@@ -267,9 +267,11 @@ func TestRunRejectsDroppedFlags(t *testing.T) {
 		{"-fleet 4 -plan none", options{seed: 7, fleet: "4", plan: "none"}, []string{"-plan", "-campaign"}},
 		{"-fleet 4 -shards 9", parse("-fleet", "4", "-shards", "9"), []string{"-shards", "-campaign"}},
 		{"-only E2 -shards 3", parse("-only", "E2", "-shards", "3"), []string{"-shards", "-campaign"}},
-		{"-fleet 4 -quick", options{seed: 7, fleet: "4", quick: true}, []string{"-quick", "-fleet"}},
-		{"-campaign -shards 1 -quick", options{seed: 7, campaign: true, shards: 1, quick: true}, []string{"-quick", "-campaign"}},
-		{"-campaign -stable", options{seed: 7, campaign: true, shards: 3, stable: true}, []string{"-stable", "-campaign"}},
+		{"-fleet 4 -quick", parse("-fleet", "4", "-quick"), []string{"-quick", "-fleet"}},
+		{"-fleet 4 -quick=false", parse("-fleet", "4", "-quick=false"), []string{"-quick", "-fleet"}},
+		{"-campaign -shards 1 -quick", parse("-campaign", "-shards", "1", "-quick"), []string{"-quick", "-campaign"}},
+		{"-campaign -stable", parse("-campaign", "-stable"), []string{"-stable", "-campaign"}},
+		{"-campaign -stable=false -plan secure-probe@0", parse("-campaign", "-stable=false", "-plan", "secure-probe@0"), []string{"-stable", "-campaign"}},
 	} {
 		err := run(tc.o)
 		if err == nil {

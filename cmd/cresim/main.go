@@ -210,7 +210,7 @@ func checkMode(o options) error {
 	switch {
 	case o.given["faults"]:
 		dropped = "-faults"
-	case o.recoverLoop:
+	case o.given["recover"]:
 		dropped = "-recover"
 	case o.given["dwell"]:
 		dropped = "-dwell"

@@ -208,7 +208,9 @@ func TestRunRejectsDroppedFlags(t *testing.T) {
 		{"-fleet 4 -plan implant-persist", options{fleet: 4, plan: "implant-persist", seed: 7}, []string{"-fleet", "-plan"}},
 		{"-scenario secure-probe -faults high -recover", options{scenario: "secure-probe", arch: "cres", faults: "high", recoverLoop: true, seed: 7,
 			given: map[string]bool{"scenario": true, "faults": true, "recover": true}}, []string{"-faults", "-topology", "-scenario"}},
-		{"-plan implant-persist -recover", options{plan: "implant-persist", arch: "cres", recoverLoop: true, seed: 7}, []string{"-recover", "-topology", "-plan"}},
+		{"-plan implant-persist -recover", options{plan: "implant-persist", arch: "cres", recoverLoop: true, seed: 7,
+			given: map[string]bool{"plan": true, "recover": true}}, []string{"-recover", "-topology", "-plan"}},
+		{"-fleet 4 -recover=false", options{fleet: 4, seed: 7, given: map[string]bool{"fleet": true, "recover": true}}, []string{"-recover", "-topology", "-fleet"}},
 		{"-fleet 4 -faults low", options{fleet: 4, faults: "low", seed: 7, given: map[string]bool{"fleet": true, "faults": true}}, []string{"-faults", "-topology", "-fleet"}},
 		{"-fleet 4 -faults none", options{fleet: 4, faults: "none", seed: 7, given: map[string]bool{"fleet": true, "faults": true}}, []string{"-faults", "-topology", "-fleet"}},
 		{"-list -fleet 4", options{list: true, fleet: 4, seed: 7, given: map[string]bool{"list": true, "fleet": true}}, []string{"-list", "-fleet"}},

@@ -160,7 +160,6 @@ func RunE9MonitorOverhead(txs int) (*E9Result, error) {
 
 	socs := make([]*hw.SoC, len(setups))
 	alerts := make([]*uint64, len(setups))
-	var buf [8]byte
 	for i, s := range setups {
 		e := sim.New(1)
 		soc, err := hw.NewSoC(e, hw.SoCConfig{WithSSMCore: true})
@@ -171,9 +170,7 @@ func RunE9MonitorOverhead(txs int) (*E9Result, error) {
 			return nil, err
 		}
 		// Warm the path (lane interning, heap growth) before measuring.
-		for j := 0; j < 64; j++ {
-			soc.AppCore.ReadInto(hw.AddrSRAM+hw.Addr((j*64)%65536), buf[:]) //nolint:errcheck
-		}
+		e9Pass(soc.AppCore, 64)
 		socs[i] = soc
 	}
 
@@ -186,9 +183,7 @@ func RunE9MonitorOverhead(txs int) (*E9Result, error) {
 			var msBefore, msAfter runtime.MemStats
 			runtime.ReadMemStats(&msBefore)
 			start := time.Now()
-			for j := 0; j < txs; j++ {
-				socs[i].AppCore.ReadInto(hw.AddrSRAM+hw.Addr((j*64)%65536), buf[:]) //nolint:errcheck
-			}
+			e9Pass(socs[i].AppCore, txs)
 			elapsed := time.Since(start)
 			runtime.ReadMemStats(&msAfter)
 			nsPerTx[i][round] = float64(elapsed.Nanoseconds()) / float64(txs)
@@ -219,6 +214,23 @@ func RunE9MonitorOverhead(txs int) (*E9Result, error) {
 
 	res.Table = e9Table(res.Rows, false)
 	return res, nil
+}
+
+// e9Pass issues n transactions of the bus-monitor benchmark's traffic:
+// three 8-byte reads to every 8-byte write, striding over a 64 KiB
+// window of SRAM. The writes are a kind the watchpoints list, so the
+// watchpoint configuration times its watchpoint walk.
+func e9Pass(core *hw.Core, n int) {
+	var buf [8]byte
+	word := [8]byte{0xc5, 0xe5}
+	for j := 0; j < n; j++ {
+		addr := hw.AddrSRAM + hw.Addr((j*64)%65536)
+		if j%4 == 3 {
+			core.Write(addr, word[:]) //nolint:errcheck
+		} else {
+			core.ReadInto(addr, buf[:]) //nolint:errcheck
+		}
+	}
 }
 
 type countingObserver struct{ n *uint64 }

@@ -66,7 +66,7 @@ type Result struct {
 	// Data holds read results (nil for writes). It is a view of the
 	// memory region's backing store, not a copy: it is valid only for the
 	// duration of an observer callback and must not be retained or
-	// mutated. Initiator.Read returns callers a private copy instead.
+	// mutated. Core.Read returns callers a private copy instead.
 	Data []byte
 }
 
@@ -231,20 +231,15 @@ func (b *Bus) issue(init *Initiator, kind TxKind, addr Addr, size uint64, data [
 		}
 	}
 	if !blocked {
-		switch kind {
-		case TxWrite:
-			if r, f := b.mem.write(tx.Addr, data, tx.World); f != nil {
-				res = Result{Fault: f, Region: f.Region}
-			} else {
+		if r, f := b.mem.check(tx.Addr, size, kind, tx.World); f != nil {
+			res = Result{Fault: f, Region: f.Region}
+		} else {
+			off := uint64(tx.Addr - r.Base)
+			view := r.data[off : off+size : off+size]
+			if kind == TxWrite {
+				copy(view, data)
 				res = Result{OK: true, Region: r.Name}
-			}
-		default: // TxRead, TxExec share read semantics with different perms
-			r, f := b.mem.check(tx.Addr, size, kind, tx.World)
-			if f != nil {
-				res = Result{Fault: f, Region: f.Region}
-			} else {
-				off := uint64(tx.Addr - r.Base)
-				view := r.data[off : off+size : off+size]
+			} else { // TxRead, TxExec share read semantics with different perms
 				if dst != nil {
 					copy(dst, view)
 				}
@@ -292,16 +287,6 @@ func (b *Bus) applyTamper(tx Transaction) Transaction {
 		b.stats.Tampered++
 	}
 	return tx
-}
-
-// Read issues a read transaction and returns the data in a freshly
-// allocated buffer. Hot paths that reuse a buffer should call ReadInto.
-func (i *Initiator) Read(addr Addr, size uint64) ([]byte, error) {
-	buf := make([]byte, size)
-	if f := i.bus.issue(i, TxRead, addr, size, nil, buf); f != nil {
-		return nil, f
-	}
-	return buf, nil
 }
 
 // ReadInto issues a read transaction of len(buf) bytes into the

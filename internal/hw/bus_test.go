@@ -23,13 +23,19 @@ func newTestBus(t *testing.T) (*sim.Engine, *Bus) {
 	return e, NewBus(e, &m)
 }
 
+// read issues an n-byte read from init into a fresh buffer.
+func read(init *Initiator, addr Addr, n uint64) ([]byte, error) {
+	buf := make([]byte, n)
+	return buf, init.ReadInto(addr, buf)
+}
+
 func TestBusReadWrite(t *testing.T) {
 	_, b := newTestBus(t)
 	cpu := b.Attach("cpu0", WorldNormal)
 	if err := cpu.Write(0x1000, []byte{9, 8, 7}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cpu.Read(0x1000, 3)
+	got, err := read(cpu, 0x1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +49,12 @@ func TestBusSecurityAttribute(t *testing.T) {
 	normal := b.Attach("cpu0", WorldNormal)
 	secure := b.Attach("tee", WorldSecure)
 
-	if _, err := normal.Read(0x3000, 4); err == nil {
+	if _, err := read(normal, 0x3000, 4); err == nil {
 		t.Fatal("normal-world read of secure region succeeded")
 	} else if f, ok := AsFault(err); !ok || f.Code != FaultSecurity {
 		t.Fatalf("fault = %v, want security", err)
 	}
-	if _, err := secure.Read(0x3000, 4); err != nil {
+	if _, err := read(secure, 0x3000, 4); err != nil {
 		t.Fatalf("secure-world read failed: %v", err)
 	}
 }
@@ -60,10 +66,10 @@ func TestBusIsolatedWorldOutranksSecure(t *testing.T) {
 	b := NewBus(e, &m)
 	secure := b.Attach("tee", WorldSecure)
 	iso := b.Attach("ssm", WorldIsolated)
-	if _, err := secure.Read(0x7000, 4); err == nil {
+	if _, err := read(secure, 0x7000, 4); err == nil {
 		t.Fatal("secure world reached isolated region")
 	}
-	if _, err := iso.Read(0x7000, 4); err != nil {
+	if _, err := read(iso, 0x7000, 4); err != nil {
 		t.Fatalf("isolated initiator rejected: %v", err)
 	}
 }
@@ -105,8 +111,8 @@ func TestBusObserverSeesEverything(t *testing.T) {
 	b.Subscribe(obs)
 	cpu := b.Attach("cpu0", WorldNormal)
 	cpu.Write(0x1000, []byte{1})
-	cpu.Read(0x1000, 1)
-	cpu.Read(0x3000, 1) // faults
+	read(cpu, 0x1000, 1)
+	read(cpu, 0x3000, 1) // faults
 	if len(obs.txs) != 3 {
 		t.Fatalf("observer saw %d txs, want 3", len(obs.txs))
 	}
@@ -134,13 +140,13 @@ func TestBusGateBlocks(t *testing.T) {
 		return nil
 	})
 	tok := b.AddGate(gate)
-	if _, err := cpu.Read(0x1000, 1); err == nil {
+	if _, err := read(cpu, 0x1000, 1); err == nil {
 		t.Fatal("gated initiator read succeeded")
 	} else if f, _ := AsFault(err); f.Code != FaultBlocked {
 		t.Fatalf("fault = %v, want blocked", f.Code)
 	}
 	other := b.Attach("cpu1", WorldNormal)
-	if _, err := other.Read(0x1000, 1); err != nil {
+	if _, err := read(other, 0x1000, 1); err != nil {
 		t.Fatalf("ungated initiator blocked: %v", err)
 	}
 	if !b.RemoveGate(tok) {
@@ -149,7 +155,7 @@ func TestBusGateBlocks(t *testing.T) {
 	if b.RemoveGate(tok) {
 		t.Fatal("second RemoveGate = true")
 	}
-	if _, err := cpu.Read(0x1000, 1); err != nil {
+	if _, err := read(cpu, 0x1000, 1); err != nil {
 		t.Fatalf("read after gate removal: %v", err)
 	}
 }
@@ -159,7 +165,7 @@ func TestBusTamperFlipsSecurityAttribute(t *testing.T) {
 	// normal-world master reaches secure memory.
 	_, b := newTestBus(t)
 	cpu := b.Attach("evil", WorldNormal)
-	if _, err := cpu.Read(0x3000, 4); err == nil {
+	if _, err := read(cpu, 0x3000, 4); err == nil {
 		t.Fatal("pre-tamper secure read succeeded")
 	}
 	b.SetTamper(func(tx *Transaction) {
@@ -167,7 +173,7 @@ func TestBusTamperFlipsSecurityAttribute(t *testing.T) {
 			tx.World = WorldSecure
 		}
 	})
-	if _, err := cpu.Read(0x3000, 4); err != nil {
+	if _, err := read(cpu, 0x3000, 4); err != nil {
 		t.Fatalf("tampered read should succeed (that is the attack): %v", err)
 	}
 	if b.Stats().Tampered == 0 {
@@ -178,7 +184,7 @@ func TestBusTamperFlipsSecurityAttribute(t *testing.T) {
 	// CRES bus monitor keys on.
 	obs := &recordingObserver{}
 	b.Subscribe(obs)
-	cpu.Read(0x3000, 4)
+	read(cpu, 0x3000, 4)
 	if obs.txs[0].World != WorldSecure {
 		t.Fatal("observer did not see tampered attribute")
 	}
@@ -188,9 +194,9 @@ func TestBusStats(t *testing.T) {
 	_, b := newTestBus(t)
 	cpu := b.Attach("cpu0", WorldNormal)
 	cpu.Write(0x1000, []byte{1})
-	cpu.Read(0x1000, 1)
+	read(cpu, 0x1000, 1)
 	cpu.Fetch(0x1000, 1)
-	cpu.Read(0x3000, 1) // fault
+	read(cpu, 0x3000, 1) // fault
 	st := b.Stats()
 	if st.Total != 4 || st.Reads != 2 || st.Writes != 1 || st.Execs != 1 || st.Faults != 1 {
 		t.Fatalf("stats = %+v", st)

@@ -20,7 +20,9 @@ type ExecObserver interface {
 // Core is a processing element on the SoC. It is a bus initiator that
 // additionally reports executed basic blocks to exec observers and can be
 // halted by the response manager (a physical countermeasure: clock-gating
-// the core).
+// the core). Its bus methods call Bus.issue directly after the halted
+// check, one call shorter than Initiator's wrappers, which serve the DMA
+// engine and the TEE.
 type Core struct {
 	name    string
 	init    *Initiator
@@ -66,7 +68,11 @@ func (c *Core) Read(addr Addr, size uint64) ([]byte, error) {
 	if c.halted {
 		return nil, fmt.Errorf("%w: %s", ErrCoreHalted, c.name)
 	}
-	return c.init.Read(addr, size)
+	buf := make([]byte, size)
+	if f := c.init.bus.issue(c.init, TxRead, addr, size, nil, buf); f != nil {
+		return nil, f
+	}
+	return buf, nil
 }
 
 // ReadInto issues a bus read of len(buf) bytes from this core into the
@@ -75,7 +81,10 @@ func (c *Core) ReadInto(addr Addr, buf []byte) error {
 	if c.halted {
 		return fmt.Errorf("%w: %s", ErrCoreHalted, c.name)
 	}
-	return c.init.ReadInto(addr, buf)
+	if f := c.init.bus.issue(c.init, TxRead, addr, uint64(len(buf)), nil, buf); f != nil {
+		return f
+	}
+	return nil
 }
 
 // Write issues a bus write from this core.
@@ -83,7 +92,10 @@ func (c *Core) Write(addr Addr, data []byte) error {
 	if c.halted {
 		return fmt.Errorf("%w: %s", ErrCoreHalted, c.name)
 	}
-	return c.init.Write(addr, data)
+	if f := c.init.bus.issue(c.init, TxWrite, addr, uint64(len(data)), data, nil); f != nil {
+		return f
+	}
+	return nil
 }
 
 // Fetch issues an instruction fetch from this core.
@@ -91,7 +103,11 @@ func (c *Core) Fetch(addr Addr, size uint64) ([]byte, error) {
 	if c.halted {
 		return nil, fmt.Errorf("%w: %s", ErrCoreHalted, c.name)
 	}
-	return c.init.Fetch(addr, size)
+	buf := make([]byte, size)
+	if f := c.init.bus.issue(c.init, TxExec, addr, size, nil, buf); f != nil {
+		return nil, f
+	}
+	return buf, nil
 }
 
 // Halt stops the core (response countermeasure).

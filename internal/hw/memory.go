@@ -213,8 +213,23 @@ func (m *Memory) Find(addr Addr, n uint64) (*Region, *Fault) {
 	return nil, &Fault{Code: FaultUnmapped, Addr: addr, Detail: fmt.Sprintf("no region covers %d bytes", n)}
 }
 
-// check validates an access of kind k from world w.
+// kindPerm is the permission each transaction kind needs, indexed by
+// every TxKind value; kinds without one need none.
+var kindPerm = [256]Perm{TxRead: PermRead, TxWrite: PermWrite, TxExec: PermExec}
+
+// check validates an access of kind k from world w. The common case, an
+// access inside the last-hit region that its world and permissions
+// allow, is decided inline; checkRegions handles everything else.
 func (m *Memory) check(addr Addr, n uint64, k TxKind, w World) (*Region, *Fault) {
+	if r := m.last; r != nil && r.Contains(addr, n) && w >= r.World && r.Perm.Has(kindPerm[k]) {
+		return r, nil
+	}
+	return m.checkRegions(addr, n, k, w)
+}
+
+// checkRegions is check's out-of-line remainder: it finds the region
+// covering the access and builds the fault that refuses it, if any.
+func (m *Memory) checkRegions(addr Addr, n uint64, k TxKind, w World) (*Region, *Fault) {
 	r, f := m.Find(addr, n)
 	if f != nil {
 		return nil, f
@@ -223,31 +238,10 @@ func (m *Memory) check(addr Addr, n uint64, k TxKind, w World) (*Region, *Fault)
 		return nil, &Fault{Code: FaultSecurity, Addr: addr, Region: r.Name,
 			Detail: fmt.Sprintf("%s-world access to %s region", w, r.World)}
 	}
-	var need Perm
-	switch k {
-	case TxRead:
-		need = PermRead
-	case TxWrite:
-		need = PermWrite
-	case TxExec:
-		need = PermExec
-	}
-	if !r.Perm.Has(need) {
+	if !r.Perm.Has(kindPerm[k]) {
 		return nil, &Fault{Code: FaultPerm, Addr: addr, Region: r.Name,
 			Detail: fmt.Sprintf("%s access to %s region", k, r.Perm)}
 	}
-	return r, nil
-}
-
-// write stores data at addr after checking access from world w. It
-// returns the region written so the bus needs no second region lookup.
-func (m *Memory) write(addr Addr, data []byte, w World) (*Region, *Fault) {
-	r, f := m.check(addr, uint64(len(data)), TxWrite, w)
-	if f != nil {
-		return nil, f
-	}
-	off := addr - r.Base
-	copy(r.data[off:], data)
 	return r, nil
 }
 

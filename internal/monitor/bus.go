@@ -59,7 +59,11 @@ type BusConfig struct {
 	// provisioned world is flagged as tampered (the Section IV bus
 	// attack).
 	ProvisionedWorlds map[string]hw.World
-	// Watchpoints are the policed regions.
+	// Watchpoints are the policed regions. NewBusMonitor records which
+	// transaction kinds they list, so they must not change afterwards. A
+	// successful transaction of a kind none lists, within its
+	// initiator's provisioned world, skips the watchpoint walk: no
+	// watchpoint could alert on it.
 	Watchpoints []Watchpoint
 	// RateWindow is the sampling window for per-initiator transaction
 	// rate anomaly detection. Zero disables rate detection.
@@ -100,6 +104,11 @@ type BusMonitor struct {
 	totalTx     uint64
 	totalFaults uint64
 	totalAlerts uint64
+
+	// watched[k] reports whether any watchpoint lists kind k. It covers
+	// every TxKind value, because a tamper hook may rewrite a
+	// transaction's kind to any of them.
+	watched [256]bool
 }
 
 var _ hw.Observer = (*BusMonitor)(nil)
@@ -117,6 +126,11 @@ func NewBusMonitor(engine *sim.Engine, cfg BusConfig, sink Sink) (*BusMonitor, e
 		engine: engine,
 		sink:   sink,
 		cfg:    cfg,
+	}
+	for _, wp := range cfg.Watchpoints {
+		for _, k := range wp.Kinds {
+			m.watched[k] = true
+		}
 	}
 	if cfg.RateWindow > 0 {
 		t, err := sim.NewTicker(engine, cfg.RateWindow, m.sampleRates)
@@ -169,10 +183,13 @@ func (m *BusMonitor) ObserveTx(tx hw.Transaction, res hw.Result) {
 		return
 	}
 
-	// Steady-state fast path: a successful transaction from an initiator
-	// with no provisioned-world constraint, on a bus with no watchpoints,
-	// needs no further inspection and formats nothing.
-	if res.OK && ln.prov == 0 && len(m.cfg.Watchpoints) == 0 {
+	// Fast path: a successful transaction within its initiator's
+	// provisioned world, of a kind no watchpoint lists, is one that every
+	// check below leaves silent. It counts no fault (it succeeded), shows
+	// no world mismatch (its world does not exceed the provisioned one,
+	// or none is provisioned) and hits no watchpoint (none lists its
+	// kind), so returning here loses no alert or counter.
+	if res.OK && !m.watched[tx.Kind] && (tx.World <= ln.prov || ln.prov == 0) {
 		return
 	}
 

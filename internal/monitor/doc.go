@@ -16,4 +16,16 @@
 // engine seed and the observed workload. The bus monitor's per-
 // transaction path is allocation-free; alloc_test.go and E9's
 // ordering test hold it to that.
+//
+// Cost of a benign bus transaction: one that succeeded, carries a world
+// no higher than its initiator's provisioned one, and is of a kind no
+// watchpoint lists costs the bus monitor its lane count and one lookup
+// in the set of watched kinds that NewBusMonitor compiles. It formats
+// nothing and walks no watchpoint, because no check could alert on it;
+// FuzzBusMonitorVerdicts holds the monitor to a reference evaluator
+// that runs every check. On the bench bus-monitor workload (three
+// 8-byte reads to every write, 2-vCPU Intel Xeon), the full
+// configuration's watchpoint and rate layer measured 0.6-0.9 ns per
+// transaction, against 2.0-2.5 ns when every transaction walked the
+// watchpoints.
 package monitor
