@@ -8,6 +8,14 @@
 // Field elements and scalars share one layout, four 64-bit
 // little-endian limbs.
 //
+// Field multiplication, which every operation above is built on, runs
+// an assembly kernel on amd64 CPUs with BMI2 and ADX: MULX forms the
+// sixteen products and ADCX and ADOX add them in two carry chains that
+// run side by side. Package init picks it once from CPUID; every other
+// CPU and architecture runs the same multiply written in Go. The two
+// give the same limbs for every input, so no signature, R hint,
+// verdict or digest depends on which one ran.
+//
 // The API deliberately mirrors the shape of filippo.io/edwards25519
 // (Point, Scalar, SetBytes/Bytes, SetUniformBytes) so that swapping in
 // that module — which this repository cannot vendor — is a mechanical

@@ -58,10 +58,28 @@ func (v *Element) Negate(a *Element) *Element {
 }
 
 // Mul sets v = a * b and returns v: a 4x4 schoolbook product whose high
-// 256 bits are folded into the low ones times 38. It is one function
-// body because the compiler inlines neither a per-row helper nor a
-// separate fold into it, and their calls cost more than their work.
+// 256 bits are folded into the low ones times 38. On an amd64 CPU with
+// BMI2 and ADX it runs mulADX, an assembly kernel built on MULX and the
+// ADCX/ADOX carry chains; everywhere else it runs mulGeneric. Both
+// compute the same limbs for every input, so no output depends on
+// which one ran. The compiler does not inline this dispatch, whose two
+// calls exceed its budget; a Mul that always called mulADX, which it
+// does inline, timed the same in BenchmarkFieldMul and
+// BenchmarkFieldMul4.
 func (v *Element) Mul(a, b *Element) *Element {
+	if useADX {
+		mulADX(v, a, b)
+		return v
+	}
+	return v.mulGeneric(a, b)
+}
+
+// mulGeneric is Mul in Go: the multiply on CPUs without BMI2 and ADX
+// and on other architectures, and the reference the tests hold mulADX
+// to. It is one function body because the compiler inlines neither a
+// per-row helper nor a separate fold into it, and their calls cost more
+// than their work.
+func (v *Element) mulGeneric(a, b *Element) *Element {
 	a0, a1, a2, a3 := a.l0, a.l1, a.l2, a.l3
 	b0, b1, b2, b3 := b.l0, b.l1, b.l2, b.l3
 
@@ -144,9 +162,10 @@ func (v *Element) Mul(a, b *Element) *Element {
 	return v
 }
 
-// Square sets v = a * a and returns v. A dedicated squaring would save
-// six of Mul's sixteen products, but the hot paths square a handful of
-// times per device against hundreds of multiplications.
+// Square sets v = a * a and returns v, with whichever multiply Mul
+// runs. A dedicated squaring would save six of Mul's sixteen products,
+// but the hot paths square a handful of times per device against
+// hundreds of multiplications.
 func (v *Element) Square(a *Element) *Element {
 	return v.Mul(a, a)
 }

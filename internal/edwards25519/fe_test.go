@@ -118,6 +118,8 @@ func checkRawArithmetic(t testing.TB, a, b *[32]byte) {
 	check("Add", v.Add(ea, eb), new(big.Int).Add(xa, xb))
 	check("Sub", v.Sub(ea, eb), new(big.Int).Sub(xa, xb))
 	check("Negate", v.Negate(ea), new(big.Int).Neg(xa))
+	checkMulLimbs(t, ea, eb)
+	check("mulGeneric", new(Element).mulGeneric(ea, eb), new(big.Int).Mul(xa, xb))
 	check("Mul", v.Mul(ea, eb), new(big.Int).Mul(xa, xb))
 	check("Square", v.Square(ea), new(big.Int).Mul(xa, xa))
 	inv := new(big.Int).ModInverse(ra, feP)
@@ -136,6 +138,41 @@ func checkRawArithmetic(t testing.TB, a, b *[32]byte) {
 	}
 	if got, want := v.SetBytes(a[:]), xa.Cmp(feP) < 0; got != want {
 		t.Fatalf("SetBytes(%#x) = %v, want %v", xa, got, want)
+	}
+}
+
+// checkMulLimbs requires each multiply this CPU can run to give
+// mulGeneric's limbs for a*b and a*a, whether v is a fresh element or
+// aliases a, b or both. mulGeneric itself is checked against math/big
+// by checkRawArithmetic, so this holds mulADX to it limb for limb, not
+// just modulo p.
+func checkMulLimbs(t testing.TB, a, b *Element) {
+	t.Helper()
+	var ab, aa Element
+	ab.mulGeneric(a, b)
+	aa.mulGeneric(a, a)
+	muls := map[string]func(v, a, b *Element){
+		"mulGeneric": func(v, a, b *Element) { v.mulGeneric(a, b) },
+	}
+	if useADX {
+		muls["mulADX"] = mulADX
+	}
+	for name, mul := range muls {
+		var v Element
+		for _, c := range []struct {
+			form string
+			run  func()
+			want *Element
+		}{
+			{"v = a*b", func() { mul(&v, a, b) }, &ab},
+			{"v = v*b", func() { v = *a; mul(&v, &v, b) }, &ab},
+			{"v = a*v", func() { v = *b; mul(&v, a, &v) }, &ab},
+			{"v = v*v", func() { v = *a; mul(&v, &v, &v) }, &aa},
+		} {
+			if c.run(); v != *c.want {
+				t.Fatalf("%s: %s with a = %x, b = %x gave limbs %x, want %x", name, c.form, *a, *b, v, *c.want)
+			}
+		}
 	}
 }
 
@@ -271,6 +308,24 @@ func BenchmarkFieldMul4(b *testing.B) {
 		x[1].Mul(&x[1], y)
 		x[2].Mul(&x[2], y)
 		x[3].Mul(&x[3], y)
+	}
+}
+
+// BenchmarkFieldMul4Generic is BenchmarkFieldMul4 on mulGeneric, so one
+// binary times the multiply Mul runs on this CPU against the Go body.
+func BenchmarkFieldMul4Generic(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	var x [4]Element
+	for i := range x {
+		x[i] = *feFromBig(b, randBig(rng))
+	}
+	y := feFromBig(b, randBig(rng))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x[0].mulGeneric(&x[0], y)
+		x[1].mulGeneric(&x[1], y)
+		x[2].mulGeneric(&x[2], y)
+		x[3].mulGeneric(&x[3], y)
 	}
 }
 

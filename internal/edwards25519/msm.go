@@ -15,9 +15,9 @@ package edwards25519
 // Against the fixed 6-bit window over projective points this replaced,
 // the field multiplications per point fell from 1742 to 644 at n = 4,
 // from 223 to 184 at 256, from 185 to 145 at 1024 and from 176 to 110
-// at 4096. On a shared 2-vCPU Xeon (medians of 6 interleaved runs of
-// BenchmarkMultiScalarMult), a point costs 25.8 µs at n = 4, 6.0 µs at
-// 256, 5.0 µs at 1024 and 3.6 µs at 4096.
+// at 4096. On a shared 2-vCPU Xeon with BMI2 and ADX (medians of 6
+// interleaved runs of BenchmarkMultiScalarMult), a point costs 14.9 µs
+// at n = 4, 3.6 µs at 256, 3.4 µs at 1024 and 2.6 µs at 4096.
 
 // msmMaxWindow keeps every signed digit, at most 2^(w-1) in magnitude,
 // inside an int16.

@@ -27,9 +27,9 @@ func statsDelta(after, before BusStats) BusStats {
 }
 
 // expectedFault is the access check written out plainly: the one
-// region holding all of [addr, addr+n), then its world, then its
-// permission. It returns the fault code and the region it names, both
-// zero for success.
+// region holding addr and all of [addr, addr+n), then its world, then
+// its permission. It returns the fault code and the region it names,
+// both zero for success.
 func expectedFault(regions []*Region, addr Addr, n uint64, k TxKind, w World) (FaultCode, string) {
 	need := map[TxKind]Perm{TxRead: PermRead, TxWrite: PermWrite, TxExec: PermExec}[k]
 	for _, r := range regions {
@@ -37,7 +37,7 @@ func expectedFault(regions []*Region, addr Addr, n uint64, k TxKind, w World) (F
 			continue
 		}
 		off := uint64(addr - r.Base)
-		if off > r.Size || n > r.Size-off {
+		if off >= r.Size || n > r.Size-off {
 			continue
 		}
 		switch {
@@ -57,7 +57,10 @@ func expectedFault(regions []*Region, addr Addr, n uint64, k TxKind, w World) (F
 // bus counters, whether the cache holds the target region, another
 // region or nothing. It covers every reference-SoC region, kind and
 // world, at both ends of each region, straddling each end, in the gaps
-// and past 2^64, and checks every outcome against expectedFault.
+// and past 2^64, and checks every outcome against expectedFault. Each
+// region also takes accesses of zero bytes at its base, its last byte
+// and its end, and each gap one in its middle: a zero-length access at
+// a region's end is outside it, whichever region the cache holds.
 //
 // With the target region cached, a refused access inside it is decided
 // by check's inline test alone falling through; the test requires the
@@ -83,12 +86,18 @@ func TestAccessCheckCacheParity(t *testing.T) {
 			access{r.Name + " high end", end - 8, 8, i},
 			access{r.Name + " last byte", end - 1, 1, i},
 			access{r.Name + " straddling its end", end - 4, 8, i},
+			access{r.Name + " empty at its base", r.Base, 0, i},
+			access{r.Name + " empty at its last byte", end - 1, 0, i},
+			access{r.Name + " empty at its end", end, 0, i},
 		)
 		if r.Base >= 4 {
 			accesses = append(accesses, access{r.Name + " straddling its base", r.Base - 4, 8, i})
 		}
 		if i+1 < len(regions) && end < regions[i+1].Base {
-			accesses = append(accesses, access{"gap above " + r.Name, end, 8, i})
+			accesses = append(accesses,
+				access{"gap above " + r.Name, end, 8, i},
+				access{"gap above " + r.Name + ", empty", end + (regions[i+1].Base-end)/2, 0, i},
+			)
 		}
 	}
 	// An access wrapping past 2^64 ends inside the boot ROM at address 0;

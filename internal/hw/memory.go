@@ -83,9 +83,13 @@ type Region struct {
 	data []byte
 }
 
-// Contains reports whether the region covers [addr, addr+n).
+// Contains reports whether the region covers [addr, addr+n): addr lies
+// inside it, and so do all n bytes, without wrapping past 2^64. An
+// access of zero bytes at Base+Size lies outside it, as every other
+// access at that address does.
 func (r *Region) Contains(addr Addr, n uint64) bool {
-	return addr >= r.Base && addr+Addr(n) <= r.Base+Addr(r.Size) && addr+Addr(n) >= addr
+	off := uint64(addr - r.Base)
+	return off < r.Size && n <= r.Size-off
 }
 
 // FaultCode classifies a memory access fault.
