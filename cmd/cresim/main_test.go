@@ -185,7 +185,8 @@ func TestNothingSelected(t *testing.T) {
 // ignore is a usage error naming both flags, never silently dropped:
 // cresim runs one mode (-list is one), only the scenario mode takes
 // -arch, only the topology mode takes -faults, -recover, -dwell, -mode
-// and -worm, and -recover takes no -mode. A row without flags must run.
+// and -worm, and -recover takes no -mode; star and mesh -topology
+// wirings take no fanout. A row without flags must run.
 func TestRunRejectsDroppedFlags(t *testing.T) {
 	topologyAll := topologyOptions()
 	topologyAll.all = true
@@ -195,6 +196,11 @@ func TestRunRejectsDroppedFlags(t *testing.T) {
 		o := topologyOptions()
 		o.recoverLoop, o.mode = true, mode
 		o.given = map[string]bool{"topology": true, "recover": true, "mode": true}
+		return o
+	}
+	wiring := func(topology string, recoverLoop bool) options {
+		o := topologyOptions()
+		o.topology, o.recoverLoop = topology, recoverLoop
 		return o
 	}
 	for _, tc := range []struct {
@@ -225,6 +231,10 @@ func TestRunRejectsDroppedFlags(t *testing.T) {
 			given: map[string]bool{"scenario": true, "mode": true, "worm": true}}, []string{"-mode", "-topology", "-scenario"}},
 		{"-all -worm secure-probe", options{all: true, arch: "cres", worm: "secure-probe", seed: 7, given: map[string]bool{"all": true, "worm": true}}, []string{"-worm", "-topology", "-all"}},
 		{"-fleet 4 -dwell 1ms", options{fleet: 4, dwell: time.Millisecond, seed: 7, given: map[string]bool{"fleet": true, "dwell": true}}, []string{"-dwell", "-topology", "-fleet"}},
+		// Star and mesh wiring is fixed, so a fanout would be dropped.
+		{"-topology star:10:3", wiring("star:10:3", false), []string{"star", "no fanout"}},
+		{"-topology mesh:4:2", wiring("mesh:4:2", false), []string{"mesh", "no fanout"}},
+		{"-topology star:5:1 -recover", wiring("star:5:1", true), []string{"star", "no fanout"}},
 		{"-scenario secure-probe -arch both -seed 3 -parallel 2", options{scenario: "secure-probe", arch: "both", seed: 3, parallel: 2,
 			given: map[string]bool{"scenario": true, "arch": true, "seed": true, "parallel": true}}, nil},
 	} {

@@ -319,21 +319,16 @@ func runFaultCell(topo *scenario.CompiledTopology, dwell time.Duration, mode str
 		Mode:     mode,
 		Crashes:  len(plan.CrashSchedule(topo.Size())),
 	}
-	// runSwarmCell simulated exactly the containment window from the
-	// worm's launch, so "now - that window" is the launch instant every
-	// E14 clock measures from.
-	containWindow := time.Duration(topo.Size())*dwell + 10*time.Millisecond
-	launch := rig.eng.Now().Add(-containWindow)
 
 	var ctrl *recoveryController
 	if mode == FaultModeRecover {
-		ctrl, err = newRecoveryController(rig, outbreak, plan, launch, window)
+		ctrl, err = newRecoveryController(rig, outbreak, plan, window)
 		if err != nil {
 			return E14Cell{}, err
 		}
 		ctrl.start()
 	}
-	rig.eng.RunUntil(launch.Add(window + 5*time.Millisecond))
+	rig.eng.RunUntil(rig.launch.Add(window + 5*time.Millisecond))
 
 	cell.Infected = outbreak.EverInfections()
 	cell.Reinfected = outbreak.Reinfections()
@@ -368,7 +363,6 @@ type recoveryController struct {
 	outbreak *attack.Outbreak
 	plan     *faultmodel.Plan
 	verifier *attest.Verifier
-	launch   sim.VirtualTime
 	deadline sim.VirtualTime
 
 	repaired []bool
@@ -389,7 +383,7 @@ const (
 // network node, mutual trust with every device, an attester per device,
 // and an appraisal policy built from the fleet's own attestation keys
 // and event logs.
-func newRecoveryController(rig *swarmRig, outbreak *attack.Outbreak, plan *faultmodel.Plan, launch sim.VirtualTime, window time.Duration) (*recoveryController, error) {
+func newRecoveryController(rig *swarmRig, outbreak *attack.Outbreak, plan *faultmodel.Plan, window time.Duration) (*recoveryController, error) {
 	n := len(rig.devs)
 	vkey, err := cryptoutil.KeyPairFromSeed(cryptoutil.DeriveKey([]byte("e14-verifier"), "fleet-verifier", "", 32))
 	if err != nil {
@@ -416,8 +410,7 @@ func newRecoveryController(rig *swarmRig, outbreak *attack.Outbreak, plan *fault
 		rig:      rig,
 		outbreak: outbreak,
 		plan:     plan,
-		launch:   launch,
-		deadline: launch.Add(window),
+		deadline: rig.launch.Add(window),
 		repaired: make([]bool, n),
 		verified: make([]bool, n),
 		pending:  make([]bool, n),
@@ -445,7 +438,7 @@ func (c *recoveryController) round() {
 			c.outbreak.Propagate(i) //nolint:errcheck // index is in range by construction
 		}
 	}
-	if !c.plan.VerifierDown(c.rig.eng.Now().Sub(c.launch)) {
+	if !c.plan.VerifierDown(c.rig.eng.Now().Sub(c.rig.launch)) {
 		repairs := 0
 		for i := range c.rig.devs {
 			if c.outbreak.IsInfected(i) && repairs < repairsPerRound {
@@ -574,5 +567,5 @@ func (c *recoveryController) checkFullService() {
 			return
 		}
 	}
-	c.fullAt = c.rig.eng.Now().Sub(c.launch)
+	c.fullAt = c.rig.eng.Now().Sub(c.rig.launch)
 }

@@ -262,7 +262,6 @@ type SwarmOutcome struct {
 // swarmTimeline records worm events with their virtual timestamps.
 type swarmTimeline struct {
 	rig    *swarmRig
-	launch sim.VirtualTime
 	events []SwarmEvent
 }
 
@@ -271,7 +270,7 @@ var _ attack.FleetObserver = (*swarmTimeline)(nil)
 // Infected implements attack.FleetObserver.
 func (s *swarmTimeline) Infected(device, hop int) {
 	s.events = append(s.events, SwarmEvent{
-		At:     s.rig.eng.Now().Sub(s.launch),
+		At:     s.rig.eng.Now().Sub(s.rig.launch),
 		Kind:   "infected",
 		Detail: fmt.Sprintf("%s compromised (hop %d)", swarmNodeName(device), hop),
 	})
@@ -280,7 +279,7 @@ func (s *swarmTimeline) Infected(device, hop int) {
 // Blocked implements attack.FleetObserver.
 func (s *swarmTimeline) Blocked(from, to int) {
 	s.events = append(s.events, SwarmEvent{
-		At:     s.rig.eng.Now().Sub(s.launch),
+		At:     s.rig.eng.Now().Sub(s.rig.launch),
 		Kind:   "blocked",
 		Detail: fmt.Sprintf("propagation %s -> %s hit quarantine gate", swarmNodeName(from), swarmNodeName(to)),
 	})
@@ -318,7 +317,7 @@ func RunSwarmUnderFaults(topo scenario.TopologySpec, dwell time.Duration, mode, 
 	}
 	var tl *swarmTimeline
 	cell, rig, _, err := runSwarmCell(ct, dwell, mode, payload, seed, plan, func(r *swarmRig) attack.FleetObserver {
-		tl = &swarmTimeline{rig: r, launch: r.eng.Now()}
+		tl = &swarmTimeline{rig: r}
 		return tl
 	})
 	if err != nil {
@@ -335,7 +334,7 @@ func RunSwarmUnderFaults(topo scenario.TopologySpec, dwell time.Duration, mode, 
 				continue
 			}
 			out.Events = append(out.Events, SwarmEvent{
-				At:     a.At.Sub(tl.launch),
+				At:     a.At.Sub(rig.launch),
 				Kind:   "quarantine",
 				Detail: fmt.Sprintf("%s cut link %s: %s", dev.Name, a.Target, a.Reason),
 			})
@@ -361,6 +360,9 @@ type swarmRig struct {
 	topo *scenario.CompiledTopology
 	devs []*Device
 	tgts []*attack.Target
+	// launch is the virtual instant runSwarmCell launched the worm:
+	// every timeline and E14 clock measures from it.
+	launch sim.VirtualTime
 }
 
 var _ attack.Fleet = (*swarmRig)(nil)
@@ -471,6 +473,7 @@ func runSwarmCell(topo *scenario.CompiledTopology, dwell time.Duration, mode str
 			})
 		}
 	}
+	rig.launch = rig.eng.Now()
 	var obs attack.FleetObserver
 	if mkObs != nil {
 		obs = mkObs(rig)

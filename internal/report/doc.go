@@ -1,4 +1,4 @@
-// Package report renders experiment results as aligned text tables, CSV
+// Package report renders experiment results as aligned text tables
 // and labelled series — the output format of the benchmark harness that
 // regenerates the paper's Table I and Figure 1 and the derived
 // experiments' tables.

@@ -31,9 +31,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// Len returns the number of rows.
-func (t *Table) Len() int { return len(t.rows) }
-
 // Render returns the aligned text form.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.headers))
@@ -68,29 +65,6 @@ func (t *Table) Render() string {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV returns the comma-separated form (quoted where needed).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteString(strconv.Quote(c))
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.headers)
 	for _, row := range t.rows {
 		writeRow(row)
 	}

@@ -39,8 +39,9 @@ type TopologySpec struct {
 	// Size is the number of nodes (at least 2).
 	Size int
 	// Fanout parameterises the wiring density: neighbours per side for
-	// ring, random chords per node for random. Star and mesh have fixed
-	// wiring and ignore it. Default 1.
+	// ring, random chords per node for random. Default 1. Star and mesh
+	// have fixed wiring and take none: Compile rejects a non-zero Fanout
+	// for them.
 	Fanout int
 	// Seed seeds the random kind's chord selection. Used as given; the
 	// other kinds ignore it.
@@ -70,6 +71,9 @@ func (s TopologySpec) Compile() (*CompiledTopology, error) {
 	}
 	if s.Fanout < 0 {
 		return nil, fmt.Errorf("scenario: topology %s with negative fanout %d", s.Kind, s.Fanout)
+	}
+	if s.Fanout != 0 && (s.Kind == TopologyStar || s.Kind == TopologyMesh) {
+		return nil, fmt.Errorf("scenario: topology %s takes no fanout (got %d): its wiring is fixed", s.Kind, s.Fanout)
 	}
 	if s.Fanout == 0 {
 		s.Fanout = 1

@@ -112,6 +112,8 @@ func TestTopologyCompileErrors(t *testing.T) {
 		{Kind: TopologyRing, Size: 6, Fanout: -1},  // negative fanout
 		{Kind: TopologyRing, Size: 6, Fanout: 3},   // too dense
 		{Kind: TopologyRandom, Size: 4, Fanout: 2}, // too dense
+		{Kind: TopologyStar, Size: 5, Fanout: 3},   // star wiring is fixed
+		{Kind: TopologyMesh, Size: 4, Fanout: 1},   // mesh wiring is fixed
 	}
 	for _, s := range cases {
 		if _, err := s.Compile(); err == nil {

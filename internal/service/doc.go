@@ -30,8 +30,7 @@
 // cell once: the first computes and records it, the others wait and
 // are served its bytes as hits. A fleet sweep is stored cell-by-cell, so an interrupted
 // sweep resumes by computing only the missing sizes. The /results
-// endpoint exposes the stored history for querying; cmd/benchdiff
-// -store gates it.
+// endpoint exposes the stored history for querying.
 //
 // # Shutdown
 //

@@ -28,6 +28,8 @@ func FuzzAPIRequest(f *testing.F) {
 	f.Add("/fleet?sizes=4,,8")
 	f.Add("/topology?kind=ring&size=4&dwell=1ms&mode=cres-coop")
 	f.Add("/topology?kind=mesh&faults=low")
+	f.Add("/topology?kind=star&size=5&fanout=3")
+	f.Add("/appraise?size=4&size=8")
 	f.Add("/results?history=1&body=1&limit=2")
 	f.Add("/results?limit=-1")
 	f.Add("/statz")

@@ -124,13 +124,19 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	w.Write([]byte("\n"))
 }
 
-// checkParams rejects any query parameter outside the allowed set —
-// the strict-flag rule of the CLIs carried over: a typoed parameter
-// is a usage error naming the valid ones, never a silent default.
+// checkParams rejects any query parameter outside the allowed set, and
+// any given more than once — the strict-flag rule of the CLIs carried
+// over: a typoed or repeated parameter is a usage error naming it,
+// never a silent default or a silently dropped value.
 func checkParams(q url.Values, allowed ...string) error {
 	for name := range q {
 		if !slices.Contains(allowed, name) {
 			return errf(http.StatusBadRequest, "unknown query parameter %q (allowed: %s)", name, strings.Join(slices.Sorted(slices.Values(allowed)), ", "))
+		}
+	}
+	for _, name := range allowed {
+		if n := len(q[name]); n > 1 {
+			return errf(http.StatusBadRequest, "query parameter %q given %d times, want it at most once", name, n)
 		}
 	}
 	return nil
@@ -710,6 +716,16 @@ func (s *Server) parseTopology(r *http.Request, q url.Values) (cellRequest, erro
 			return cellRequest{}, errf(http.StatusBadRequest, "dwell %v exceeds the server cap %v", dwell, maxDwell)
 		}
 	}
+	if _, err := (scenario.TopologySpec{Kind: kind, Size: size, Fanout: fanout}).Compile(); err != nil {
+		// Spec-shape errors (too few nodes, bad fanout) are the
+		// requester's, not the server's. None depends on the seed.
+		return cellRequest{}, errf(http.StatusBadRequest, "%v", err)
+	}
+	// Compile wires fanout 0 as 1, and only ring and random get this
+	// far with a fanout: an explicit 1 is the default form's cell.
+	if fanout == 1 {
+		fanout = 0
+	}
 	digest, err := store.Digest(struct {
 		Endpoint string `json:"endpoint"`
 		Kind     string `json:"kind"`
@@ -723,11 +739,6 @@ func (s *Server) parseTopology(r *http.Request, q url.Values) (cellRequest, erro
 		DwellNs: dwell.Nanoseconds(), Mode: mode, Worm: worm, Faults: level.Name})
 	if err != nil {
 		return cellRequest{}, err
-	}
-	if _, err := (scenario.TopologySpec{Kind: kind, Size: size, Fanout: fanout}).Compile(); err != nil {
-		// Spec-shape errors (too few nodes, bad fanout) are the
-		// requester's, not the server's. None depends on the seed.
-		return cellRequest{}, errf(http.StatusBadRequest, "%v", err)
 	}
 	return cellRequest{cells: []cell{{experiment: "topology", digest: digest, compute: func(key store.Key) ([]byte, error) {
 		spec := scenario.TopologySpec{Kind: kind, Size: size, Fanout: fanout, Seed: key.Seed}

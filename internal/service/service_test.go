@@ -377,6 +377,43 @@ func TestTopologyEndpoint(t *testing.T) {
 	// not a compute failure (500).
 	errBody(t, ts, "/topology?kind=ring&dwell=2000h", http.StatusBadRequest)
 	errBody(t, ts, "/topology?kind=ring&size=1", http.StatusBadRequest)
+
+	// Star and mesh wiring is fixed: a fanout would be dropped, so it
+	// is refused rather than filed under a digest of its own.
+	for _, path := range []string{
+		"/topology?kind=star&size=5&fanout=3",
+		"/topology?kind=mesh&size=4&fanout=1",
+	} {
+		if code, _, body := get(t, ts, path); code != http.StatusBadRequest || !strings.Contains(string(body), "no fanout") {
+			t.Errorf("GET %s: %d %s, want 400 naming the dropped fanout", path, code, body)
+		}
+	}
+}
+
+// TestTopologyFanoutOneIsTheDefaultCell: ring and random wire fanout
+// 0 as 1, so a request that spells out fanout=1 is the default form's
+// computation and must share its digest, body and stored cell.
+func TestTopologyFanoutOneIsTheDefaultCell(t *testing.T) {
+	srv, ts := testServer(t, t.TempDir())
+	for _, pair := range [][2]string{
+		{"/topology?kind=ring&size=8&seed=7", "/topology?kind=ring&size=8&seed=7&fanout=1"},
+		{"/topology?kind=random&size=6&fanout=1&seed=3", "/topology?kind=random&size=6&seed=3"},
+	} {
+		h1, body1 := mustGet(t, ts, pair[0])
+		h2, body2 := mustGet(t, ts, pair[1])
+		if d1, d2 := h1.Get("X-Cres-Digest"), h2.Get("X-Cres-Digest"); d1 != d2 {
+			t.Errorf("%s and %s: digests %s and %s, want one", pair[0], pair[1], d1, d2)
+		}
+		if c := h2.Get("X-Cres-Cache"); c != "hit" {
+			t.Errorf("%s after %s: X-Cres-Cache = %q, want hit", pair[1], pair[0], c)
+		}
+		if !bytes.Equal(body1, body2) {
+			t.Errorf("%s and %s served different bodies", pair[0], pair[1])
+		}
+	}
+	if n := srv.Stats().Computed; n != 2 {
+		t.Errorf("computed %d cells, want 2 (one per wiring)", n)
+	}
 }
 
 func TestCampaignEndpoint(t *testing.T) {
@@ -520,6 +557,42 @@ func TestStrictParamsAndRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /quit: %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestRepeatedParamsRejected: a query parameter given twice is a
+// usage error naming it, on every endpoint and in both /appraise
+// forms, never a silent pick of one of its values.
+func TestRepeatedParamsRejected(t *testing.T) {
+	_, ts := testServer(t, "")
+	for _, tc := range []struct{ method, path, body, param string }{
+		{"GET", "/appraise?size=4&size=1024", "", "size"},
+		{"GET", "/appraise?size=4&seed=1&seed=2", "", "seed"},
+		{"POST", "/appraise?seed=1&seed=2", `{"name":"e8","size":4}`, "seed"},
+		{"POST", "/appraise?nocache=1&nocache=0", `{"name":"e8","size":4}`, "nocache"},
+		{"GET", "/fleet?sizes=4&sizes=64", "", "sizes"},
+		{"GET", "/run?experiment=E2&experiment=E1", "", "experiment"},
+		{"GET", "/topology?kind=ring&size=6&size=8", "", "size"},
+		{"GET", "/campaign?seeds=9&seeds=1", "", "seeds"},
+		{"GET", "/results?limit=1&limit=2", "", "limit"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		want := fmt.Sprintf("%q given 2 times", tc.param)
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, want) {
+			t.Errorf("%s %s: %d %s, want 400 with an error containing %s", tc.method, tc.path, resp.StatusCode, body, want)
+		}
 	}
 }
 

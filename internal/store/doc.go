@@ -11,19 +11,21 @@
 // seed, and a digest of the canonical encoding of the compiled
 // configuration — so two runs of the same cell at any commit map to
 // the same key. Because every experiment in this repository is a pure
-// function of its (seed, config) key, a stored record never goes
-// stale: a sweep interrupted half-way resumes by skipping the keys
-// already on disk, and two records under one key must carry
-// byte-identical bodies — the cross-commit determinism invariant
-// cmd/benchdiff's -store gate enforces.
+// function of its (seed, config) key, a sweep interrupted half-way
+// resumes by skipping the keys already on disk, and two records under
+// one key must carry byte-identical bodies. Within one commit the
+// service's replay and crash-restart checks hold that. Across commits
+// nothing recomputes a stored body: a change that alters a body but
+// not its digest would be served stale from every existing store
+// (ROADMAP item 2).
 //
 // # Durability contract
 //
 // A store has one writer. Open takes an exclusive lock on store.jsonl
 // (flock, where the platform has it) until Close, so a second cresd
 // on a live store fails at start-up instead of writing over records
-// the first one acknowledged. Viewers use OpenReadOnly, which takes no
-// lock and never changes the file.
+// the first one acknowledged. A running cresd serves its store's
+// records through GET /results.
 //
 // Append writes one complete JSON line per record and syncs on Close.
 // A write that fails part-way (a full disk, a file-size limit) is cut

@@ -28,11 +28,6 @@ type Key struct {
 	Digest string
 }
 
-// String renders the key as "experiment/seed/digest".
-func (k Key) String() string {
-	return fmt.Sprintf("%s/%d/%s", k.Experiment, k.Seed, k.Digest)
-}
-
 // Record is one stored result line.
 type Record struct {
 	// Schema is always the package Schema constant; Append fills it.
@@ -108,23 +103,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// OpenReadOnly loads the store rooted at dir for reading, beside any
-// writer. It creates, locks and truncates nothing: a torn final
-// record, which may be one a live writer is still appending, is
-// dropped in memory only. A missing store file is an error naming its
-// path. Append on the returned store fails.
-func OpenReadOnly(dir string) (*Store, error) {
-	data, err := os.ReadFile(filepath.Join(dir, FileName))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s := &Store{dir: dir, index: make(map[Key][]int)}
-	if _, err := s.parse(data); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // load scans the JSONL file, building the in-memory index, and
 // truncates a torn final record so the next Append starts on a clean
 // line boundary.
@@ -133,28 +111,6 @@ func (s *Store) load() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	good, err := s.parse(data)
-	if err != nil {
-		return err
-	}
-	if good < len(data) {
-		// Truncate the torn tail so the dropped cell is re-runnable and
-		// the next Append cannot splice onto a partial line.
-		if err := s.f.Truncate(int64(good)); err != nil {
-			return fmt.Errorf("store: truncating torn record: %w", err)
-		}
-	}
-	end, err := s.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.end = end
-	return nil
-}
-
-// parse indexes every complete record in data and returns the byte
-// offset just past the last one; a torn final line is left out.
-func (s *Store) parse(data []byte) (int, error) {
 	good := 0 // byte offset of the end of the last complete, valid record
 	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
@@ -171,13 +127,25 @@ func (s *Store) parse(data []byte) (int, error) {
 				// partially flushed buffer).
 				break
 			}
-			return 0, fmt.Errorf("store: corrupt record at byte %d (not the final line): %w", off, err)
+			return fmt.Errorf("store: corrupt record at byte %d (not the final line): %w", off, err)
 		}
 		s.append(rec)
 		off += nl + 1
 		good = off
 	}
-	return good, nil
+	if good < len(data) {
+		// Truncate the torn tail so the dropped cell is re-runnable and
+		// the next Append cannot splice onto a partial line.
+		if err := s.f.Truncate(int64(good)); err != nil {
+			return fmt.Errorf("store: truncating torn record: %w", err)
+		}
+	}
+	end, err := s.f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.end = end
+	return nil
 }
 
 // decodeRecord parses and validates one JSONL line.
@@ -232,7 +200,7 @@ func (s *Store) Append(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return fmt.Errorf("store: closed or read-only")
+		return fmt.Errorf("store: closed")
 	}
 	if s.broken != nil {
 		return s.broken

@@ -316,61 +316,6 @@ func TestSecondWriterRefused(t *testing.T) {
 	}
 }
 
-// TestOpenReadOnlyLeavesTornTail reads a store whose final line is
-// torn, as a viewer beside a live writer may: the complete records
-// load, the torn one is absent, the file's bytes stay as they were,
-// and nothing can be appended. A missing store is an error naming its
-// path, and creates nothing.
-func TestOpenReadOnlyLeavesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(testRecord("E8", 7, "aaaa", "keep")); err != nil {
-		t.Fatal(err)
-	}
-	// A writer still holds the store: the viewer must not need its lock.
-	defer s.Close()
-	path := filepath.Join(dir, FileName)
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := append(append([]byte{}, clean...), `{"torn":`...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ro, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ro.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", ro.Len())
-	}
-	if _, ok := ro.Get(testRecord("E8", 7, "aaaa", "").Key()); !ok {
-		t.Fatal("complete record missing")
-	}
-	if err := ro.Append(testRecord("E9", 7, "bbbb", "x")); err == nil {
-		t.Fatal("read-only store accepted an append")
-	}
-	if err := ro.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != string(torn) {
-		t.Fatalf("read-only open changed the file:\n%q\nwant\n%q", got, torn)
-	}
-
-	absent := filepath.Join(t.TempDir(), "absent")
-	if _, err := OpenReadOnly(absent); err == nil || !strings.Contains(err.Error(), filepath.Join(absent, FileName)) {
-		t.Fatalf("missing store: error %v, want one naming %s", err, filepath.Join(absent, FileName))
-	}
-	if _, err := os.Stat(absent); !os.IsNotExist(err) {
-		t.Fatal("read-only open created the directory")
-	}
-}
-
 // TestAppendRefusedAfterFailedRollback covers a failed append whose
 // fragment cannot be cut back off: the store must refuse every later
 // append, naming itself, rather than join a record onto the fragment.
